@@ -4,18 +4,15 @@
 
 All rational values serialize as exact "p/q" strings; JSON reports carry
 a ``schema`` version field.  ``verify-paper`` runs the built-in fixture
-suite and exits 0 iff every check passes; ``PEBBLEKIT_THREADS`` (or
-``--threads``) caps its worker pool.
+suite and exits 0 iff every check passes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,7 +281,7 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
         wmin = min(constructions.density7_class_weights(basis).values())
         profile = constructions.density7_class_profile(basis)
         b_sum = min(
-            sum(Fraction(k, 2**dd) for dd, k in shells.items())
+            weights.dyadic_weight((k, dd) for dd, k in shells.items())
             for alpha, shells in profile.items()
             if alpha != 0
         )
@@ -456,15 +453,6 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
     return checks
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("PEBBLEKIT_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return 1
-
-
 def cmd_verify_paper(args) -> int:
     checks = _checks(args.scale, args.node_cap)
 
@@ -484,12 +472,7 @@ def cmd_verify_paper(args) -> int:
             "runtime_s": round(time.monotonic() - start, 3),
         }
 
-    workers = _thread_count(args)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(c) for c in checks]
+    results = [run(c) for c in checks]
     all_pass = all(r["passed"] for r in results)
     report = {
         "schema": SCHEMA,
@@ -652,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in fixture suite")
     p.add_argument("--scale", choices=["small", "full-desk"], default="small")
-    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=cmd_verify_paper)
 

@@ -238,19 +238,6 @@ def verify_certificate(p: LpProblem, primal, dual) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ExcessRegionProfile:
-    """Weight contributions from the four axis regions (x) and the four
-    diagonal regions (y) around a unit."""
-
-    x: tuple[Fraction, Fraction, Fraction, Fraction]
-    y: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.x) or any(v < 0 for v in self.y):
-            raise LpError("region contributions must be non-negative")
-
-
 def unit_excess_problem() -> LpProblem:
     """Minimum excess weight at a vertex holding a single pebble, over the
     eight region-contribution variables x1..x4, y1..y4.

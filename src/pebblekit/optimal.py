@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grid import Distribution, GridError, GridSpec, PLANE, Vertex
-from .reach import DEFAULT_NODE_CAP, _Engine
+from .reach import DEFAULT_NODE_CAP, is_solvable
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
@@ -108,17 +108,6 @@ def _distributions_of_size(spec: GridSpec, s: int, maps):
     yield from rec(0, s, [])
 
 
-def _hard_first(spec: GridSpec) -> list[Vertex]:
-    """Vertices ordered corners/borders first (empirically hardest to
-    reach), so unsolvable candidates fail fast."""
-
-    def rank(v: Vertex) -> tuple:
-        db = min(v.col, spec.width - 1 - v.col) + min(v.row, spec.height - 1 - v.row)
-        return (db, v.row, v.col)
-
-    return sorted(spec.vertices(), key=rank)
-
-
 def optimal_pebbling_number(
     spec: GridSpec, node_cap: int = DEFAULT_NODE_CAP
 ) -> OptimalResult:
@@ -126,7 +115,6 @@ def optimal_pebbling_number(
     if spec.size > MAX_SEARCH_VERTICES:
         raise SearchBudgetExceeded(spec, 1, None)
     maps = _symmetries(spec)
-    order = _hard_first(spec)
     tested = 0
     s = 0
     while True:
@@ -134,8 +122,7 @@ def optimal_pebbling_number(
         for counts in _distributions_of_size(spec, s, maps):
             tested += 1
             d = Distribution(spec, counts)
-            engine = _Engine(d, node_cap)
-            if all(engine.can_move_k(t, 1) for t in order):
+            if is_solvable(d, node_cap):
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, candidates_tested=tested)
 
 

@@ -15,16 +15,18 @@ Reachability is decided in two layers:
   search over distribution states with a transposition table.  A pebbling
   move never increases the weight sum(c * 2^-d) at the target, and moves
   that step toward the target preserve it exactly, so states whose target
-  weight drops below k are pruned without losing exactness.
+  weight drops below k are pruned without losing exactness.  The search
+  keeps that weight as an integer numerator over 2^D, D the largest
+  distance to the target, so a move updates it with two shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .grid import Distribution, GridError, GridSpec, Vertex
+from .weights import dyadic_weight
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -53,11 +55,6 @@ class CoverageReport:
     boundary: frozenset[Vertex]
 
 
-@lru_cache(maxsize=64)
-def _pow2(d: int) -> Fraction:
-    return Fraction(1, 2**d)
-
-
 def apply_move(d: Distribution, frm, to) -> Distribution:
     """One pebbling move: remove two pebbles at frm, add one at to."""
     frm = d.grid.check(frm)
@@ -79,19 +76,21 @@ class _Search:
         self.node_cap = node_cap
         self.nodes = 0
         self.dist = {v: grid.distance(v, t) for v in grid.vertices()}
+        self.top = max(self.dist.values())
         self.failed: set[frozenset] = set()
         self.witness: set[Vertex] = set()
 
     def run(self, counts: dict) -> bool:
-        w = sum(c * _pow2(self.dist[v]) for v, c in counts.items())
+        w = dyadic_weight((c, self.dist[v]) for v, c in counts.items())
         if w < self.k:
             return False
-        hit = self._dfs(dict(counts), w)
+        hit = self._dfs(dict(counts), int(w * (1 << self.top)))
         if hit:
             self.witness.update(counts)
         return hit
 
-    def _dfs(self, state: dict, w: Fraction) -> bool:
+    def _dfs(self, state: dict, w: int) -> bool:
+        """w is the target weight of state times 2^top."""
         if state.get(self.t, 0) >= self.k:
             return True
         key = frozenset(state.items())
@@ -100,15 +99,18 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise BudgetExceeded(self.t, self.node_cap)
+        dist, top = self.dist, self.top
+        need = self.k << top
         moves = []
         for v, c in state.items():
             if c < 2:
                 continue
-            dv = self.dist[v]
+            dv = dist[v]
+            rest = w - (2 << (top - dv))
             for u in self.grid.neighbors(v):
-                nw = w - 2 * _pow2(dv) + _pow2(self.dist[u])
-                if nw >= self.k:
-                    moves.append((self.dist[u] >= dv, -c, v, u, nw))
+                nw = rest + (1 << (top - dist[u]))
+                if nw >= need:
+                    moves.append((dist[u] >= dv, -c, v, u, nw))
         moves.sort()
         for _, _, v, u, nw in moves:
             state[v] -= 2
@@ -222,7 +224,7 @@ class _Engine:
         for v, c in counts.items():
             if c >> grid.distance(v, t) >= k:
                 return True
-        if sum(c * _pow2(grid.distance(v, t)) for v, c in counts.items()) < k:
+        if dyadic_weight((c, grid.distance(v, t)) for v, c in counts.items()) < k:
             return False
         trace: set = set() if known is not None else None
         if _greedy_deliverable(grid, counts, t, trace) >= k:
@@ -235,7 +237,7 @@ class _Engine:
             if not sub or sub == tried or len(sub) == len(counts):
                 continue
             tried = sub
-            if sum(c * _pow2(grid.distance(v, t)) for v, c in sub.items()) < k:
+            if dyadic_weight((c, grid.distance(v, t)) for v, c in sub.items()) < k:
                 continue
             search = _Search(grid, t, k, max(self.node_cap // 20, 1000))
             try:

@@ -59,13 +59,21 @@ class WeightReport:
         }
 
 
+def dyadic_weight(terms) -> Fraction:
+    """Exact sum of c * 2^-d over (count, distance) pairs.
+
+    The sum is kept as one numerator over 2^D, D the largest distance, so
+    each term costs a shift; counts may be ints or Fractions.  Every weight
+    and weight bound in the package is evaluated here."""
+    terms = list(terms)
+    top = max((dist for _, dist in terms), default=0)
+    return Fraction(sum(c * (1 << (top - dist)) for c, dist in terms), 1 << top)
+
+
 def weight(d: AnyDistribution, u) -> Fraction:
     """sum_v D(v) * 2^-d(u,v) on the distribution's grid."""
     u = d.grid.check(u)
-    total = Fraction(0)
-    for v, c in d.items():
-        total += Fraction(c, 1) / 2 ** d.grid.distance(u, v)
-    return total
+    return dyadic_weight((c, d.grid.distance(u, v)) for v, c in d.items())
 
 
 def excess(d: AnyDistribution, u) -> Fraction:
@@ -77,39 +85,31 @@ def weight_report(d: AnyDistribution) -> WeightReport:
     """Weights and excess at every grid vertex, with ceiling aggregates."""
     weights = {u: weight(d, u) for u in d.grid.vertices()}
     exc = {u: max(w - 1, Fraction(0)) for u, w in weights.items()}
-    total_w = sum(weights.values(), Fraction(0))
-    total_e = sum(exc.values(), Fraction(0))
     return WeightReport(
         weights=weights,
         excess=exc,
-        total_weight=total_w,
-        total_excess=total_e,
-        ceiling=(total_w - total_e) / d.size,
+        total_weight=sum(weights.values(), Fraction(0)),
+        total_excess=sum(exc.values(), Fraction(0)),
+        ceiling=_ceiling_numerator(d, weights=weights.values()) / d.size,
     )
 
 
 def covering_ratio_ceiling(d: AnyDistribution) -> Fraction:
     """(sum_v min(W(v), 1)) / |D| on the distribution's grid."""
-    if d.size < 1:
-        raise GridError("ceiling needs a non-empty distribution")
-    num = Fraction(0)
-    for u in d.grid.vertices():
-        num += min(weight(d, u), Fraction(1))
-    return num / d.size
+    return _ceiling_numerator(d) / d.size
 
 
 def _infinite_weight(counts: dict, u: tuple) -> Fraction:
-    total = Fraction(0)
-    for (c0, r0), c in counts.items():
-        dd = abs(u[0] - c0) + abs(u[1] - r0)
-        total += Fraction(c, 1) / 2**dd
-    return total
+    return dyadic_weight(
+        (c, abs(u[0] - c0) + abs(u[1] - r0)) for (c0, r0), c in counts.items()
+    )
 
 
-def infinite_excess_region(d: Distribution) -> set[tuple]:
+def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
     """Vertices of the unbounded grid where W can exceed 1: within distance
     ceil(log2 |D|) of the support (outside, W <= |D| * 2^-d <= 1)."""
-    radius = math.ceil(math.log2(d.size)) if d.size > 1 else 0
+    # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
+    radius = (math.ceil(d.size) - 1).bit_length()
     region: set[tuple] = set()
     for (c0, r0) in d.support:
         for dc in range(-radius, radius + 1):
@@ -119,36 +119,32 @@ def infinite_excess_region(d: Distribution) -> set[tuple]:
     return region
 
 
-def ceiling_infinite(d: Distribution) -> Fraction:
+def ceiling_infinite(d: AnyDistribution) -> Fraction:
     """Covering ratio ceiling with the support read as a pattern on the
     unbounded grid: (9|D| - total excess) / |D|."""
-    if d.size < 1:
+    return _ceiling_numerator(d, infinite=True) / d.size
+
+
+def _ceiling_numerator(d: AnyDistribution, infinite: bool = False, weights=None) -> Fraction:
+    """sum_v min(W(v), 1), the numerator of every ceiling.  In infinite mode
+    it is 9|D| minus the total excess; in grid mode, weights may pass the
+    grid's weights when the caller has already evaluated them."""
+    if not d.counts:
         raise GridError("ceiling needs a non-empty distribution")
-    counts = {(v.col, v.row): c for v, c in d.items()}
-    total_excess = Fraction(0)
-    for u in infinite_excess_region(d):
-        total_excess += max(_infinite_weight(counts, u) - 1, Fraction(0))
-    return (PEBBLE_TOTAL_WEIGHT * d.size - total_excess) / d.size
-
-
-def _ceiling_numerator(d: AnyDistribution, infinite: bool) -> Fraction:
     if infinite:
-        if not isinstance(d, Distribution):
-            raise GridError("infinite mode needs an integer distribution")
         counts = {(v.col, v.row): c for v, c in d.items()}
         exc = sum(
             (max(_infinite_weight(counts, u) - 1, Fraction(0)) for u in infinite_excess_region(d)),
             Fraction(0),
         )
         return PEBBLE_TOTAL_WEIGHT * d.size - exc
-    num = Fraction(0)
-    for u in d.grid.vertices():
-        num += min(weight(d, u), Fraction(1))
-    return num
+    if weights is None:
+        weights = (weight(d, u) for u in d.grid.vertices())
+    return sum((min(w, Fraction(1)) for w in weights), Fraction(0))
 
 
 def marginal_covering_ratio_ceiling(
-    d: Distribution, dplus: Distribution, infinite: bool = False
+    d: AnyDistribution, dplus: Distribution, infinite: bool = False
 ) -> Fraction:
     """Change of the ceiling numerator per added pebble, both terms evaluated
     in the same mode."""
@@ -171,10 +167,7 @@ def single_pebble_weight_total(radius: int) -> Fraction:
     Monotone increasing with limit 9."""
     if radius < 0:
         raise GridError("radius must be non-negative")
-    total = Fraction(1)
-    for k in range(1, radius + 1):
-        total += Fraction(4 * k, 2**k)
-    return total
+    return 1 + dyadic_weight((4 * k, k) for k in range(1, radius + 1))
 
 
 #: Lower bound on the excess weight at a unit of size k in any distribution

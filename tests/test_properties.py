@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,12 @@ from pebblekit.grid import (
     serialize_distribution,
 )
 from pebblekit.reach import apply_move, coverage
-from pebblekit.weights import covering_ratio_ceiling, weight
+from pebblekit.weights import (
+    ceiling_infinite,
+    covering_ratio_ceiling,
+    marginal_covering_ratio_ceiling,
+    weight,
+)
 
 from conftest import naive_reachable
 
@@ -98,6 +104,66 @@ class TestWeightProperties:
     def test_weight_positive_on_support(self, d):
         for v in d.support:
             assert weight(d, v) >= d.get(v) > 0
+
+
+def any_distributions():
+    return st.one_of(distributions(), continuous_distributions())
+
+
+def reference_infinite_ceiling(d) -> Fraction:
+    """(9|D| - excess) / |D| with the excess summed over every vertex of the
+    unbounded grid within a box of radius ceil(|D|) around the support,
+    wider than the region the package sums over."""
+    radius = math.ceil(d.size)
+    box = {
+        (v.col + dc, v.row + dr)
+        for v in d.support
+        for dc in range(-radius, radius + 1)
+        for dr in range(-radius, radius + 1)
+    }
+    total_excess = Fraction(0)
+    for x, y in box:
+        w = sum(Fraction(c, 2 ** (abs(x - v.col) + abs(y - v.row))) for v, c in d.items())
+        total_excess += max(w - 1, Fraction(0))
+    return (9 * d.size - total_excess) / d.size
+
+
+@st.composite
+def extensions(draw, base):
+    """An integer distribution dominating base with at least one more pebble."""
+    counts = {v: math.ceil(c) for v, c in base.items()}
+    verts = list(base.grid.vertices())
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.sampled_from(verts))
+        counts[v] = counts.get(v, 0) + 1
+    return Distribution(base.grid, counts)
+
+
+class TestWeightKernelAgainstReference:
+    @given(any_distributions())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_is_dyadic_sum(self, d):
+        for u in d.grid.vertices():
+            expected = sum(
+                (Fraction(c, 2 ** d.grid.distance(u, v)) for v, c in d.items()), Fraction(0)
+            )
+            assert weight(d, u) == expected
+
+    @given(any_distributions())
+    @settings(max_examples=40, deadline=None)
+    def test_infinite_ceiling_matches_wider_region(self, d):
+        assert ceiling_infinite(d) == reference_infinite_ceiling(d)
+
+    @given(any_distributions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_marginal_ceiling_is_difference_of_ceilings(self, d, data):
+        """In both modes, continuous bases included: the public ceiling and
+        the marginal ceiling reach the same numerator."""
+        dplus = data.draw(extensions(d))
+        added = dplus.size - d.size
+        for infinite, ceiling in ((False, covering_ratio_ceiling), (True, ceiling_infinite)):
+            expected = (ceiling(dplus) * dplus.size - ceiling(d) * d.size) / added
+            assert marginal_covering_ratio_ceiling(d, dplus, infinite=infinite) == expected
 
 
 class TestEngineProperties:

@@ -83,6 +83,24 @@ class TestCeilings:
             covering_ratio_ceiling(Distribution(GridSpec(3, 3), {}))
         with pytest.raises(GridError):
             ceiling_infinite(Distribution(GridSpec(3, 3), {}))
+        with pytest.raises(GridError):
+            weight_report(Distribution(GridSpec(3, 3), {}))
+
+    def test_ceiling_of_mass_below_one(self):
+        # non-empty although |D| < 1; W = 1/3, 1/6, 1/12 on center, sides, corners
+        d = ContinuousDistribution(GridSpec(3, 3), {(1, 1): Fraction(1, 3)})
+        assert covering_ratio_ceiling(d) == 4
+        assert ceiling_infinite(d) == 9
+
+    def test_continuous_infinite_ceiling_in_both_entry_points(self):
+        spec = GridSpec(5, 5)
+        d = ContinuousDistribution(spec, {(2, 2): Fraction(5, 2), (1, 1): Fraction(1, 3)})
+        dplus = Distribution(spec, {(2, 2): 3, (1, 1): 1})
+        assert ceiling_infinite(d) == Fraction(135, 17)
+        added = dplus.size - d.size
+        assert marginal_covering_ratio_ceiling(d, dplus, infinite=True) == (
+            ceiling_infinite(dplus) * dplus.size - Fraction(135, 17) * d.size
+        ) / added
 
     def test_marginal_ceiling_modes(self):
         spec = GridSpec(7, 7)
