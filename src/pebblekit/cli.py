@@ -36,13 +36,17 @@ def _frac(v) -> str:
     return str(Fraction(v))
 
 
-def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out_path: str | None):
+    """Write text to the --out file, or to stdout when there is none."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _load(path: str):
@@ -54,37 +58,18 @@ def _load(path: str):
 
 
 def cmd_gen(args) -> int:
-    params: dict = {}
-    if args.family == "diag7":
-        w, h = args.torus or (args.plane or (14, 14))
-        topology = TORUS if args.torus or not args.plane else PLANE
-        dist = constructions.gen_diag7(GridSpec(w, h, topology))
-    elif args.family == "row-ones":
-        w, h = args.plane or (args.k + 5, 5)
-        dist = constructions.gen_row_ones(GridSpec(w, h), args.k, args.with_unit2)
-    elif args.family == "cascade-ones":
-        w, h = args.plane or (2 * args.k + 3, 5)
-        d, u = constructions.gen_cascade_ones(GridSpec(w, h), args.k)
-        dist = d.combined(u)
-    elif args.family == "banded-rows":
-        dist = constructions.gen_banded_rows(args.n, args.m, augmented=args.augmented)
-    elif args.family == "uniform-frac":
-        w, h = args.torus or (9, 9)
-        dist = constructions.gen_uniform_frac(GridSpec(w, h, TORUS), Fraction(args.q))
-    elif args.family == "density7-frac":
-        _, gen = constructions.find_density7_pattern()
-        dist = gen(args.k)
-    elif args.family == "block-composition":
-        inner = _load(args.inner)
-        dist = constructions.gen_block_composition(args.n, args.m, inner)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GridError(f"unknown family {args.family}")
-    text = serialize_distribution(dist)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the gen parser leaves unset flags out, so the family's defaults apply
+    params = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "family", "out")
+    }
+    for flag, topology in (("torus", TORUS), ("plane", PLANE)):
+        if flag in params:
+            params["width"], params["height"] = params.pop(flag)
+            params["topology"] = topology
+    if "inner" in params:
+        params["inner"] = _load(params["inner"])
+    dist = constructions.PatternSpec(args.family.replace("-", "_"), params).generate()
+    _write(serialize_distribution(dist), args.out)
     return 0
 
 
@@ -98,27 +83,23 @@ def cmd_analyze(args) -> int:
         "grid": [dist.grid.width, dist.grid.height, dist.grid.topology],
         "size": _frac(dist.size) if isinstance(dist, ContinuousDistribution) else dist.size,
     }
-    try:
-        if args.coverage:
-            if not isinstance(dist, Distribution):
-                raise GridError("coverage needs an integer distribution")
-            cov = reach.coverage(dist, args.node_cap)
-            report["coverage"] = {
-                "cov": cov.cov,
-                "ratio": _frac(cov.ratio),
-                "reachable": sorted([v.col, v.row] for v in cov.reachable),
-                "boundary": sorted([v.col, v.row] for v in cov.boundary),
-            }
-        if args.weights:
-            report["weights"] = weights.weight_report(dist).to_json()
-        if args.ceiling:
-            if args.infinite_mode:
-                report["ceiling"] = _frac(weights.ceiling_infinite(dist))
-            else:
-                report["ceiling"] = _frac(weights.covering_ratio_ceiling(dist))
-    except reach.BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.coverage:
+        if not isinstance(dist, Distribution):
+            raise GridError("coverage needs an integer distribution")
+        cov = reach.coverage(dist, args.node_cap)
+        report["coverage"] = {
+            "cov": cov.cov,
+            "ratio": _frac(cov.ratio),
+            "reachable": sorted([v.col, v.row] for v in cov.reachable),
+            "boundary": sorted([v.col, v.row] for v in cov.boundary),
+        }
+    if args.weights:
+        report["weights"] = weights.weight_report(dist).to_json()
+    if args.ceiling:
+        if args.infinite_mode:
+            report["ceiling"] = _frac(weights.ceiling_infinite(dist))
+        else:
+            report["ceiling"] = _frac(weights.covering_ratio_ceiling(dist))
     _emit(report, args.out)
     return 0
 
@@ -128,11 +109,7 @@ def cmd_reach(args) -> int:
     if not isinstance(dist, Distribution):
         raise GridError("reachability needs an integer distribution")
     t = Vertex(args.target[0], args.target[1])
-    try:
-        ok = reach.can_move_k(dist, t, args.k, args.node_cap)
-    except reach.BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ok = reach.can_move_k(dist, t, args.k, args.node_cap)
     _emit(
         {"schema": SCHEMA, "target": [t.col, t.row], "k": args.k, "reachable": ok},
         args.out,
@@ -549,22 +526,18 @@ def cmd_render(args) -> int:
         text = _render_ascii(dist, args.overlay, args.node_cap)
     else:
         text = _render_svg(dist, args.overlay, args.node_cap)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
 # -- argument parsing -----------------------------------------------------
 
 
-def _size_pair(value: str) -> tuple[int, int]:
-    parts = value.split("x") if "x" in value else value.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected WxH")
-    return int(parts[0]), int(parts[1])
+def _fraction(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,25 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-cap", type=int, default=reach.DEFAULT_NODE_CAP)
         p.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser("gen", help="generate a distribution family instance")
-    p.add_argument(
-        "family",
-        choices=[
-            "diag7",
-            "row-ones",
-            "cascade-ones",
-            "banded-rows",
-            "uniform-frac",
-            "density7-frac",
-            "block-composition",
-        ],
+    p = sub.add_parser(
+        "gen", help="generate a distribution family instance", argument_default=argparse.SUPPRESS
     )
-    p.add_argument("--torus", type=int, nargs=2, metavar=("W", "H"))
-    p.add_argument("--plane", type=int, nargs=2, metavar=("W", "H"))
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("--q", default="1/9")
+    p.add_argument("family", choices=[f.replace("_", "-") for f in constructions.FAMILIES])
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--torus", type=int, nargs=2, metavar=("W", "H"))
+    shape.add_argument("--plane", type=int, nargs=2, metavar=("W", "H"))
+    p.add_argument("-n", type=int)
+    p.add_argument("-m", type=int)
+    p.add_argument("-k", type=int)
+    p.add_argument("--q", type=_fraction)
     p.add_argument("--with-unit2", action="store_true")
     p.add_argument("--augmented", action="store_true")
     p.add_argument("--inner", help="distribution file for block-composition")
@@ -651,7 +616,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GridError, lp.LpError, OSError) as e:
+    except (
+        GridError, lp.LpError, OSError, reach.BudgetExceeded, optimal.SearchBudgetExceeded
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

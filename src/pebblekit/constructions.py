@@ -2,6 +2,10 @@
 
 Families
 --------
+``FAMILIES`` is the one list of families: it maps each family name to a
+generator whose keyword parameters and defaults are the family's.
+``PatternSpec`` and ``pebblekit gen`` both read it.
+
 * ``diag7``: size-4 units on every other vertex of every 7th diagonal;
   density 1 unit per 7 vertices, covering ratio 7/2 on compatible tori.
 * ``row_ones``: k size-1 units in a row, optionally with a size-2 unit
@@ -10,8 +14,9 @@ Families
   plus a separate size-1 unit that completes the cascade; the size-1
   unit's marginal covering ratio grows without bound in k.
 * ``banded_rows``: size-3 units on every other vertex of every 5th row
-  of a (2n+1) x (5m+1) plane grid; the augmented variant adds 4m pebbles
-  in size-2 units near the ends of the pebbled rows.
+  of a (2n+1) x (5m+1) plane grid; the augmented variant
+  (``augmented=True``) adds 4m pebbles in size-2 units near the ends of
+  the pebbled rows.
 * ``uniform_frac``: the same rational amount on every vertex.
 * ``density7_frac``: one pebble on each point of an index-7 sublattice of
   the integer grid, realized on 7k x 7k tori.
@@ -41,6 +46,7 @@ near the budget).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,60 +63,6 @@ from .grid import (
     Vertex,
 )
 from .reach import DEFAULT_NODE_CAP, BudgetExceeded, _Engine, coverage
-
-FAMILIES = (
-    "diag7",
-    "row_ones",
-    "cascade_ones",
-    "banded_rows",
-    "banded_rows_augmented",
-    "uniform_frac",
-    "density7_frac",
-    "block_composition",
-)
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """A named family plus its parameters; dispatches to the generators."""
-
-    family: str
-    params: Mapping
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise GridError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
-        object.__setattr__(self, "params", dict(self.params))
-
-    def generate(self):
-        p = self.params
-        if self.family == "diag7":
-            return gen_diag7(GridSpec(p["width"], p["height"], p.get("topology", TORUS)))
-        if self.family == "row_ones":
-            return gen_row_ones(
-                GridSpec(p["width"], p["height"], p.get("topology", PLANE)),
-                p["k"],
-                p.get("with_unit2", False),
-            )
-        if self.family == "cascade_ones":
-            d, u = gen_cascade_ones(
-                GridSpec(p["width"], p["height"], p.get("topology", PLANE)), p["k"]
-            )
-            return d.combined(u)
-        if self.family == "banded_rows":
-            return gen_banded_rows(p["n"], p["m"], augmented=False)
-        if self.family == "banded_rows_augmented":
-            return gen_banded_rows(p["n"], p["m"], augmented=True)
-        if self.family == "uniform_frac":
-            return gen_uniform_frac(
-                GridSpec(p["width"], p["height"], p.get("topology", TORUS)), p["q"]
-            )
-        if self.family == "density7_frac":
-            _, gen = find_density7_pattern()
-            return gen(p["k"])
-        if self.family == "block_composition":
-            return gen_block_composition(p["n"], p["m"], p["inner"])
-        raise AssertionError("unreachable")
 
 
 # -- diag7 ----------------------------------------------------------------
@@ -336,7 +288,7 @@ def banded_rows_augmentation_sequence(n: int, m: int) -> tuple:
     return tuple(sorted(units, key=key))
 
 
-def gen_banded_rows(n: int, m: int, augmented: bool = False) -> Distribution:
+def gen_banded_rows(n: int = 1, m: int = 1, augmented: bool = False) -> Distribution:
     """Size-3 units at even columns of rows 0, 5, ..., 5m on a
     (2n+1) x (5m+1) plane grid (3(n+1)(m+1) pebbles); the augmented
     variant adds 4m pebbles as 2m size-2 units near the row ends."""
@@ -456,3 +408,76 @@ def gen_block_composition(n: int, m: int, inner: Distribution) -> Distribution:
         if v.col >= k * m or v.row >= k * m:
             counts[v] = counts.get(v, 0) + 1
     return Distribution(spec, counts)
+
+
+# -- the family registry --------------------------------------------------
+
+
+def _diag7(width=14, height=14, topology=TORUS) -> Distribution:
+    return gen_diag7(GridSpec(width, height, topology))
+
+
+def _row_ones(k=2, width=None, height=5, topology=PLANE, with_unit2=False) -> Distribution:
+    width = k + 5 if width is None else width
+    return gen_row_ones(GridSpec(width, height, topology), k, with_unit2)
+
+
+def _cascade_ones(k=2, width=None, height=5, topology=PLANE) -> Distribution:
+    width = 2 * k + 3 if width is None else width
+    d, u = gen_cascade_ones(GridSpec(width, height, topology), k)
+    return d.combined(u)
+
+
+def _uniform_frac(width=9, height=9, topology=TORUS, q=Fraction(1, 9)) -> ContinuousDistribution:
+    return gen_uniform_frac(GridSpec(width, height, topology), q)
+
+
+def _density7_frac(k=2) -> Distribution:
+    _, gen = find_density7_pattern()
+    return gen(k)
+
+
+def _block_composition(inner, n=None, m=None) -> Distribution:
+    """m defaults to the side of the inner grid, n to m."""
+    m = inner.grid.width if m is None else m
+    return gen_block_composition(m if n is None else n, m, inner)
+
+
+#: The one list of families: family name -> generator.
+FAMILIES: dict[str, Callable] = {
+    "diag7": _diag7,
+    "row_ones": _row_ones,
+    "cascade_ones": _cascade_ones,
+    "banded_rows": gen_banded_rows,
+    "uniform_frac": _uniform_frac,
+    "density7_frac": _density7_frac,
+    "block_composition": _block_composition,
+}
+
+
+@dataclass(frozen=True)
+class PatternSpec:
+    """A family name from FAMILIES plus keyword parameters for its
+    generator; a parameter left out takes the family's default."""
+
+    family: str
+    params: Mapping
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise GridError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
+        params = dict(self.params)
+        accepted = inspect.signature(FAMILIES[self.family]).parameters
+        unknown = sorted(params.keys() - accepted.keys())
+        if unknown:
+            raise GridError(
+                f"{self.family} takes no parameter {', '.join(unknown)}; "
+                f"it takes {', '.join(accepted)}"
+            )
+        missing = [p for p, a in accepted.items() if a.default is a.empty and p not in params]
+        if missing:
+            raise GridError(f"{self.family} needs parameter {', '.join(missing)}")
+        object.__setattr__(self, "params", params)
+
+    def generate(self):
+        return FAMILIES[self.family](**self.params)

@@ -6,11 +6,22 @@ from pathlib import Path
 import pytest
 
 from pebblekit.cli import SCHEMA, build_parser, main
-from pebblekit.grid import Distribution, GridSpec, parse_distribution, serialize_distribution
+from pebblekit.constructions import gen_cascade_ones, gen_row_ones, gen_uniform_frac
+from pebblekit.grid import (
+    PLANE,
+    TORUS,
+    Distribution,
+    GridSpec,
+    parse_distribution,
+    serialize_distribution,
+)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejects the command line
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -52,6 +63,41 @@ class TestGen:
     def test_bad_parameters_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "gen", "diag7", "--torus", "10", "10")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["row-ones", "-k", "4", "--torus", "12", "5"],
+                lambda: gen_row_ones(GridSpec(12, 5, TORUS), 4),
+            ),
+            (
+                ["cascade-ones", "-k", "3", "--torus", "12", "5"],
+                lambda: Distribution.combined(*gen_cascade_ones(GridSpec(12, 5, TORUS), 3)),
+            ),
+            (
+                ["uniform-frac", "--plane", "5", "5"],
+                lambda: gen_uniform_frac(GridSpec(5, 5, PLANE), Fraction(1, 9)),
+            ),
+        ],
+        ids=["row-ones-torus", "cascade-ones-torus", "uniform-frac-plane"],
+    )
+    def test_shape_flag_sets_grid(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        assert out == serialize_distribution(expected())
+
+    def test_torus_and_plane_exclusive(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "diag7", "--torus", "14", "14", "--plane", "21", "21"
+        )
+        assert code == 2 and out == ""
+        assert "--plane: not allowed with argument --torus" in err
+
+    def test_flag_the_family_does_not_take_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "diag7", "-k", "5")
+        assert code == 2 and out == ""
+        assert "error: diag7 takes no parameter k" in err
 
     def test_gen_to_file(self, capsys, tmp_path):
         out = tmp_path / "d.dist"
@@ -175,16 +221,68 @@ class TestRender:
         assert out.startswith("<svg") and "</svg>" in out
 
 
-def test_readme_command_lines_parse():
-    """Every command line in the README is accepted by the CLI's parser
-    (parsed only: some examples take seconds to run)."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    lines = [
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal", "--grid", "5", "4"],
+        ["optimal", "--grid", "3", "3", "--node-cap", "1"],
+        ["render", "{cascade}", "--overlay", "coverage", "--node-cap", "10"],
+        ["gen", "block-composition", "-n", "5", "-m", "2"],
+        ["gen", "uniform-frac", "--q", "abc"],
+        ["gen", "uniform-frac", "--q", "1/0"],
+    ],
+    ids=[
+        "optimal-too-large",
+        "optimal-budget",
+        "render-budget",
+        "gen-missing-inner",
+        "gen-q-not-rational",
+        "gen-q-zero-denominator",
+    ],
+)
+def test_user_error_exits_2(capsys, tmp_path, argv):
+    """Bad input and exhausted budgets end in one `error: ...` line and
+    exit 2, never in a traceback."""
+    cascade = tmp_path / "cascade.dist"
+    cascade.write_text(
+        serialize_distribution(Distribution.combined(*gen_cascade_ones(GridSpec(13, 5), 5)))
+    )
+    code, _, err = run_cli(capsys, *(a.format(cascade=cascade) for a in argv))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines() -> list[str]:
+    return [
         line.split("#", 1)[0]
-        for line in readme.read_text().splitlines()
+        for line in README.read_text().splitlines()
         if line.startswith("pebblekit ")
     ]
+
+
+def test_readme_command_lines_parse():
+    """Every command line in the README is accepted by the CLI's parser."""
+    lines = readme_command_lines()
     assert len(lines) >= 8
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    """Every command line in the README runs to exit 0, next to a dist.txt
+    holding the README's own distribution-file example (about 10 s: the
+    9x9 torus LP takes most of it)."""
+    example = next(
+        block.strip() + "\n"
+        for block in README.read_text().split("```")
+        if block.strip().startswith("grid ")
+    )
+    (tmp_path / "dist.txt").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    for line in readme_command_lines():
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

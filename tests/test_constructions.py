@@ -2,9 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from pebblekit.grid import Distribution, GridError, GridSpec, PLANE, TORUS, Vertex
+from pebblekit.cli import main
+from pebblekit.grid import (
+    Distribution,
+    GridError,
+    GridSpec,
+    PLANE,
+    TORUS,
+    Vertex,
+    parse_distribution,
+    serialize_distribution,
+)
 from pebblekit.constructions import (
     DENSITY7_BASES,
+    FAMILIES,
     PatternSpec,
     banded_rows_augmentation,
     banded_rows_augmentation_sequence,
@@ -227,11 +238,49 @@ class TestBlockComposition:
             gen_block_composition(5, 2, inner)
 
 
+#: `pebblekit gen <family>` with no flags: header line and pebble-line count
+#: (block-composition reads the 2x2 inner file written by test_dispatch).
+GEN_DEFAULTS = {
+    "diag7": ("grid 14 14 torus", 14),
+    "row_ones": ("grid 7 5 plane", 2),
+    "cascade_ones": ("grid 7 5 plane", 3),
+    "banded_rows": ("grid 3 6 plane", 4),
+    "uniform_frac": ("grid 9 9 torus continuous", 81),
+    "density7_frac": ("grid 14 14 torus", 28),
+    "block_composition": ("grid 2 2 plane", 2),
+}
+
+
 class TestPatternSpec:
-    def test_dispatch(self):
-        d = PatternSpec("banded_rows", {"n": 1, "m": 1}).generate()
-        assert isinstance(d, Distribution)
-        assert d.size == 12
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_dispatch(self, family, capsys, tmp_path):
+        """`pebblekit gen` with no flags prints the registry's default
+        instance, the one PatternSpec builds with no parameters."""
+        argv, params = ["gen", family.replace("_", "-")], {}
+        if family == "block_composition":
+            inner = tmp_path / "inner.dist"
+            inner.write_text(
+                serialize_distribution(Distribution(GridSpec(2, 2), {(0, 1): 1, (1, 1): 2}))
+            )
+            argv += ["--inner", str(inner)]
+            params["inner"] = parse_distribution(inner.read_text())
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == serialize_distribution(PatternSpec(family, params).generate())
+        header, *pebbles = out.splitlines()
+        assert (header, len(pebbles)) == GEN_DEFAULTS[family]
+
+    def test_parameter_errors_name_the_parameter(self):
+        with pytest.raises(GridError, match="diag7 takes no parameter k"):
+            PatternSpec("diag7", {"k": 5})
+        with pytest.raises(GridError, match="block_composition needs parameter inner"):
+            PatternSpec("block_composition", {"n": 5, "m": 2})
+
+    def test_augmented_banded_rows_is_a_parameter(self):
+        with pytest.raises(GridError, match="unknown family"):
+            PatternSpec("banded_rows_augmented", {"n": 1, "m": 1})
+        d = PatternSpec("banded_rows", {"n": 1, "m": 1, "augmented": True}).generate()
+        assert d == gen_banded_rows(1, 1, augmented=True) and d.size == 16
 
     def test_unknown_family_rejected(self):
         with pytest.raises(GridError):
