@@ -176,7 +176,8 @@ def cmd_optimal(args) -> int:
         )
         print(
             f"{spec.width}x{spec.height}  pi_opt={result.pi_opt}  "
-            f"ratio={Fraction(result.pi_opt, spec.size)}"
+            f"ratio={Fraction(result.pi_opt, spec.size)}",
+            file=sys.stderr,
         )
     _emit({"schema": SCHEMA, "results": rows}, args.out)
     return 0

@@ -2,8 +2,9 @@
 
 Problems are stated as: minimize c.x subject to A.x >= b, x >= 0.  The
 solver runs a two-phase primal simplex with Bland's rule (guaranteed
-termination) over exact rationals, and returns matching primal and dual
-certificates that verify_certificate can check independently.
+termination) on a fraction-free integer tableau, so every value is an
+exact rational, and returns matching primal and dual certificates that
+verify_certificate can check independently.
 
 Also houses the two problem builders used by the bound accounting: the
 minimum-excess-at-a-unit program over the eight neighborhood regions, and
@@ -12,15 +13,11 @@ the fractional optimal pebbling program of a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .grid import ContinuousDistribution, GridSpec, Vertex
-
-try:  # gmpy2 rationals pivot ~20x faster than Fraction; results identical
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -78,58 +75,88 @@ class LpSolution:
         }
 
 
-class _Tableau:
-    """Dense simplex tableau over exact rationals, Bland's rule."""
+def _lowest(row: list[int], q: int) -> tuple[list[int], int]:
+    """row / q in lowest terms, with a positive denominator."""
+    g = gcd(q, *row)
+    if q < 0:
+        g = -g
+    if g == 1:
+        return row, q
+    return [a // g for a in row], q // g
 
-    def __init__(self, rows, rhs, n_total):
-        self.rows = rows  # list of lists, length n_total, plus basis bookkeeping
-        self.rhs = rhs
-        self.n = n_total
-        self.basis = [None] * len(rows)
+
+class _Tableau:
+    """Dense simplex tableau over the integers, Bland's rule.
+
+    Fraction-free pivoting (Edmonds 1967; Bareiss 1968): row i is a list of
+    ints, its right-hand side last, over one positive denominator den[i], in
+    lowest terms.  A pivot costs one gcd per row instead of one per entry.
+    The first m rows are the constraints; after them come the reduced-cost
+    rows, one per cost vector, which the same pivots keep up to date.
+    """
+
+    def __init__(self, rows, costs, basis):
+        """rows: the m rational constraint rows, right-hand side last;
+        costs: rational cost vectors; basis: the column of the unit entry
+        of each row, priced out of the cost rows here."""
+        self.m = len(rows)
+        self.rows: list[list[int]] = []
+        self.den: list[int] = []
+        for row in (*rows, *([*c, 0] for c in costs)):
+            scale = lcm(*(v.denominator for v in row))
+            row, q = _lowest([v.numerator * (scale // v.denominator) for v in row], scale)
+            self.rows.append(row)
+            self.den.append(q)
+        self.basis = list(basis)
+        for r, col in enumerate(self.basis):
+            for i in range(self.m, len(self.rows)):
+                if self.rows[i][col]:
+                    self._eliminate(i, r, col)
+
+    @property
+    def rhs(self) -> list[int]:
+        """Right-hand sides of the constraint rows, over den."""
+        return [row[-1] for row in self.rows[: self.m]]
+
+    def _eliminate(self, i, r, col):
+        """Zero column col of row i with row r, whose col entry is 1:
+        R_i / q_i - (R_i[col] / q_i) R_r / q_r = (q_r R_i - R_i[col] R_r) / (q_i q_r)."""
+        f, p = self.rows[i][col], self.den[r]
+        self.rows[i], self.den[i] = _lowest(
+            [p * a - f * b for a, b in zip(self.rows[i], self.rows[r])], self.den[i] * p
+        )
 
     def pivot(self, r, col):
-        row = self.rows[r]
-        piv = row[col]
-        inv = 1 / _Q(piv)
-        self.rows[r] = [v * inv for v in row]
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][col]
-            if f:
-                ri, rr = self.rows[i], self.rows[r]
-                self.rows[i] = [a - f * b for a, b in zip(ri, rr)]
-                self.rhs[i] -= f * self.rhs[r]
+        self.rows[r], self.den[r] = _lowest(self.rows[r], self.rows[r][col])
+        for i, row in enumerate(self.rows):
+            if i != r and row[col]:
+                self._eliminate(i, r, col)
         self.basis[r] = col
 
     def solve_phase(self, cost, allowed):
-        """Minimize cost over allowed columns from the current basis.
-        Returns ('optimal', reduced_costs) or ('unbounded', entering_col)."""
-        m = len(self.rows)
+        """Minimize the cost vector with index cost (its reduced costs are
+        row m + cost) over the allowed columns from the current basis.
+        Returns (OPTIMAL, None) or (UNBOUNDED, entering column)."""
+        rows, m = self.rows, self.m
         while True:
-            # reduced costs: c_j - c_B . column_j
-            cb = [cost[self.basis[i]] for i in range(m)]
-            reduced = list(cost)
-            for i in range(m):
-                if cb[i]:
-                    ci, row = cb[i], self.rows[i]
-                    reduced = [a - ci * b for a, b in zip(reduced, row)]
+            reduced = rows[m + cost]
             entering = None
-            for j in range(self.n):
+            for j in range(len(reduced) - 1):
                 if allowed[j] and reduced[j] < 0:
                     entering = j  # Bland: lowest index
                     break
             if entering is None:
-                return OPTIMAL, reduced
+                return OPTIMAL, None
             leaving = None
-            best = None
             for i in range(m):
-                a = self.rows[i][entering]
+                a = rows[i][entering]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
+                    if leaving is None:
+                        leaving = i
+                        continue
+                    # rhs_i / a < rhs_l / a_l: the row denominators cancel
+                    d = rows[i][-1] * rows[leaving][entering] - rows[leaving][-1] * a
+                    if d < 0 or (d == 0 and self.basis[i] < self.basis[leaving]):
                         leaving = i
             if leaving is None:
                 return UNBOUNDED, entering
@@ -141,77 +168,71 @@ def solve(p: LpProblem) -> LpSolution:
     unboundedness certificate ray."""
     m = len(p.constraints)
     n = len(p.objective)
+    art = n + m
     # Equality form A.x - s = b with surplus s; rows flipped so rhs >= 0,
-    # then one artificial per row for phase 1.
-    n_total = n + m + m
+    # then one artificial per row, the starting basis of phase 1.
     rows = []
-    rhs = []
     flipped = []
     for i in range(m):
-        row = [_Q(v) for v in p.constraints[i]] + [_Q(0)] * (2 * m)
-        row[n + i] = _Q(-1)
-        b = _Q(p.bounds[i])
-        flip = b < 0
+        row = [*p.constraints[i], *[Fraction(0)] * (2 * m), p.bounds[i]]
+        row[n + i] = Fraction(-1)
+        flip = p.bounds[i] < 0
         if flip:
             row = [-v for v in row]
-            b = -b
-        row[n + m + i] = _Q(1)
+        row[art + i] = Fraction(1)
         rows.append(row)
-        rhs.append(b)
         flipped.append(flip)
-    tab = _Tableau(rows, rhs, n_total)
-    for i in range(m):
-        tab.basis[i] = n + m + i
+    phase1_cost = [Fraction(0)] * art + [Fraction(1)] * m
+    phase2_cost = [*p.objective, *[Fraction(0)] * (2 * m)]
+    tab = _Tableau(rows, (phase1_cost, phase2_cost), range(art, art + m))
 
-    phase1_cost = [_Q(0)] * (n + m) + [_Q(1)] * m
-    allowed = [True] * n_total
-    status, _ = tab.solve_phase(phase1_cost, allowed)
+    allowed = [True] * (art + m)
+    status, _ = tab.solve_phase(0, allowed)
     assert status == OPTIMAL  # phase 1 is bounded below by 0
-    infeas = sum((tab.rhs[i] for i in range(m) if tab.basis[i] >= n + m), _Q(0))
-    if infeas > 0:
-        # Farkas certificate from the phase-1 duals y = c_B.B^-1: for the
+    if any(tab.rows[i][-1] for i in range(m) if tab.basis[i] >= art):
+        # Farkas certificate from the phase-1 duals y = c_B.B^-1, which the
+        # artificial columns' phase-1 reduced costs hold as 1 - y: for the
         # original rows (sign of flipped rows undone) y >= 0, y.A <= 0 and
         # y.b = phase-1 optimum > 0
-        cb = [phase1_cost[tab.basis[i]] for i in range(m)]
+        reduced, q = tab.rows[m], tab.den[m]
         y = []
         for i in range(m):
-            yi = sum((cb[r] * tab.rows[r][n + m + i] for r in range(m)), _Q(0))
-            y.append(Fraction(-yi if flipped[i] else yi))
+            yi = Fraction(q - reduced[art + i], q)
+            y.append(-yi if flipped[i] else yi)
         return LpSolution(status=INFEASIBLE, ray=tuple(y))
 
     # Drive any degenerate artificials out of the basis where possible, then
     # freeze the artificial columns.
     for i in range(m):
-        if tab.basis[i] >= n + m:
-            for j in range(n + m):
+        if tab.basis[i] >= art:
+            for j in range(art):
                 if tab.rows[i][j] != 0:
                     tab.pivot(i, j)
                     break
-    for j in range(n + m, n_total):
+    for j in range(art, art + m):
         allowed[j] = False
 
-    phase2_cost = [_Q(v) for v in p.objective] + [_Q(0)] * (2 * m)
-    status, reduced = tab.solve_phase(phase2_cost, allowed)
+    status, entering = tab.solve_phase(1, allowed)
     if status == UNBOUNDED:
-        entering = reduced
         ray = [Fraction(0)] * n
         if entering < n:
             ray[entering] = Fraction(1)
         for i in range(m):
             if tab.basis[i] < n:
-                ray[tab.basis[i]] = Fraction(-tab.rows[i][entering])
+                ray[tab.basis[i]] = Fraction(-tab.rows[i][entering], tab.den[i])
         return LpSolution(status=UNBOUNDED, ray=tuple(ray))
 
     primal = [Fraction(0)] * n
     for i in range(m):
         if tab.basis[i] < n:
-            primal[tab.basis[i]] = Fraction(tab.rhs[i])
+            primal[tab.basis[i]] = Fraction(tab.rows[i][-1], tab.den[i])
     # Dual values: y_i = -reduced cost of the i-th artificial column (its
     # original column is +/- e_i), with the sign of any flipped row undone.
+    reduced, q = tab.rows[m + 1], tab.den[m + 1]
     dual = []
     for i in range(m):
-        yi = -reduced[n + m + i]
-        dual.append(Fraction(-yi if flipped[i] else yi))
+        yi = Fraction(-reduced[art + i], q)
+        dual.append(-yi if flipped[i] else yi)
     value = sum((c * x for c, x in zip(p.objective, primal)), Fraction(0))
     return LpSolution(
         status=OPTIMAL, primal=tuple(primal), dual=tuple(dual), objective_value=value

@@ -37,12 +37,18 @@ _RESTRICT_STAGES = (2, 3, 5)
 
 
 class BudgetExceeded(RuntimeError):
-    """The state-space search exceeded its node cap."""
+    """The state-space search for target exceeded its node cap.  stage is
+    what the engine was doing: "cluster coverage" (building the reachable
+    set of an interaction cluster) or "query" (a k >= 2 can_move_k)."""
 
-    def __init__(self, target: Vertex, node_cap: int):
-        super().__init__(f"search budget of {node_cap} states exceeded for target {tuple(target)}")
+    def __init__(self, target: Vertex, node_cap: int, stage: str | None = None):
+        where = f" during {stage}" if stage else ""
+        super().__init__(
+            f"search budget of {node_cap} states exceeded for target {tuple(target)}{where}"
+        )
         self.target = target
         self.node_cap = node_cap
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,10 @@ class _Engine:
 
     def clusters(self) -> list[tuple[dict, frozenset]]:
         if self._clusters is None:
-            self._build_clusters()
+            try:
+                self._build_clusters()
+            except BudgetExceeded as e:
+                raise BudgetExceeded(e.target, e.node_cap, "cluster coverage") from None
         return list(zip(self._clusters, self._covs))
 
     def _build_clusters(self):
@@ -258,7 +267,10 @@ class _Engine:
     def can_move_k(self, t: Vertex, k: int) -> bool:
         for counts, cov in self.clusters():
             if t in cov:
-                return k == 1 or self._cluster_can_k(counts, t, k)
+                try:
+                    return k == 1 or self._cluster_can_k(counts, t, k)
+                except BudgetExceeded as e:
+                    raise BudgetExceeded(e.target, e.node_cap, "query") from None
         return False
 
     def reachable_set(self) -> frozenset[Vertex]:

@@ -1,11 +1,14 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
-cross-check the production engine on small instances."""
+cross-check the production engine on small instances, and a reference
+simplex over Fraction used to cross-check the integer one."""
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 from pebblekit.grid import Distribution, Vertex
+from pebblekit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
 
 
 def naive_reachable(d: Distribution) -> frozenset[Vertex]:
@@ -58,3 +61,134 @@ def naive_max_at(d: Distribution, t: Vertex) -> int:
                     seen.add(key)
                     queue.append(key)
     return best
+
+
+class _FractionTableau:
+    """Dense simplex tableau over Fraction, Bland's rule; counts pivots."""
+
+    def __init__(self, rows, rhs, n_total):
+        self.rows = rows
+        self.rhs = rhs
+        self.n = n_total
+        self.basis = [None] * len(rows)
+        self.pivots = 0
+
+    def pivot(self, r, col):
+        self.pivots += 1
+        row = self.rows[r]
+        inv = 1 / row[col]
+        self.rows[r] = [v * inv for v in row]
+        self.rhs[r] *= inv
+        for i in range(len(self.rows)):
+            if i == r:
+                continue
+            f = self.rows[i][col]
+            if f:
+                ri, rr = self.rows[i], self.rows[r]
+                self.rows[i] = [a - f * b for a, b in zip(ri, rr)]
+                self.rhs[i] -= f * self.rhs[r]
+        self.basis[r] = col
+
+    def solve_phase(self, cost, allowed):
+        """Minimize cost over allowed columns from the current basis.
+        Returns ('optimal', reduced_costs) or ('unbounded', entering_col)."""
+        m = len(self.rows)
+        while True:
+            # reduced costs: c_j - c_B . column_j, rebuilt every iteration
+            cb = [cost[self.basis[i]] for i in range(m)]
+            reduced = list(cost)
+            for i in range(m):
+                if cb[i]:
+                    ci, row = cb[i], self.rows[i]
+                    reduced = [a - ci * b for a, b in zip(reduced, row)]
+            entering = None
+            for j in range(self.n):
+                if allowed[j] and reduced[j] < 0:
+                    entering = j
+                    break
+            if entering is None:
+                return OPTIMAL, reduced
+            leaving = None
+            best = None
+            for i in range(m):
+                a = self.rows[i][entering]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                return UNBOUNDED, entering
+            self.pivot(leaving, entering)
+
+
+def reference_lp_solve(p: LpProblem) -> tuple[LpSolution, int]:
+    """The two-phase Bland simplex of pebblekit.lp written over Fraction
+    entries: the solution and the number of pivots it took."""
+    m = len(p.constraints)
+    n = len(p.objective)
+    n_total = n + m + m
+    rows = []
+    rhs = []
+    flipped = []
+    for i in range(m):
+        row = list(p.constraints[i]) + [Fraction(0)] * (2 * m)
+        row[n + i] = Fraction(-1)
+        b = p.bounds[i]
+        flip = b < 0
+        if flip:
+            row = [-v for v in row]
+            b = -b
+        row[n + m + i] = Fraction(1)
+        rows.append(row)
+        rhs.append(b)
+        flipped.append(flip)
+    tab = _FractionTableau(rows, rhs, n_total)
+    for i in range(m):
+        tab.basis[i] = n + m + i
+
+    phase1_cost = [Fraction(0)] * (n + m) + [Fraction(1)] * m
+    allowed = [True] * n_total
+    status, _ = tab.solve_phase(phase1_cost, allowed)
+    assert status == OPTIMAL
+    infeas = sum((tab.rhs[i] for i in range(m) if tab.basis[i] >= n + m), Fraction(0))
+    if infeas > 0:
+        cb = [phase1_cost[tab.basis[i]] for i in range(m)]
+        y = []
+        for i in range(m):
+            yi = sum((cb[r] * tab.rows[r][n + m + i] for r in range(m)), Fraction(0))
+            y.append(-yi if flipped[i] else yi)
+        return LpSolution(status=INFEASIBLE, ray=tuple(y)), tab.pivots
+
+    for i in range(m):
+        if tab.basis[i] >= n + m:
+            for j in range(n + m):
+                if tab.rows[i][j] != 0:
+                    tab.pivot(i, j)
+                    break
+    for j in range(n + m, n_total):
+        allowed[j] = False
+
+    phase2_cost = list(p.objective) + [Fraction(0)] * (2 * m)
+    status, reduced = tab.solve_phase(phase2_cost, allowed)
+    if status == UNBOUNDED:
+        entering = reduced
+        ray = [Fraction(0)] * n
+        if entering < n:
+            ray[entering] = Fraction(1)
+        for i in range(m):
+            if tab.basis[i] < n:
+                ray[tab.basis[i]] = -tab.rows[i][entering]
+        return LpSolution(status=UNBOUNDED, ray=tuple(ray)), tab.pivots
+
+    primal = [Fraction(0)] * n
+    for i in range(m):
+        if tab.basis[i] < n:
+            primal[tab.basis[i]] = tab.rhs[i]
+    dual = []
+    for i in range(m):
+        yi = -reduced[n + m + i]
+        dual.append(-yi if flipped[i] else yi)
+    value = sum((c * x for c, x in zip(p.objective, primal)), Fraction(0))
+    solution = LpSolution(status=OPTIMAL, primal=tuple(primal), dual=tuple(dual), objective_value=value)
+    return solution, tab.pivots

@@ -181,16 +181,16 @@ class TestLp:
 
 class TestOptimal:
     def test_series(self, capsys):
-        code, out, _ = run_cli(capsys, "optimal", "--max-n", "2")
+        code, out, err = run_cli(capsys, "optimal", "--max-n", "2")
         assert code == 0
-        payload = out[out.index("{") :]
-        report = json.loads(payload)
+        report = json.loads(out)
         assert [r["pi_opt"] for r in report["results"]] == [1, 3]
+        assert "2x2  pi_opt=3" in err
 
     def test_single_grid(self, capsys):
         code, out, _ = run_cli(capsys, "optimal", "--grid", "2", "3")
         assert code == 0
-        report = json.loads(out[out.index("{") :])
+        report = json.loads(out)
         assert report["results"][0]["pi_opt"] == 3
 
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pebblekit.grid import GridSpec, TORUS
+from pebblekit import lp
+from pebblekit.grid import GridSpec, PLANE, TORUS
 from pebblekit.lp import (
     LpError,
     LpProblem,
@@ -12,6 +15,16 @@ from pebblekit.lp import (
     verify_certificate,
 )
 from pebblekit.weights import fractional_solvable
+
+from conftest import reference_lp_solve
+
+
+def solve_counting_pivots(p: LpProblem):
+    """lp.solve(p) and the number of tableau pivots it made."""
+    with mock.patch.object(
+        lp._Tableau, "pivot", autospec=True, side_effect=lp._Tableau.pivot
+    ) as pivot:
+        return solve(p), pivot.call_count
 
 
 class TestSolver:
@@ -116,6 +129,64 @@ class TestFractionalOptimal:
         assert fractional_solvable(witness)
         assert witness.size == value
 
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (2, Fraction(16, 9)),
+            (3, Fraction(25, 9)),
+            (4, Fraction(4)),
+            (5, Fraction(49, 9)),
+            (6, Fraction(64, 9)),
+            (7, Fraction(9)),
+            (8, Fraction(100, 9)),
+            (9, Fraction(121, 9)),
+        ],
+    )
+    def test_plane_series(self, n, expected):
+        value, witness = fractional_optimal_pebbling(GridSpec(n, n))
+        assert value == expected
+        assert fractional_solvable(witness)
+        assert witness.size == value
+
+    @pytest.mark.parametrize("topology", [TORUS, PLANE])
+    def test_7x7_solution_equals_reference(self, topology):
+        with mock.patch.object(lp, "solve", wraps=lp.solve) as spy:
+            fractional_optimal_pebbling(GridSpec(7, 7, topology))
+        problem = spy.call_args.args[0]
+        expected, pivots = reference_lp_solve(problem)
+        assert solve_counting_pivots(problem) == (expected, pivots)
+
     def test_scale_guard(self):
         with pytest.raises(LpError):
             fractional_optimal_pebbling(GridSpec(20, 20))
+
+
+# small integers and dyadic rationals, both signs
+coefficients = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from([2, 4, 8])),
+)
+
+
+@st.composite
+def lp_problems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    row = st.lists(coefficients, min_size=n, max_size=n).map(tuple)
+    return LpProblem(
+        objective=draw(row),
+        constraints=tuple(draw(st.lists(row, min_size=m, max_size=m))),
+        bounds=tuple(draw(st.lists(coefficients, min_size=m, max_size=m))),
+    )
+
+
+class TestAgainstReference:
+    @given(lp_problems())
+    @settings(max_examples=300, deadline=None)
+    @example(LpProblem(objective=(1,), constraints=((-1,), (1,)), bounds=(-1, 2)))
+    @example(LpProblem(objective=(-1, -1), constraints=((1, -1),), bounds=(0,)))
+    @example(LpProblem(objective=(1, 2), constraints=((1, 0), (1, 0), (0, 1)), bounds=(1, 1, 0)))
+    def test_same_solution_and_pivots_as_fraction_simplex(self, p):
+        """Same status, primal, dual, value and ray, bit for bit, after the
+        same number of pivots as the Fraction tableau."""
+        assert solve_counting_pivots(p) == reference_lp_solve(p)

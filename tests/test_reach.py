@@ -144,8 +144,20 @@ class TestQueries:
 
     def test_budget_exceeded(self):
         d = Distribution(GridSpec(4, 4), {(0, 0): 3, (0, 2): 3, (2, 0): 3})
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             coverage(d, node_cap=1)
+        e = info.value
+        assert (e.stage, e.target, e.node_cap) == ("cluster coverage", Vertex(1, 1), 1)
+        assert str(e) == "search budget of 1 states exceeded for target (1, 1) during cluster coverage"
+
+    def test_budget_exceeded_in_query(self):
+        d = Distribution(GridSpec(5, 5), {(0, 4): 2, (2, 3): 5})
+        assert coverage(d, node_cap=5).cov == 14  # the cluster coverage fits the cap
+        with pytest.raises(BudgetExceeded) as info:
+            can_move_k(d, (1, 3), 3, node_cap=5)
+        e = info.value
+        assert (e.stage, e.target, e.node_cap) == ("query", Vertex(1, 3), 5)
+        assert str(e) == "search budget of 5 states exceeded for target (1, 3) during query"
 
     def test_interaction_engine_merges_clusters(self):
         # (1,1) needs one pebble from each pile pooled at (1,0): neither
