@@ -1,13 +1,16 @@
 """Grid/torus geometry and the pebble distribution data model.
 
-Coordinates are (col, row) with row 0 at the top in serialized form.
-All types are immutable value objects; distributions store counts
-sparsely (vertices with zero pebbles are absent).
+Coordinates are integer (col, row) pairs with row 0 at the top in
+serialized form.  Every distance, neighbour and ball is read from the
+GridIndex that each GridSpec builds on first use and caches, the one place
+that tells a torus from a plane.  All types are immutable value objects;
+distributions store counts sparsely (vertices with zero pebbles are absent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -43,6 +46,8 @@ class GridSpec:
     topology: str = PLANE
 
     def __post_init__(self):
+        if type(self.width) is not int or type(self.height) is not int:
+            raise GridError(f"grid dimensions must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise GridError(f"grid dimensions must be >= 1, got {self.width}x{self.height}")
         if self.topology not in (PLANE, TORUS):
@@ -56,7 +61,12 @@ class GridSpec:
         return 0 <= v[0] < self.width and 0 <= v[1] < self.height
 
     def check(self, v) -> Vertex:
-        v = Vertex(*v)
+        try:
+            v = Vertex(*v)
+        except TypeError:
+            raise GridError(f"vertex {v!r} is not a (col, row) pair") from None
+        if type(v[0]) is not int or type(v[1]) is not int:
+            raise GridError(f"vertex {tuple(v)} must have integer coordinates")
         if not self.contains(v):
             raise GridError(f"vertex {tuple(v)} out of bounds for {self.width}x{self.height} grid")
         return v
@@ -66,49 +76,69 @@ class GridSpec:
             for col in range(self.width):
                 yield Vertex(col, row)
 
+    @cached_property
+    def index(self) -> GridIndex:
+        """The grid's distance and adjacency tables, built on first use."""
+        return GridIndex(self)
+
     def distance(self, u, v) -> int:
         """Manhattan distance; on a torus each axis may wrap."""
-        u = self.check(u)
-        v = self.check(v)
-        dc = abs(u[0] - v[0])
-        dr = abs(u[1] - v[1])
-        if self.topology == TORUS:
-            dc = min(dc, self.width - dc)
-            dr = min(dr, self.height - dr)
-        return dc + dr
+        u, v = self.check(u), self.check(v)
+        return self.index.cols[u[0]][v[0]] + self.index.rows[u[1]][v[1]]
 
-    def neighbors(self, v) -> list[Vertex]:
-        v = self.check(v)
-        out = []
-        for dc, dr in ((0, -1), (-1, 0), (1, 0), (0, 1)):
-            c, r = v[0] + dc, v[1] + dr
-            if self.topology == TORUS:
-                c %= self.width
-                r %= self.height
-            elif not (0 <= c < self.width and 0 <= r < self.height):
-                continue
-            u = Vertex(c, r)
-            if u != v:
-                out.append(u)
-        return sorted(set(out))
+    def neighbors(self, v) -> tuple[Vertex, ...]:
+        return self.index.neighbors[self.check(v)]
 
     def ball(self, center, radius: int) -> frozenset[Vertex]:
         """All vertices at distance <= radius from center."""
         center = self.check(center)
         if radius < 0:
             raise GridError("radius must be non-negative")
-        out = set()
-        for dc in range(-radius, radius + 1):
-            rem = radius - abs(dc)
-            for dr in range(-rem, rem + 1):
-                c, r = center[0] + dc, center[1] + dr
-                if self.topology == TORUS:
-                    c %= self.width
-                    r %= self.height
-                elif not (0 <= c < self.width and 0 <= r < self.height):
-                    continue
-                out.add(Vertex(c, r))
-        return frozenset(out)
+        return self.index.ball(center, radius)
+
+
+def _axis(n: int, wrap: bool) -> tuple[tuple[int, ...], ...]:
+    """Distances between the n positions of one axis.  The only place that
+    tells a torus from a plane: a torus axis wraps, a plane axis does not."""
+    return tuple(
+        tuple(min(abs(a - b), n - abs(a - b)) if wrap else abs(a - b) for b in range(n))
+        for a in range(n)
+    )
+
+
+class GridIndex:
+    """Distances and adjacency of one grid, read by every geometry query.
+
+    Distance is additive over the axes, d(u, v) = cols[u.col][v.col] +
+    rows[u.row][v.row], so two per-axis tables give every distance without
+    a |V| x |V| matrix.  Arguments are not checked: GridSpec's distance,
+    neighbors and ball check theirs and then read these tables."""
+
+    def __init__(self, spec: GridSpec):
+        wrap = spec.topology == TORUS
+        self.cols, self.rows = _axis(spec.width, wrap), _axis(spec.height, wrap)
+
+    def distances(self, t, vs) -> dict[Vertex, int]:
+        """d(v, t) for each v in vs."""
+        ct, rt = self.cols[t[0]], self.rows[t[1]]
+        return {v: ct[v[0]] + rt[v[1]] for v in vs}
+
+    @cached_property
+    def neighbors(self) -> dict[Vertex, tuple[Vertex, ...]]:
+        """Each vertex's neighbours in sorted order: the rest of its radius-1 ball."""
+        verts = (Vertex(c, r) for r in range(len(self.rows)) for c in range(len(self.cols)))
+        return {v: tuple(sorted(self.ball(v, 1) - {v})) for v in verts}
+
+    def ball(self, center, radius: int) -> frozenset[Vertex]:
+        """The vertices at distance <= radius from center."""
+        ct, rt = self.cols[center[0]], self.rows[center[1]]
+        return frozenset(
+            Vertex(c, r)
+            for c, dc in enumerate(ct)
+            if dc <= radius
+            for r, dr in enumerate(rt)
+            if dc + dr <= radius
+        )
 
 
 def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:
@@ -130,42 +160,45 @@ def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:
 
 
 @dataclass(frozen=True)
-class Distribution:
-    """Sparse non-negative integer pebble counts on a grid."""
+class _Pebbles:
+    """Sparse pebble amounts on a grid; vertices with none are absent.  Two
+    are equal when they are of the same kind, on the same grid, with the
+    same amounts."""
 
     grid: GridSpec
-    counts: Mapping[Vertex, int]
+    counts: Mapping[Vertex, int | Fraction]
     _key: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _integral, _zero = True, 0
 
     def __post_init__(self):
-        clean = _validate_counts(self.grid, self.counts, integral=True)
+        clean = _validate_counts(self.grid, self.counts, self._integral)
         object.__setattr__(self, "counts", clean)
         object.__setattr__(self, "_key", frozenset(clean.items()))
 
     @property
-    def size(self) -> int:
-        return sum(self.counts.values())
+    def size(self) -> int | Fraction:
+        return sum(self.counts.values(), self._zero)
 
     @property
     def support(self) -> frozenset[Vertex]:
         """The units: vertices carrying at least one pebble."""
         return frozenset(self.counts)
 
-    def get(self, v) -> int:
-        return self.counts.get(Vertex(*v), 0)
+    def get(self, v) -> int | Fraction:
+        return self.counts.get(Vertex(*v), self._zero)
 
     def items(self):
         return self.counts.items()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Distribution)
-            and self.grid == other.grid
-            and self._key == other._key
-        )
+        return type(other) is type(self) and self.grid == other.grid and self._key == other._key
 
     def __hash__(self):
         return hash((self.grid, self._key))
+
+
+class Distribution(_Pebbles):
+    """Sparse non-negative integer pebble counts on a grid."""
 
     def with_pebbles(self, v, k: int) -> "Distribution":
         """A copy with k extra pebbles at v (k may be negative down to zero)."""
@@ -198,42 +231,10 @@ class Distribution:
         return all(self.counts.get(v, 0) >= c for v, c in other.counts.items())
 
 
-@dataclass(frozen=True)
-class ContinuousDistribution:
+class ContinuousDistribution(_Pebbles):
     """Sparse exact-rational pebble amounts on a grid (all stored values > 0)."""
 
-    grid: GridSpec
-    counts: Mapping[Vertex, Fraction]
-    _key: frozenset = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        clean = _validate_counts(self.grid, self.counts, integral=False)
-        object.__setattr__(self, "counts", clean)
-        object.__setattr__(self, "_key", frozenset(clean.items()))
-
-    @property
-    def size(self) -> Fraction:
-        return sum(self.counts.values(), Fraction(0))
-
-    @property
-    def support(self) -> frozenset[Vertex]:
-        return frozenset(self.counts)
-
-    def get(self, v) -> Fraction:
-        return self.counts.get(Vertex(*v), Fraction(0))
-
-    def items(self):
-        return self.counts.items()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ContinuousDistribution)
-            and self.grid == other.grid
-            and self._key == other._key
-        )
-
-    def __hash__(self):
-        return hash((self.grid, self._key))
+    _integral, _zero = False, Fraction(0)
 
 
 AnyDistribution = Union[Distribution, ContinuousDistribution]

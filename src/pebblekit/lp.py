@@ -299,9 +299,10 @@ def fractional_optimal_pebbling(spec: GridSpec) -> tuple[Fraction, ContinuousDis
     n = len(verts)
     if n > 200:
         raise LpError(f"grid with {n} vertices exceeds the dense solver scale")
-    rows = []
-    for u in verts:
-        rows.append(tuple(Fraction(1, 2 ** spec.distance(u, v)) for v in verts))
+    rows = [
+        tuple(Fraction(1, 1 << d) for d in spec.index.distances(u, verts).values())
+        for u in verts
+    ]
     problem = LpProblem(
         objective=(Fraction(1),) * n,
         constraints=tuple(rows),

@@ -3,8 +3,8 @@
 The search runs size-first iterative deepening: for s = 1, 2, ... it
 enumerates all pebble distributions of total size s up to the grid's
 symmetry group (rotations and reflections of the rectangle, plus the
-translations of a torus) and tests solvability with the reachability
-engine.  The first size with a solvable distribution is the optimal
+translations of a torus, each a permutation of vertex ids) and tests
+solvability with the reachability engine.  The first size with a solvable distribution is the optimal
 pebbling number, and exhaustion of the smaller sizes is the minimality
 certificate.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import Distribution, GridError, GridSpec, PLANE, Vertex
+from .grid import Distribution, GridError, GridSpec
 from .reach import DEFAULT_NODE_CAP, is_solvable
 
 #: Largest vertex count attempted by the exhaustive search.
@@ -44,64 +44,58 @@ class OptimalResult:
     candidates_tested: int
 
 
-def _symmetries(spec: GridSpec):
-    """Vertex permutations generating the grid's automorphisms used for
-    canonicalization: the dihedral maps of the rectangle (only the ones
-    preserving the shape) and torus translations."""
+def _symmetries(spec: GridSpec) -> list[tuple[int, ...]]:
+    """The grid automorphisms used for canonicalization, as permutations of
+    vertex ids (id = row * width + col, the order of spec.vertices()): each
+    axis is reflected and translated by the shifts that keep its distances
+    (every shift on a torus, only the identity on a plane longer than 2),
+    and a square grid also swaps its axes.  Duplicates are dropped."""
     w, h = spec.width, spec.height
+    perms = {}
+    for fc in _axis_maps(spec.index.cols):
+        for fr in _axis_maps(spec.index.rows):
+            perms[tuple(fr[r] * w + fc[c] for r in range(h) for c in range(w))] = None
+            if w == h:
+                perms[tuple(fc[c] * w + fr[r] for r in range(h) for c in range(w))] = None
+    return list(perms)
+
+
+def _axis_maps(dist) -> list[list[int]]:
+    """The shifts of one axis that preserve its distance table dist, each
+    alone and followed by the reflection."""
+    n = len(dist)
     maps = []
-    flips = [
-        lambda c, r: (c, r),
-        lambda c, r: (w - 1 - c, r),
-        lambda c, r: (c, h - 1 - r),
-        lambda c, r: (w - 1 - c, h - 1 - r),
-    ]
-    swaps = []
-    if w == h:
-        swaps = [lambda c, r: (r, c)]
-    shifts = [(0, 0)]
-    if spec.topology != PLANE:
-        shifts = [(dc, dr) for dc in range(w) for dr in range(h)]
-    for dc, dr in shifts:
-        for f in flips:
-            maps.append(lambda c, r, f=f, dc=dc, dr=dr: f((c + dc) % w, (r + dr) % h))
-            for s in swaps:
-                maps.append(
-                    lambda c, r, f=f, s=s, dc=dc, dr=dr: s(*f((c + dc) % w, (r + dr) % h))
-                )
+    for s in range(n):
+        shift = [(a + s) % n for a in range(n)]
+        if all(dist[shift[a]][shift[b]] == dist[a][b] for a in range(n) for b in range(n)):
+            maps += [shift, [n - 1 - x for x in shift]]
     return maps
 
 
-def _canonical(counts: tuple, maps) -> tuple:
-    """Lexicographically smallest image of a sorted ((col,row),count) tuple
-    under the symmetry maps."""
-    best = counts
-    for f in maps:
-        image = tuple(sorted(((f(c, r), k) for (c, r), k in counts)))
-        if image < best:
-            best = image
-    return best
+def _canonical(counts: tuple, perms) -> tuple:
+    """Lexicographically smallest image of a sorted (vertex id, count) tuple
+    under the symmetry permutations (the identity among them)."""
+    return min(tuple(sorted((p[i], k) for i, k in counts)) for p in perms)
 
 
-def _distributions_of_size(spec: GridSpec, s: int, maps):
+def _distributions_of_size(spec: GridSpec, s: int, perms):
     """All distributions of total size s, one per symmetry orbit."""
-    verts = [(v.col, v.row) for v in spec.vertices()]
+    verts = list(spec.vertices())
     seen = set()
 
     def rec(idx: int, remaining: int, placed: list):
         if remaining == 0:
-            key = tuple(placed)
-            canon = _canonical(key, maps)
+            canon = _canonical(tuple(placed), perms)
             if canon not in seen:
                 seen.add(canon)
-                yield dict((Vertex(c, r), k) for (c, r), k in key)
+                yield {verts[i]: k for i, k in placed}
             return
         if idx == len(verts):
             return
         # leave verts[idx] empty, or put 1..remaining pebbles on it
         yield from rec(idx + 1, remaining, placed)
         for k in range(1, remaining + 1):
-            placed.append((verts[idx], k))
+            placed.append((idx, k))
             yield from rec(idx + 1, remaining - k, placed)
             placed.pop()
 
@@ -114,12 +108,12 @@ def optimal_pebbling_number(
     """Exact optimal pebbling number of the grid, by exhaustion."""
     if spec.size > MAX_SEARCH_VERTICES:
         raise SearchBudgetExceeded(spec, 1, None)
-    maps = _symmetries(spec)
+    perms = _symmetries(spec)
     tested = 0
     s = 0
     while True:
         s += 1
-        for counts in _distributions_of_size(spec, s, maps):
+        for counts in _distributions_of_size(spec, s, perms):
             tested += 1
             d = Distribution(spec, counts)
             if is_solvable(d, node_cap):

@@ -63,9 +63,7 @@ class CoverageReport:
 
 def apply_move(d: Distribution, frm, to) -> Distribution:
     """One pebbling move: remove two pebbles at frm, add one at to."""
-    frm = d.grid.check(frm)
-    to = d.grid.check(to)
-    if to not in d.grid.neighbors(frm):
+    if d.grid.distance(frm, to) != 1:
         raise GridError(f"{tuple(frm)} and {tuple(to)} are not adjacent")
     if d.get(frm) < 2:
         raise GridError(f"need at least 2 pebbles at {tuple(frm)}, have {d.get(frm)}")
@@ -81,7 +79,7 @@ class _Search:
         self.k = k
         self.node_cap = node_cap
         self.nodes = 0
-        self.dist = {v: grid.distance(v, t) for v in grid.vertices()}
+        self.dist = grid.index.distances(t, grid.vertices())
         self.top = max(self.dist.values())
         self.failed: set[frozenset] = set()
         self.witness: set[Vertex] = set()
@@ -105,7 +103,7 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise BudgetExceeded(self.t, self.node_cap)
-        dist, top = self.dist, self.top
+        dist, top, neighbors = self.dist, self.top, self.grid.index.neighbors
         need = self.k << top
         moves = []
         for v, c in state.items():
@@ -113,7 +111,7 @@ class _Search:
                 continue
             dv = dist[v]
             rest = w - (2 << (top - dv))
-            for u in self.grid.neighbors(v):
+            for u in neighbors[v]:
                 nw = rest + (1 << (top - dist[u]))
                 if nw >= need:
                     moves.append((dist[u] >= dv, -c, v, u, nw))
@@ -140,23 +138,19 @@ def _greedy_deliverable(grid: GridSpec, counts: dict, t: Vertex, trace: set | No
     """Pebbles placed on t by repeatedly moving the farthest splittable pile
     one step toward t.  A legal sequence, hence a lower bound; cascades
     through intermediate accumulations are followed."""
+    ct, rt = grid.index.cols[t[0]], grid.index.rows[t[1]]
+    neighbors = grid.index.neighbors
     state = dict(counts)
-    dist = {v: grid.distance(v, t) for v in state}
     while True:
-        best = None
-        for v, c in state.items():
-            if v == t or c < 2:
-                continue
-            if best is None or (dist[v], v) > (dist[best], best):
-                best = v
-        if best is None:
+        piles = [(ct[v[0]] + rt[v[1]], v) for v, c in state.items() if c >= 2 and v != t]
+        if not piles:
             return state.get(t, 0)
+        d, best = max(piles)
         c = state[best]
-        toward = [u for u in grid.neighbors(best) if grid.distance(u, t) < dist[best]]
+        toward = [u for u in neighbors[best] if ct[u[0]] + rt[u[1]] < d]
         u = max(toward, key=lambda u: (state.get(u, 0), u))
         state[u] = state.get(u, 0) + c // 2
         state[best] = c % 2
-        dist[u] = grid.distance(u, t)
         if trace is not None:
             trace.add(u)
 
@@ -189,7 +183,7 @@ class _Engine:
         for v, c in self.d.counts.items():
             clusters.append({v: c})
             # a single pile of c pebbles delivers floor(c / 2^d) to distance d
-            covs.append(grid.ball(v, c.bit_length() - 1))
+            covs.append(grid.index.ball(v, c.bit_length() - 1))
         merged = True
         while merged:
             merged = False
@@ -211,13 +205,13 @@ class _Engine:
         self._covs = covs
 
     def _cluster_coverage(self, counts: dict) -> frozenset[Vertex]:
-        grid = self.grid
+        index = self.grid.index
         total = sum(counts.values())
         region: set[Vertex] = set()
         for v in counts:
-            region |= grid.ball(v, total.bit_length())
+            region |= index.ball(v, total.bit_length())
         reachable = set(counts)
-        for t in sorted(region, key=lambda t: min(grid.distance(t, v) for v in counts)):
+        for t in sorted(region, key=lambda t: min(index.distances(t, counts).values())):
             if t in reachable:
                 continue
             if self._cluster_can_k(counts, t, 1, known=reachable):
@@ -230,10 +224,10 @@ class _Engine:
         grid = self.grid
         if counts.get(t, 0) >= k:
             return True
-        for v, c in counts.items():
-            if c >> grid.distance(v, t) >= k:
-                return True
-        if dyadic_weight((c, grid.distance(v, t)) for v, c in counts.items()) < k:
+        dist = grid.index.distances(t, counts)
+        if any(c >> dist[v] >= k for v, c in counts.items()):
+            return True
+        if dyadic_weight((c, dist[v]) for v, c in counts.items()) < k:
             return False
         trace: set = set() if known is not None else None
         if _greedy_deliverable(grid, counts, t, trace) >= k:
@@ -242,11 +236,11 @@ class _Engine:
             return True
         tried = None
         for radius in _RESTRICT_STAGES:
-            sub = {v: c for v, c in counts.items() if grid.distance(v, t) <= radius}
+            sub = {v: c for v, c in counts.items() if dist[v] <= radius}
             if not sub or sub == tried or len(sub) == len(counts):
                 continue
             tried = sub
-            if dyadic_weight((c, grid.distance(v, t)) for v, c in sub.items()) < k:
+            if dyadic_weight((c, dist[v]) for v, c in sub.items()) < k:
                 continue
             search = _Search(grid, t, k, max(self.node_cap // 20, 1000))
             try:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import AnyDistribution, ContinuousDistribution, Distribution, GridError, Vertex
+from .grid import AnyDistribution, ContinuousDistribution, Distribution, GridError, GridSpec, Vertex
 
 #: Total weight contribution of one pebble to the whole unbounded grid,
 #: self-term included: 1 + sum_{k>=1} 4k * 2^-k = 9.
@@ -73,7 +73,8 @@ def dyadic_weight(terms) -> Fraction:
 def weight(d: AnyDistribution, u) -> Fraction:
     """sum_v D(v) * 2^-d(u,v) on the distribution's grid."""
     u = d.grid.check(u)
-    return dyadic_weight((c, d.grid.distance(u, v)) for v, c in d.items())
+    ct, rt = d.grid.index.cols[u[0]], d.grid.index.rows[u[1]]
+    return dyadic_weight((c, ct[v[0]] + rt[v[1]]) for v, c in d.items())
 
 
 def excess(d: AnyDistribution, u) -> Fraction:
@@ -110,13 +111,8 @@ def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
     ceil(log2 |D|) of the support (outside, W <= |D| * 2^-d <= 1)."""
     # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
     radius = (math.ceil(d.size) - 1).bit_length()
-    region: set[tuple] = set()
-    for (c0, r0) in d.support:
-        for dc in range(-radius, radius + 1):
-            rem = radius - abs(dc)
-            for dr in range(-rem, rem + 1):
-                region.add((c0 + dc, r0 + dr))
-    return region
+    diamond = GridSpec(2 * radius + 1, 2 * radius + 1).ball((radius, radius), radius)
+    return {(c0 + c - radius, r0 + r - radius) for c0, r0 in d.support for c, r in diamond}
 
 
 def ceiling_infinite(d: AnyDistribution) -> Fraction:
@@ -132,11 +128,8 @@ def _ceiling_numerator(d: AnyDistribution, infinite: bool = False, weights=None)
     if not d.counts:
         raise GridError("ceiling needs a non-empty distribution")
     if infinite:
-        counts = {(v.col, v.row): c for v, c in d.items()}
-        exc = sum(
-            (max(_infinite_weight(counts, u) - 1, Fraction(0)) for u in infinite_excess_region(d)),
-            Fraction(0),
-        )
+        region = infinite_excess_region(d)
+        exc = sum((max(_infinite_weight(d.counts, u) - 1, Fraction(0)) for u in region), Fraction(0))
         return PEBBLE_TOTAL_WEIGHT * d.size - exc
     if weights is None:
         weights = (weight(d, u) for u in d.grid.vertices())

@@ -1,14 +1,32 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
-cross-check the production engine on small instances, and a reference
-simplex over Fraction used to cross-check the integer one."""
+cross-check the production engine on small instances, the grid adjacency
+written out for it, and a reference simplex over Fraction used to
+cross-check the integer one."""
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
 
-from pebblekit.grid import Distribution, Vertex
+from pebblekit.grid import TORUS, Distribution, GridSpec, Vertex
 from pebblekit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+
+
+def oracle_neighbors(grid: GridSpec, v) -> list[Vertex]:
+    """The four-offset neighbour rule, independent of pebblekit's grid
+    index: wrap each axis on a torus, clip at the border on a plane, and
+    drop self-loops and duplicates (a torus side of length 1 or 2)."""
+    out = []
+    for dc, dr in ((0, -1), (-1, 0), (1, 0), (0, 1)):
+        c, r = v[0] + dc, v[1] + dr
+        if grid.topology == TORUS:
+            c, r = c % grid.width, r % grid.height
+        elif not (0 <= c < grid.width and 0 <= r < grid.height):
+            continue
+        u = Vertex(c, r)
+        if u != v and u not in out:
+            out.append(u)
+    return out
 
 
 def naive_reachable(d: Distribution) -> frozenset[Vertex]:
@@ -23,7 +41,7 @@ def naive_reachable(d: Distribution) -> frozenset[Vertex]:
         for v, c in list(state.items()):
             if c < 2:
                 continue
-            for u in d.grid.neighbors(v):
+            for u in oracle_neighbors(d.grid, v):
                 nxt = dict(state)
                 nxt[v] -= 2
                 if nxt[v] == 0:
@@ -48,7 +66,7 @@ def naive_max_at(d: Distribution, t: Vertex) -> int:
         for v, c in list(state.items()):
             if c < 2:
                 continue
-            for u in d.grid.neighbors(v):
+            for u in oracle_neighbors(d.grid, v):
                 nxt = dict(state)
                 nxt[v] -= 2
                 if nxt[v] == 0:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,22 @@ from pebblekit.grid import (
     serialize_distribution,
 )
 
+from conftest import oracle_neighbors
+
+# sides of length 1 and 2 are where a torus's wrap neighbours coincide
+SMALL_GRIDS = [
+    pytest.param(w, h, topology, id=f"{w}x{h}-{topology}")
+    for w, h in ((1, 1), (1, 5), (2, 2), (2, 5), (3, 1), (5, 4))
+    for topology in (PLANE, TORUS)
+]
+
 
 def bfs_distance(spec: GridSpec, u: Vertex, v: Vertex) -> int:
     frontier = {u}
     seen = {u}
     d = 0
     while v not in frontier:
-        frontier = {w for x in frontier for w in spec.neighbors(x)} - seen
+        frontier = {w for x in frontier for w in oracle_neighbors(spec, x)} - seen
         seen |= frontier
         d += 1
     return d
@@ -39,6 +49,9 @@ class TestGridSpec:
             GridSpec(0, 3)
         with pytest.raises(GridError):
             GridSpec(3, -1)
+        for width, height in ((3.0, 3), (3, "3"), (True, 2)):
+            with pytest.raises(GridError, match="must be integers"):
+                GridSpec(width, height)
 
     def test_invalid_topology(self):
         with pytest.raises(GridError):
@@ -55,13 +68,22 @@ class TestGridSpec:
         assert spec.distance((0, 0), (0, 6)) == 1
         assert spec.distance((0, 0), (2, 3)) == 5
 
-    @pytest.mark.parametrize("topology", [PLANE, TORUS])
-    def test_distance_matches_bfs(self, topology):
-        spec = GridSpec(4, 5, topology)
+    @pytest.mark.parametrize(
+        "width, height, topology",
+        [pytest.param(4, 5, PLANE, id=PLANE), pytest.param(4, 5, TORUS, id=TORUS)] + SMALL_GRIDS,
+    )
+    def test_distance_matches_bfs(self, width, height, topology):
+        spec = GridSpec(width, height, topology)
         verts = list(spec.vertices())
-        for u in verts[::3]:
-            for v in verts[::4]:
+        for u in verts:
+            for v in verts:
                 assert spec.distance(u, v) == bfs_distance(spec, u, v)
+
+    @pytest.mark.parametrize("width, height, topology", SMALL_GRIDS)
+    def test_neighbors_match_four_offset_rule(self, width, height, topology):
+        spec = GridSpec(width, height, topology)
+        for v in spec.vertices():
+            assert spec.neighbors(v) == tuple(sorted(oracle_neighbors(spec, v)))
 
     def test_neighbors_plane_corner(self):
         spec = GridSpec(3, 3)
@@ -85,6 +107,27 @@ class TestGridSpec:
             spec.check((3, 0))
         with pytest.raises(GridError):
             spec.check((0, -1))
+
+    @pytest.mark.parametrize("v", [(1, 2, 3), (1,), 5])
+    def test_check_rejects_non_pairs(self, v):
+        with pytest.raises(GridError, match=r"is not a \(col, row\) pair"):
+            GridSpec(3, 3).check(v)
+
+    @pytest.mark.parametrize("v", [(0.5, 0), (0, 1.0), (Fraction(1), 0), ("1", 0), (True, 0)])
+    def test_non_integer_coordinates_rejected(self, v):
+        spec = GridSpec(5, 5)
+        named = re.escape(str(tuple(v)))
+        for call in (
+            lambda: spec.check(v),
+            lambda: spec.distance(v, (0, 0)),
+            lambda: spec.distance((0, 0), v),
+            lambda: spec.neighbors(v),
+            lambda: spec.ball(v, 1),
+            lambda: Distribution(spec, {v: 1, (0, 0): 1}),
+            lambda: ContinuousDistribution(spec, {v: Fraction(1, 2)}),
+        ):
+            with pytest.raises(GridError, match=named):
+                call()
 
 
 class TestDistribution:

@@ -2,17 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from pebblekit.grid import GridError, GridSpec, TORUS
+from pebblekit.grid import PLANE, TORUS, Distribution, GridError, GridSpec
 from pebblekit.lp import fractional_optimal_pebbling
 from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SearchBudgetExceeded,
+    _symmetries,
     composition_upper_bound,
     optimal_pebbling_number,
     optimal_ratio_series,
 )
 from pebblekit.reach import is_solvable
+
+# (grid, pi_opt, orbit representatives tested, witness): the search
+# enumerates the same orbits in the same order as long as these hold
+PINNED = [
+    pytest.param(GridSpec(2, 2), 3, 6, {(0, 1): 1, (1, 1): 2}, id="2x2"),
+    pytest.param(GridSpec(3, 3), 4, 89, {(1, 1): 4}, id="3x3"),
+    pytest.param(GridSpec(3, 3, TORUS), 4, 12, {(2, 2): 4}, id="3x3-torus"),
+    pytest.param(GridSpec(4, 3), 5, 839, {(1, 1): 4, (3, 1): 1}, id="4x3"),
+    pytest.param(GridSpec(6, 2, TORUS), 6, 338, {(2, 1): 2, (5, 1): 4}, id="6x2-torus"),
+]
 
 
 class TestOptimalNumbers:
@@ -20,19 +31,15 @@ class TestOptimalNumbers:
         res = optimal_pebbling_number(GridSpec(1, 1))
         assert res.pi_opt == 1
 
-    def test_2x2(self):
-        res = optimal_pebbling_number(GridSpec(2, 2))
-        assert res.pi_opt == 3
-        assert res.witness.size == 3
+    @pytest.mark.parametrize("spec, pi_opt, tested, witness", PINNED)
+    def test_exact_search(self, spec, pi_opt, tested, witness):
+        res = optimal_pebbling_number(spec)
+        assert (res.pi_opt, res.candidates_tested) == (pi_opt, tested)
+        assert res.witness == Distribution(spec, witness)
         assert is_solvable(res.witness)
 
     def test_2x3(self):
         assert optimal_pebbling_number(GridSpec(2, 3)).pi_opt == 3
-
-    def test_3x3(self):
-        res = optimal_pebbling_number(GridSpec(3, 3))
-        assert res.pi_opt == 4
-        assert is_solvable(res.witness)
 
     def test_witness_minimality_by_exhaustion(self):
         # candidates_tested counts every orbit representative of the
@@ -40,10 +47,34 @@ class TestOptimalNumbers:
         res = optimal_pebbling_number(GridSpec(2, 2))
         assert res.candidates_tested > 1
 
-    def test_torus_3x3(self):
-        res = optimal_pebbling_number(GridSpec(3, 3, TORUS))
-        assert res.pi_opt <= 4
-        assert is_solvable(res.witness)
+    @pytest.mark.parametrize(
+        "width, height, topology, order",
+        [
+            (1, 1, PLANE, 1),
+            (2, 2, PLANE, 8),
+            (3, 3, PLANE, 8),
+            (4, 3, PLANE, 4),
+            (6, 2, PLANE, 4),
+            (2, 5, TORUS, 20),
+            (3, 3, TORUS, 72),
+            (6, 2, TORUS, 24),
+            (4, 4, TORUS, 128),
+        ],
+    )
+    def test_symmetries_are_distance_preserving_permutations(self, width, height, topology, order):
+        """Each symmetry is a vertex-id permutation that keeps every distance.
+        order counts the distinct maps among the reflections of the rectangle,
+        the axis swap of a square grid and, on a torus, the translations
+        (maps coincide on a side of length 1 or 2)."""
+        spec = GridSpec(width, height, topology)
+        verts = list(spec.vertices())
+        perms = _symmetries(spec)
+        assert len(set(perms)) == len(perms) == order
+        for p in perms:
+            assert sorted(p) == list(range(spec.size))
+            for i, u in enumerate(verts):
+                for j, v in enumerate(verts):
+                    assert spec.distance(verts[p[i]], verts[p[j]]) == spec.distance(u, v)
 
     def test_scale_guard(self):
         with pytest.raises(SearchBudgetExceeded):
