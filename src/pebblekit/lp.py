@@ -28,6 +28,11 @@ class LpError(ValueError):
     """Malformed linear program."""
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions; entries that already are one are kept."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """minimize objective.x subject to constraints.x >= bounds, x >= 0."""
@@ -37,11 +42,9 @@ class LpProblem:
     bounds: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(Fraction(v) for v in self.objective))
-        object.__setattr__(
-            self, "constraints", tuple(tuple(Fraction(v) for v in row) for row in self.constraints)
-        )
-        object.__setattr__(self, "bounds", tuple(Fraction(v) for v in self.bounds))
+        object.__setattr__(self, "objective", _fractions(self.objective))
+        object.__setattr__(self, "constraints", tuple(map(_fractions, self.constraints)))
+        object.__setattr__(self, "bounds", _fractions(self.bounds))
         n = len(self.objective)
         if len(self.constraints) != len(self.bounds):
             raise LpError("constraint matrix and bound vector sizes differ")

@@ -1,12 +1,20 @@
 """Exact optimal pebbling numbers for small grids by exhaustive search.
 
 The search runs size-first iterative deepening: for s = 1, 2, ... it
-enumerates all pebble distributions of total size s up to the grid's
-symmetry group (rotations and reflections of the rectangle, plus the
-translations of a torus, each a permutation of vertex ids) and tests
-solvability with the reachability engine.  The first size with a solvable distribution is the optimal
-pebbling number, and exhaustion of the smaller sizes is the minimality
-certificate.
+enumerates the pebble distributions of total size s as count vectors
+(c_0, ..., c_{n-1}), c_i the pebbles on vertex id i, in ascending
+lexicographic order.  The symmetry group of the grid (rotations and
+reflections of the rectangle, plus the translations of a torus, each a
+permutation of vertex ids) splits them into orbits, and the first member
+of an orbit met in that order is its lex-least vector: a vector is kept
+iff no symmetry maps it to a smaller one, so each orbit is tested once,
+with no record of the orbits already seen.
+
+An orbit with some vertex of dyadic weight below 1 is refuted without
+the reachability engine: a move never raises the weight at any vertex, so
+that vertex can never be reached.  The rest go to the engine.  The first
+size with a solvable distribution is the optimal pebbling number, and
+exhaustion of the smaller sizes is the minimality certificate.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from fractions import Fraction
 
 from .grid import Distribution, GridError, GridSpec
 from .reach import DEFAULT_NODE_CAP, is_solvable
+from .weights import dyadic_weight
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
@@ -72,34 +81,42 @@ def _axis_maps(dist) -> list[list[int]]:
     return maps
 
 
-def _canonical(counts: tuple, perms) -> tuple:
-    """Lexicographically smallest image of a sorted (vertex id, count) tuple
-    under the symmetry permutations (the identity among them)."""
-    return min(tuple(sorted((p[i], k) for i, k in counts)) for p in perms)
+def _canonical(vec: tuple, perms) -> bool:
+    """Whether the count vector vec is the lexicographically least member of
+    its orbit, i.e. no symmetry permutation maps it to a smaller vector.
+    Stops at the first smaller image."""
+    at = vec.__getitem__
+    return all(vec <= tuple(map(at, p)) for p in perms)
 
 
 def _distributions_of_size(spec: GridSpec, s: int, perms):
-    """All distributions of total size s, one per symmetry orbit."""
-    verts = list(spec.vertices())
-    seen = set()
+    """Count vectors of total size s, one per symmetry orbit (its lex-least
+    member), in ascending lexicographic order."""
+    n = spec.size
+    vec = [0] * n
 
-    def rec(idx: int, remaining: int, placed: list):
+    def rec(idx: int, remaining: int):
         if remaining == 0:
-            canon = _canonical(tuple(placed), perms)
-            if canon not in seen:
-                seen.add(canon)
-                yield {verts[i]: k for i, k in placed}
+            v = tuple(vec)
+            if _canonical(v, perms):
+                yield v
             return
-        if idx == len(verts):
+        if idx == n:
             return
-        # leave verts[idx] empty, or put 1..remaining pebbles on it
-        yield from rec(idx + 1, remaining, placed)
+        # leave vertex idx empty, or put 1..remaining pebbles on it
+        yield from rec(idx + 1, remaining)
         for k in range(1, remaining + 1):
-            placed.append((idx, k))
-            yield from rec(idx + 1, remaining - k, placed)
-            placed.pop()
+            vec[idx] = k
+            yield from rec(idx + 1, remaining - k)
+        vec[idx] = 0
 
-    yield from rec(0, s, [])
+    yield from rec(0, s)
+
+
+def _out_of_reach(placed, dists) -> bool:
+    """Whether some vertex has weight below 1 under the (vertex id, count)
+    pairs placed; dists[t][i] is the distance between vertex ids t and i."""
+    return any(dyadic_weight((k, row[i]) for i, k in placed) < 1 for row in dists)
 
 
 def optimal_pebbling_number(
@@ -109,13 +126,18 @@ def optimal_pebbling_number(
     if spec.size > MAX_SEARCH_VERTICES:
         raise SearchBudgetExceeded(spec, 1, None)
     perms = _symmetries(spec)
+    verts = list(spec.vertices())
+    dists = [list(spec.index.distances(t, verts).values()) for t in verts]
     tested = 0
     s = 0
     while True:
         s += 1
-        for counts in _distributions_of_size(spec, s, perms):
+        for vec in _distributions_of_size(spec, s, perms):
             tested += 1
-            d = Distribution(spec, counts)
+            placed = [(i, k) for i, k in enumerate(vec) if k]
+            if _out_of_reach(placed, dists):
+                continue
+            d = Distribution(spec, {verts[i]: k for i, k in placed})
             if is_solvable(d, node_cap):
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, candidates_tested=tested)
 

@@ -1,7 +1,8 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
-written out for it, and a reference simplex over Fraction used to
-cross-check the integer one."""
+written out for it, a reference simplex over Fraction used to
+cross-check the integer one, and a reference orbit enumerator with a
+global seen set used to cross-check the lex-least one."""
 
 from __future__ import annotations
 
@@ -79,6 +80,41 @@ def naive_max_at(d: Distribution, t: Vertex) -> int:
                     seen.add(key)
                     queue.append(key)
     return best
+
+
+def _reference_canonical(counts: tuple, perms) -> tuple:
+    """Lexicographically smallest image of a sorted (vertex id, count) tuple
+    under the symmetry permutations (the identity among them)."""
+    return min(tuple(sorted((p[i], k) for i, k in counts)) for p in perms)
+
+
+def reference_orbits(spec: GridSpec, s: int, perms):
+    """Count vectors of total size s, one per symmetry orbit: the first
+    member of each orbit met by the recursion, recognised by its canonical
+    form in a global seen set."""
+    n = spec.size
+    seen = set()
+
+    def rec(idx: int, remaining: int, placed: list):
+        if remaining == 0:
+            canon = _reference_canonical(tuple(placed), perms)
+            if canon not in seen:
+                seen.add(canon)
+                vec = [0] * n
+                for i, k in placed:
+                    vec[i] = k
+                yield tuple(vec)
+            return
+        if idx == n:
+            return
+        # leave vertex idx empty, or put 1..remaining pebbles on it
+        yield from rec(idx + 1, remaining, placed)
+        for k in range(1, remaining + 1):
+            placed.append((idx, k))
+            yield from rec(idx + 1, remaining - k, placed)
+            placed.pop()
+
+    yield from rec(0, s, [])
 
 
 class _FractionTableau:

@@ -225,7 +225,7 @@ class TestRender:
     "argv",
     [
         ["optimal", "--grid", "5", "4"],
-        ["optimal", "--grid", "3", "3", "--node-cap", "1"],
+        ["optimal", "--grid", "6", "2", "--node-cap", "1"],
         ["render", "{cascade}", "--overlay", "coverage", "--node-cap", "10"],
         ["gen", "block-composition", "-n", "5", "-m", "2"],
         ["gen", "uniform-frac", "--q", "abc"],

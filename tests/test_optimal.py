@@ -8,12 +8,17 @@ from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SearchBudgetExceeded,
+    _distributions_of_size,
+    _out_of_reach,
     _symmetries,
     composition_upper_bound,
     optimal_pebbling_number,
     optimal_ratio_series,
 )
 from pebblekit.reach import is_solvable
+from pebblekit.weights import weight
+
+from conftest import naive_reachable, reference_orbits
 
 # (grid, pi_opt, orbit representatives tested, witness): the search
 # enumerates the same orbits in the same order as long as these hold
@@ -23,7 +28,21 @@ PINNED = [
     pytest.param(GridSpec(3, 3, TORUS), 4, 12, {(2, 2): 4}, id="3x3-torus"),
     pytest.param(GridSpec(4, 3), 5, 839, {(1, 1): 4, (3, 1): 1}, id="4x3"),
     pytest.param(GridSpec(6, 2, TORUS), 6, 338, {(2, 1): 2, (5, 1): 4}, id="6x2-torus"),
+    pytest.param(
+        GridSpec(6, 2), 6, 4566, {(1, 0): 1, (1, 1): 2, (4, 0): 1, (4, 1): 2}, id="6x2"
+    ),
+    pytest.param(GridSpec(5, 3), 6, 6285, {(1, 1): 4, (4, 1): 2}, id="5x3"),
+    pytest.param(GridSpec(4, 4, TORUS), 6, 342, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
 ]
+
+
+def grids_up_to(n_vertices: int, topology: str) -> list[GridSpec]:
+    """Every W x H grid of the topology with at most n_vertices vertices."""
+    return [
+        GridSpec(w, h, topology)
+        for w in range(1, n_vertices + 1)
+        for h in range(1, n_vertices // w + 1)
+    ]
 
 
 class TestOptimalNumbers:
@@ -37,6 +56,11 @@ class TestOptimalNumbers:
         assert (res.pi_opt, res.candidates_tested) == (pi_opt, tested)
         assert res.witness == Distribution(spec, witness)
         assert is_solvable(res.witness)
+
+    def test_weight_refuted_orbits_cost_no_budget(self):
+        # every 3x3 orbit below 4 pebbles has a vertex of weight < 1, so the
+        # search never asks the engine, and a node cap of 1 cannot overflow
+        assert optimal_pebbling_number(GridSpec(3, 3), node_cap=1).pi_opt == 4
 
     def test_2x3(self):
         assert optimal_pebbling_number(GridSpec(2, 3)).pi_opt == 3
@@ -75,6 +99,36 @@ class TestOptimalNumbers:
             for i, u in enumerate(verts):
                 for j, v in enumerate(verts):
                     assert spec.distance(verts[p[i]], verts[p[j]]) == spec.distance(u, v)
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_orbits_match_seen_set_reference(self, topology):
+        """The lex-least test keeps the same orbit representatives, in the same
+        order, as the first-met enumeration with a global seen set."""
+        for spec in grids_up_to(12, topology):
+            perms = _symmetries(spec)
+            for s in range(1, 6):
+                got = list(_distributions_of_size(spec, s, perms))
+                assert got == list(reference_orbits(spec, s, perms)), (spec, s)
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_weight_filter_drops_only_unsolvable_orbits(self, topology):
+        """The weight filter drops an orbit exactly when some vertex has weight
+        below 1, and the naive BFS oracle reaches none of those vertices."""
+        dropped = 0
+        for spec in grids_up_to(9, topology):
+            verts = list(spec.vertices())
+            dists = [[spec.distance(t, u) for u in verts] for t in verts]
+            perms = _symmetries(spec)
+            for s in range(1, 7):
+                for vec in _distributions_of_size(spec, s, perms):
+                    placed = [(i, k) for i, k in enumerate(vec) if k]
+                    d = Distribution(spec, {verts[i]: k for i, k in placed})
+                    light = {v for v in verts if weight(d, v) < 1}
+                    assert _out_of_reach(placed, dists) == bool(light), d
+                    if light:
+                        dropped += 1
+                        assert not light & naive_reachable(d), d
+        assert dropped > 0
 
     def test_scale_guard(self):
         with pytest.raises(SearchBudgetExceeded):
