@@ -159,6 +159,8 @@ def cmd_optimal(args) -> int:
     rows = []
     if args.grid:
         specs = [GridSpec(args.grid[0], args.grid[1])]
+    elif args.max_n < 1:
+        raise GridError(f"--max-n must be >= 1, got {args.max_n}")
     else:
         specs = [GridSpec(n, n) for n in range(1, args.max_n + 1)]
     for spec in specs:
@@ -270,8 +272,8 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
         w = weights.weight(d, Vertex(0, 0))
         return f"torus_weight={w} below_one={w < 1}"
 
-    def frac_2x2():
-        value, witness = lp.fractional_optimal_pebbling(GridSpec(2, 2))
+    def frac_optimum(spec):
+        value, witness = lp.fractional_optimal_pebbling(spec)
         return f"value={value} solvable={weights.fractional_solvable(witness)}"
 
     def row_ones_marginal():
@@ -383,7 +385,7 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
             "fractional optimal pebbling of the 2x2 grid",
             "derived",
             "value=16/9 solvable=True",
-            frac_2x2,
+            lambda: frac_optimum(GridSpec(2, 2)),
         ),
         Check(
             "row-ones-marginal",
@@ -402,10 +404,6 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
     ]
     if scale == "full-desk":
 
-        def frac_9x9():
-            value, witness = lp.fractional_optimal_pebbling(GridSpec(9, 9, TORUS))
-            return f"value={value} solvable={weights.fractional_solvable(witness)}"
-
         def pi_opt_3x3():
             r = optimal.optimal_pebbling_number(GridSpec(3, 3), node_cap)
             lower = lp.fractional_optimal_pebbling(GridSpec(3, 3))[0]
@@ -418,7 +416,21 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
                 "fractional optimal pebbling of the 9x9 torus",
                 "derived",
                 "value=5184/529 solvable=True",
-                frac_9x9,
+                lambda: frac_optimum(GridSpec(9, 9, TORUS)),
+            ),
+            Check(
+                "fractional-optimal-30x30-plane",
+                "fractional optimal pebbling of the 30x30 grid",
+                "derived",
+                "value=1024/9 solvable=True",
+                lambda: frac_optimum(GridSpec(30, 30)),
+            ),
+            Check(
+                "fractional-optimal-28x28-torus",
+                "fractional optimal pebbling of the 28x28 torus",
+                "derived",
+                "value=210453397504/2415624201 solvable=True",
+                lambda: frac_optimum(GridSpec(28, 28, TORUS)),
             ),
             Check(
                 "pi-opt-3x3",

@@ -6,9 +6,10 @@ termination) on a fraction-free integer tableau, so every value is an
 exact rational, and returns matching primal and dual certificates that
 verify_certificate can check independently.
 
-Also houses the two problem builders used by the bound accounting: the
-minimum-excess-at-a-unit program over the eight neighborhood regions, and
-the fractional optimal pebbling program of a grid.
+Also houses the unit-excess program over the eight neighborhood regions
+and the fractional optimal pebbling of a grid, a product of two axis
+programs whose optima are observed (n = 1..30, not proved) to be (n + 2)/3
+on the path P_n and n/s_n on the cycle C_n, s_n = sum_{i<n} 2^-min(i, n-i).
 """
 
 from __future__ import annotations
@@ -297,21 +298,19 @@ def unit_excess_problem() -> LpProblem:
 
 def fractional_optimal_pebbling(spec: GridSpec) -> tuple[Fraction, ContinuousDistribution]:
     """Smallest total mass of a continuous distribution with weight >= 1 at
-    every vertex: minimize sum_v D(v) s.t. sum_v D(v) 2^-d(u,v) >= 1."""
-    verts = list(spec.vertices())
-    n = len(verts)
-    if n > 200:
-        raise LpError(f"grid with {n} vertices exceeds the dense solver scale")
-    rows = [
-        tuple(Fraction(1, 1 << d) for d in spec.index.distances(u, verts).values())
-        for u in verts
-    ]
-    problem = LpProblem(
-        objective=(Fraction(1),) * n,
-        constraints=tuple(rows),
-        bounds=(Fraction(1),) * n,
-    )
-    sol = solve(problem)
-    assert sol.status == OPTIMAL  # the all-ones distribution is feasible
-    counts = {verts[i]: sol.primal[i] for i in range(n) if sol.primal[i] > 0}
-    return sol.objective_value, ContinuousDistribution(spec, counts)
+    every vertex.  The matrix 2^-d(u,v) is the Kronecker product A (x) B of
+    the axis matrices, so with a, b the axis optima and p, q their duals,
+    a (x) b is feasible, p (x) q is dual feasible, and both have the value
+    (1.a)(1.b) = (1.p)(1.q): the product is exact."""
+    value, optima = Fraction(1), []
+    for dist in (spec.index.cols, spec.index.rows):
+        # min 1.x s.t. sum_j 2^-dist[i][j] x_j >= 1 for every i, x >= 0
+        ones = (Fraction(1),) * len(dist)
+        rows = tuple(tuple(Fraction(1, 1 << d) for d in row) for row in dist)
+        sol = solve(LpProblem(ones, rows, ones))
+        assert sol.status == OPTIMAL  # the all-ones vector is feasible
+        value *= sol.objective_value
+        optima.append(sol.primal)
+    a, b = optima
+    counts = {Vertex(c, r): x * y for r, y in enumerate(b) if y for c, x in enumerate(a) if x}
+    return value, ContinuousDistribution(spec, counts)

@@ -1,16 +1,18 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
 written out for it, a reference simplex over Fraction used to
-cross-check the integer one, and a reference orbit enumerator with a
-global seen set used to cross-check the lex-least one."""
+cross-check the integer one, a reference orbit enumerator with a
+global seen set used to cross-check the lex-least one, and the fractional
+optimal pebbling program written out densely, one variable per vertex,
+used to cross-check the product of the two axis programs."""
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
 
-from pebblekit.grid import TORUS, Distribution, GridSpec, Vertex
-from pebblekit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+from pebblekit.grid import TORUS, ContinuousDistribution, Distribution, GridSpec, Vertex
+from pebblekit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve
 
 
 def oracle_neighbors(grid: GridSpec, v) -> list[Vertex]:
@@ -246,3 +248,32 @@ def reference_lp_solve(p: LpProblem) -> tuple[LpSolution, int]:
     value = sum((c * x for c, x in zip(p.objective, primal)), Fraction(0))
     solution = LpSolution(status=OPTIMAL, primal=tuple(primal), dual=tuple(dual), objective_value=value)
     return solution, tab.pivots
+
+
+def oracle_distance(grid: GridSpec, u, v) -> int:
+    """Manhattan distance, each axis wrapping on a torus, independent of
+    pebblekit's grid index."""
+    out = 0
+    for a, b, n in ((u[0], v[0], grid.width), (u[1], v[1], grid.height)):
+        d = abs(a - b)
+        out += min(d, n - d) if grid.topology == TORUS else d
+    return out
+
+
+def reference_fractional_problem(spec: GridSpec) -> LpProblem:
+    """The fractional optimal pebbling program of the grid as one dense LP:
+    a variable and a row per vertex, entries 2^-d(u, v), |V|^2 of them."""
+    verts = list(spec.vertices())
+    ones = (Fraction(1),) * len(verts)
+    rows = tuple(
+        tuple(Fraction(1, 1 << oracle_distance(spec, u, v)) for v in verts) for u in verts
+    )
+    return LpProblem(objective=ones, constraints=rows, bounds=ones)
+
+
+def reference_fractional_optimum(spec: GridSpec) -> tuple[Fraction, ContinuousDistribution]:
+    """(value, witness) of the dense program, solved by pebblekit.lp.solve."""
+    sol = solve(reference_fractional_problem(spec))
+    assert sol.status == OPTIMAL
+    counts = {v: x for v, x in zip(spec.vertices(), sol.primal) if x}
+    return sol.objective_value, ContinuousDistribution(spec, counts)

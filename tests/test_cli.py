@@ -226,6 +226,7 @@ class TestRender:
     [
         ["optimal", "--grid", "5", "4"],
         ["optimal", "--grid", "6", "2", "--node-cap", "1"],
+        ["optimal", "--max-n", "0"],
         ["render", "{cascade}", "--overlay", "coverage", "--node-cap", "10"],
         ["gen", "block-composition", "-n", "5", "-m", "2"],
         ["gen", "uniform-frac", "--q", "abc"],
@@ -234,6 +235,7 @@ class TestRender:
     ids=[
         "optimal-too-large",
         "optimal-budget",
+        "optimal-max-n-zero",
         "render-budget",
         "gen-missing-inner",
         "gen-q-not-rational",

@@ -16,7 +16,11 @@ from pebblekit.lp import (
 )
 from pebblekit.weights import fractional_solvable
 
-from conftest import reference_lp_solve
+from conftest import (
+    reference_fractional_optimum,
+    reference_fractional_problem,
+    reference_lp_solve,
+)
 
 
 def solve_counting_pivots(p: LpProblem):
@@ -150,15 +154,46 @@ class TestFractionalOptimal:
 
     @pytest.mark.parametrize("topology", [TORUS, PLANE])
     def test_7x7_solution_equals_reference(self, topology):
-        with mock.patch.object(lp, "solve", wraps=lp.solve) as spy:
-            fractional_optimal_pebbling(GridSpec(7, 7, topology))
-        problem = spy.call_args.args[0]
+        """The integer tableau against the Fraction one on the dense
+        49-variable program of the 7x7 grid."""
+        problem = reference_fractional_problem(GridSpec(7, 7, topology))
         expected, pivots = reference_lp_solve(problem)
         assert solve_counting_pivots(problem) == (expected, pivots)
 
-    def test_scale_guard(self):
-        with pytest.raises(LpError):
-            fractional_optimal_pebbling(GridSpec(20, 20))
+    def test_20x20_plane(self):
+        value, witness = fractional_optimal_pebbling(GridSpec(20, 20))
+        assert value == Fraction(484, 9)
+        assert fractional_solvable(witness)
+        assert witness.size == value
+
+    @pytest.mark.parametrize("topology", [TORUS, PLANE])
+    def test_product_equals_dense_oracle(self, topology):
+        """Value and witness of the axis product equal the dense program's,
+        bit for bit, on every grid of sides at most 9."""
+        for w in range(1, 10):
+            for h in range(1, 10):
+                spec = GridSpec(w, h, topology)
+                assert fractional_optimal_pebbling(spec) == reference_fractional_optimum(spec), spec
+
+    def test_axis_closed_forms(self):
+        """An n x 1 grid is the path P_n, an n x 1 torus the cycle C_n: the
+        optimum is (n + 2)/3 on the path and n/s_n on the cycle."""
+        for n in range(1, 31):
+            assert fractional_optimal_pebbling(GridSpec(n, 1))[0] == Fraction(n + 2, 3)
+            assert fractional_optimal_pebbling(GridSpec(n, 1, TORUS))[0] == n / cycle_sum(n)
+
+    def test_grid_closed_forms(self):
+        for w in range(1, 13):
+            for h in range(1, 13):
+                plane = fractional_optimal_pebbling(GridSpec(w, h))[0]
+                assert plane == Fraction((w + 2) * (h + 2), 9)
+                torus = fractional_optimal_pebbling(GridSpec(w, h, TORUS))[0]
+                assert torus == (w / cycle_sum(w)) * (h / cycle_sum(h))
+
+
+def cycle_sum(n: int) -> Fraction:
+    """s_n = sum_{i<n} 2^-min(i, n-i), the weight one unit puts on C_n."""
+    return sum(Fraction(1, 1 << min(i, n - i)) for i in range(n))
 
 
 # small integers and dyadic rationals, both signs

@@ -5,6 +5,7 @@ import pytest
 from pebblekit.grid import PLANE, TORUS, Distribution, GridError, GridSpec
 from pebblekit.lp import fractional_optimal_pebbling
 from pebblekit.optimal import (
+    MAX_BOUND_SIDE,
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SearchBudgetExceeded,
@@ -131,9 +132,12 @@ class TestOptimalNumbers:
         assert dropped > 0
 
     def test_scale_guard(self):
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded, match="known bounds: 6 <= pi_opt$") as e:
             optimal_pebbling_number(GridSpec(5, 5))
+        assert e.value.lower == 6  # ceil(49/9), the fractional optimum
         assert GridSpec(4, 4).size == MAX_SEARCH_VERTICES  # 4x4 is the edge
+        with pytest.raises(SearchBudgetExceeded, match="known bounds: 1 <= pi_opt$"):
+            optimal_pebbling_number(GridSpec(MAX_BOUND_SIDE + 1, 1))
 
 
 class TestSeriesAndBounds:
