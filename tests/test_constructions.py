@@ -140,6 +140,15 @@ class TestBandedRows:
         # regression pins for the deterministic placement search
         assert sorted(banded_rows_augmentation(1, 1)) == [Vertex(1, 0), Vertex(1, 5)]
         assert sorted(banded_rows_augmentation(2, 1)) == [Vertex(2, 1), Vertex(2, 4)]
+        assert sorted(banded_rows_augmentation(1, 2)) == [
+            Vertex(0, 1), Vertex(1, 0), Vertex(1, 5), Vertex(1, 10)
+        ]
+        assert sorted(banded_rows_augmentation(2, 2)) == [
+            Vertex(0, 4), Vertex(2, 1), Vertex(2, 9), Vertex(3, 4)
+        ]
+        assert sorted(banded_rows_augmentation(1, 3)) == [
+            Vertex(0, 1), Vertex(0, 4), Vertex(1, 0), Vertex(1, 4), Vertex(1, 10), Vertex(1, 15)
+        ]
 
     def test_sequence_monotone_for_central_case(self):
         n = m = 2
