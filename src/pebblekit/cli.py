@@ -486,7 +486,7 @@ def _render_ascii(dist, overlay: str, node_cap: int) -> str:
     for v in grid.vertices():
         c = dist.get(v)
         cells[v] = str(c) if c else "."
-    if overlay == "coverage" and isinstance(dist, Distribution):
+    if overlay == "coverage":
         reachable = reach.coverage(dist, node_cap).reachable
         for v in grid.vertices():
             if dist.get(v) == 0:
@@ -505,7 +505,7 @@ def _render_svg(dist, overlay: str, node_cap: int) -> str:
     grid = dist.grid
     cell = 28
     shaded: frozenset = frozenset()
-    if overlay == "coverage" and isinstance(dist, Distribution):
+    if overlay == "coverage":
         shaded = reach.coverage(dist, node_cap).reachable
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -535,6 +535,8 @@ def _render_svg(dist, overlay: str, node_cap: int) -> str:
 
 def cmd_render(args) -> int:
     dist = _load(args.file)
+    if args.overlay == "coverage" and not isinstance(dist, Distribution):
+        raise GridError("coverage needs an integer distribution")
     if args.format == "ascii":
         text = _render_ascii(dist, args.overlay, args.node_cap)
     else:

@@ -27,21 +27,17 @@ Banded-rows augmentation placement: the 2m size-2 units go on empty
 vertices at row-distance at most 1 from a pebbled row, at most two units
 per pebbled row (more than two never helps a row fire and only starves
 the others).  Candidate subsets are tried in lexicographic (row, col)
-order and screened with per-row cluster coverage tables (rows five apart
-cannot pool pebbles unless their standalone coverages meet).  Placements
-whose per-row coverage union reaches every gap vertex are solvable
-outright; among those the first one that also lets every pebbled row
-move 4 pebbles onto any of its own vertices wins, else the first one at
-all.  Only when no union-certified placement exists are the cross-row
-pooling candidates handed to the full engine, and failing that the
-placement covering the most gap vertices is returned.  (For n = 1 a
-single unit next to a row's middle vertex fires the whole row; for
-n >= 2 firing a row needs two units, 2m units cannot serve all m+1 rows,
-and the winning placements instead put units on interior columns of the
-rows adjacent to the pebbled rows.)  Certificates inside the search run
-under a reduced node budget; a candidate whose certificate exceeds it
-counts as a failure (genuine positives certify greedily and never get
-near the budget).
+order.  Each pebbled row with its own units is one exact reachability
+engine.  A placement is certified when the union of the row coverages
+reaches every gap vertex (the base covers the other rows, so it is then
+solvable).  The first certified placement that also lets every pebbled
+row move 4 pebbles onto each of its own vertices wins, else the first
+certified placement at all.  If none is certified, ``GridError`` is
+raised (n = 3 and n = 4 with m = 1); a search budget overflow propagates
+as ``BudgetExceeded``.  (For n = 1 a single unit next to a row's middle
+vertex fires the whole row; for n >= 2 firing a row needs two units, 2m
+units cannot serve all m+1 rows, and the winning placements instead put
+units on interior columns of the rows adjacent to the pebbled rows.)
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from .grid import (
     GridSpec,
     Vertex,
 )
-from .reach import DEFAULT_NODE_CAP, BudgetExceeded, _Engine, coverage
+from .reach import _Engine, coverage
 
 
 # -- diag7 ----------------------------------------------------------------
@@ -167,109 +163,43 @@ def _banded_rows_grid(n: int, m: int) -> tuple[GridSpec, dict]:
 
 
 @lru_cache(maxsize=None)
-def banded_rows_augmentation(n: int, m: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple:
+def banded_rows_augmentation(n: int, m: int) -> tuple:
     """The 2m size-2 unit positions for the augmented banded-rows instance
     (see the module docstring for the placement rule)."""
     spec, base = _banded_rows_grid(n, m)
     rows = [5 * j for j in range(m + 1)]
-    cand = sorted(
-        (
-            v
-            for v in spec.vertices()
-            if v not in base and min(abs(v.row - j) for j in rows) <= 1
-        ),
-        key=lambda v: (v.row, v.col),
-    )
-    gaps = [v for v in spec.vertices() if v.row % 5 in (2, 3)]
+    # candidate -> the pebbled row it is near (rows are 5 apart, so one)
+    row_of = {
+        v: j for v in spec.vertices() for j in rows if v not in base and abs(v.row - j) <= 1
+    }
+    cand = sorted(row_of, key=lambda v: (v.row, v.col))
+    gaps = frozenset(v for v in spec.vertices() if v.row % 5 in (2, 3))
 
-    def row_of(v: Vertex) -> int:
-        return min(rows, key=lambda r: abs(v.row - r))
-
-    # Certificates inside the search run under reduced budgets; overflow
-    # counts as a negative answer (see the module docstring).
-    quick_cap = min(node_cap, 50_000)
-    fire_cap = min(node_cap, 5_000)
-    row_cov: dict = {}
-    row_fire: dict = {}
-
-    def row_engine(j: int, subset: tuple, cap: int) -> _Engine:
+    @lru_cache(maxsize=None)
+    def row_engine(j: int, subset: tuple) -> _Engine:
+        """The row-j piles plus a subset of augmentation units near row j."""
         counts = {Vertex(c, j): 3 for c in range(0, 2 * n + 1, 2)}
-        for v in subset:
-            counts[v] = 2
-        return _Engine(Distribution(spec, counts), cap)
+        counts.update(dict.fromkeys(subset, 2))
+        return _Engine(Distribution(spec, counts))
 
-    def row_coverage(j: int, subset: tuple) -> frozenset:
-        """Coverage of the row-j cluster for a subset of augmentation units."""
-        key = (j, subset)
-        if key not in row_cov:
-            try:
-                row_cov[key] = row_engine(j, subset, quick_cap).reachable_set()
-            except BudgetExceeded:
-                # sound lower bound: the support itself is always covered
-                row_cov[key] = frozenset(Vertex(c, j) for c in range(0, 2 * n + 1, 2))
-        return row_cov[key]
-
-    def row_fires(j: int, subset: tuple) -> bool:
-        """Can the row-j cluster move 4 pebbles onto each of its own row
-        vertices?  (Lazy: the negative k=4 searches are expensive.)"""
-        key = (j, subset)
-        if key not in row_fire:
-            engine = row_engine(j, subset, fire_cap)
-            try:
-                row_fire[key] = all(
-                    engine.can_move_k(Vertex(c, j), 4) for c in range(2 * n + 1)
-                )
-            except BudgetExceeded:
-                row_fire[key] = False
-        return row_fire[key]
-
-    def fully_solvable(combo: tuple) -> bool:
-        trial = dict(base)
-        for v in combo:
-            trial[v] = 2
-        try:
-            engine = _Engine(Distribution(spec, trial), quick_cap)
-            return len(engine.reachable_set()) == spec.size
-        except BudgetExceeded:
-            return False
-
-    full_coverage = None
-    cross_row: list = []
-    best = (-1, None)
+    certified = None
     for combo in combinations(cand, 2 * m):
-        per_row: dict = {}
+        subsets = dict.fromkeys(rows, ())
         for v in combo:
-            per_row.setdefault(row_of(v), []).append(v)
-        if any(len(g) > 2 for g in per_row.values()):
+            subsets[row_of[v]] += (v,)
+        if any(len(s) > 2 for s in subsets.values()):
             continue
-        subsets = {j: tuple(per_row.get(j, ())) for j in rows}
-        covs = [row_coverage(j, subsets[j]) for j in rows]
-        union = frozenset().union(*covs)
-        score = sum(1 for v in gaps if v in union)
-        if score > best[0]:
-            best = (score, combo)
-        if score != len(gaps):
-            # adjacent row clusters could pool pebbles, so the per-row union
-            # is only a lower bound; remember the combos where that could
-            # matter in case no union-certified placement exists
-            if full_coverage is None and any(
-                covs[i] & covs[i + 1] for i in range(len(covs) - 1)
-            ):
-                cross_row.append(combo)
+        engines = {j: row_engine(j, s) for j, s in subsets.items()}
+        if not gaps <= frozenset().union(*(e.reachable_set() for e in engines.values())):
             continue
-        # the base covers all non-gap rows, so full gap coverage by the
-        # per-row union certifies solvability without a full-engine search
-        if full_coverage is None:
-            full_coverage = combo
-            cross_row.clear()
-        if all(row_fires(j, subsets[j]) for j in rows):
+        if all(
+            e.can_move_k(Vertex(c, j), 4) for j, e in engines.items() for c in range(2 * n + 1)
+        ):
             return combo
-    if full_coverage is not None:
-        return full_coverage
-    for combo in cross_row:
-        if fully_solvable(combo):
-            return combo
-    return best[1]
+        certified = certified or combo
+    if certified is None:
+        raise GridError(f"no augmentation of banded_rows n={n}, m={m} is certified solvable")
+    return certified
 
 
 def banded_rows_augmentation_sequence(n: int, m: int) -> tuple:

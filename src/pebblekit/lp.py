@@ -53,13 +53,6 @@ class LpProblem:
             if len(row) != n:
                 raise LpError("constraint row length does not match objective")
 
-    def to_json(self) -> dict:
-        return {
-            "objective": [str(v) for v in self.objective],
-            "constraints": [[str(v) for v in row] for row in self.constraints],
-            "bounds": [str(v) for v in self.bounds],
-        }
-
 
 @dataclass(frozen=True)
 class LpSolution:

@@ -40,14 +40,12 @@ MAX_BOUND_SIDE = 64
 class SearchBudgetExceeded(RuntimeError):
     """The exhaustive search would exceed the supported scale."""
 
-    def __init__(self, spec: GridSpec, lower: int, upper: int | None):
-        msg = f"optimal search not supported on {spec.width}x{spec.height} {spec.topology}"
-        msg += f"; known bounds: {lower} <= pi_opt"
-        if upper is not None:
-            msg += f" <= {upper}"
-        super().__init__(msg)
+    def __init__(self, spec: GridSpec, lower: int):
+        super().__init__(
+            f"optimal search not supported on {spec.width}x{spec.height} {spec.topology}"
+            f"; known bounds: {lower} <= pi_opt"
+        )
         self.lower = lower
-        self.upper = upper
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def optimal_pebbling_number(
         lower = 1
         if max(spec.width, spec.height) <= MAX_BOUND_SIDE:
             lower = ceil(fractional_optimal_pebbling(spec)[0])
-        raise SearchBudgetExceeded(spec, lower, None)
+        raise SearchBudgetExceeded(spec, lower)
     perms = _symmetries(spec)
     verts = list(spec.vertices())
     dists = [list(spec.index.distances(t, verts).values()) for t in verts]

@@ -228,6 +228,7 @@ class TestRender:
         ["optimal", "--grid", "6", "2", "--node-cap", "1"],
         ["optimal", "--max-n", "0"],
         ["render", "{cascade}", "--overlay", "coverage", "--node-cap", "10"],
+        ["render", "{frac}", "--overlay", "coverage"],
         ["gen", "block-composition", "-n", "5", "-m", "2"],
         ["gen", "uniform-frac", "--q", "abc"],
         ["gen", "uniform-frac", "--q", "1/0"],
@@ -237,6 +238,7 @@ class TestRender:
         "optimal-budget",
         "optimal-max-n-zero",
         "render-budget",
+        "render-coverage-continuous",
         "gen-missing-inner",
         "gen-q-not-rational",
         "gen-q-zero-denominator",
@@ -249,7 +251,9 @@ def test_user_error_exits_2(capsys, tmp_path, argv):
     cascade.write_text(
         serialize_distribution(Distribution.combined(*gen_cascade_ones(GridSpec(13, 5), 5)))
     )
-    code, _, err = run_cli(capsys, *(a.format(cascade=cascade) for a in argv))
+    frac = tmp_path / "frac.dist"
+    frac.write_text(serialize_distribution(gen_uniform_frac(GridSpec(3, 3), Fraction(1, 2))))
+    code, _, err = run_cli(capsys, *(a.format(cascade=cascade, frac=frac) for a in argv))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
 

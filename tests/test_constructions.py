@@ -18,7 +18,6 @@ from pebblekit.constructions import (
     FAMILIES,
     PatternSpec,
     banded_rows_augmentation,
-    banded_rows_augmentation_sequence,
     density7_class_profile,
     density7_class_weights,
     diag7_border_pebbles,
@@ -150,16 +149,11 @@ class TestBandedRows:
             Vertex(0, 1), Vertex(0, 4), Vertex(1, 0), Vertex(1, 4), Vertex(1, 10), Vertex(1, 15)
         ]
 
-    def test_sequence_monotone_for_central_case(self):
-        n = m = 2
-        d = gen_banded_rows(n, m)
-        ratio = coverage(d).ratio
-        ceil = covering_ratio_ceiling(d)
-        for v in banded_rows_augmentation_sequence(n, m):
-            d = d.with_pebbles(v, 2)
-            nr, nc = coverage(d).ratio, covering_ratio_ceiling(d)
-            assert nr > ratio and nc < ceil
-            ratio, ceil = nr, nc
+    def test_uncertified_augmentation_raises(self):
+        # no placement of 2 units certifies the 7x6 grid; an uncertified
+        # placement is never returned
+        with pytest.raises(GridError, match="n=3, m=1"):
+            gen_banded_rows(3, 1, augmented=True)
 
     def test_guards(self):
         with pytest.raises(GridError):
