@@ -174,6 +174,7 @@ def cmd_optimal(args) -> int:
                     f"{v.col},{v.row}": c for v, c in sorted(result.witness.items())
                 },
                 "candidates_tested": result.candidates_tested,
+                "per_size": [row._asdict() for row in result.per_size],
             }
         )
         print(

@@ -10,11 +10,21 @@ of an orbit met in that order is its lex-least vector: a vector is kept
 iff no symmetry maps it to a smaller one, so each orbit is tested once,
 with no record of the orbits already seen.
 
+The test is made on prefixes, as in canonical augmentation: the vector
+is built one vertex at a time, and each symmetry p is compared with it
+over the positions j where both vec[j] and vec[p[j]] are decided.  A
+smaller image there cuts the whole subtree, since no completion can be
+lex-least; a larger one drops p from the subtree, since it can never
+refute a completion.  Only the symmetries still undecided at a complete
+vector are tested there.
+
 An orbit with some vertex of dyadic weight below 1 is refuted without
 the reachability engine: a move never raises the weight at any vertex, so
-that vertex can never be reached.  The rest go to the engine.  The first
-size with a solvable distribution is the optimal pebbling number, and
-exhaustion of the smaller sizes is the minimality certificate.
+that vertex can never be reached.  The weights are integer sums over one
+power-of-two denominator, read from a table built once per grid.  The
+rest go to the engine.  The first size with a solvable distribution is
+the optimal pebbling number, and exhaustion of the smaller sizes, counted
+per size in OptimalResult.per_size, is the minimality certificate.
 """
 
 from __future__ import annotations
@@ -22,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import mul
+from typing import NamedTuple
 
 from .grid import Distribution, GridError, GridSpec
 from .lp import fractional_optimal_pebbling
 from .reach import DEFAULT_NODE_CAP, is_solvable
-from .weights import dyadic_weight
+from .weights import dyadic_rows
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
@@ -48,14 +60,31 @@ class SearchBudgetExceeded(RuntimeError):
         self.lower = lower
 
 
+class SizeRow(NamedTuple):
+    """The orbits of one size tested by the search, and how each was
+    decided.  Below pi_opt every orbit is refuted; at pi_opt the last orbit
+    is the witness, counted in neither refuted column."""
+
+    size: int
+    orbits: int
+    weight_refuted: int
+    engine_refuted: int
+
+
 @dataclass(frozen=True)
 class OptimalResult:
-    """Exact optimal pebbling number with a witness and search statistics."""
+    """Exact optimal pebbling number with a witness and, per size, the
+    orbits that certify its minimality."""
 
     spec: GridSpec
     pi_opt: int
     witness: Distribution
-    candidates_tested: int
+    per_size: tuple[SizeRow, ...]
+
+    @property
+    def candidates_tested(self) -> int:
+        """Orbit representatives tested over all sizes."""
+        return sum(row.orbits for row in self.per_size)
 
 
 def _symmetries(spec: GridSpec) -> list[tuple[int, ...]]:
@@ -86,42 +115,70 @@ def _axis_maps(dist) -> list[list[int]]:
     return maps
 
 
-def _canonical(vec: tuple, perms) -> bool:
-    """Whether the count vector vec is the lexicographically least member of
-    its orbit, i.e. no symmetry permutation maps it to a smaller vector.
-    Stops at the first smaller image."""
+def _canonical(vec: tuple, live) -> bool:
+    """Whether the complete count vector vec is the lexicographically least
+    member of its orbit, given the (permutation, position) pairs still live
+    at its leaf: no other symmetry can map it to a smaller vector.  Stops at
+    the first smaller image."""
     at = vec.__getitem__
-    return all(vec <= tuple(map(at, p)) for p in perms)
+    return all(vec <= tuple(map(at, p)) for p, _ in live)
+
+
+def _advance(vec: list, idx: int, live: list):
+    """The live pairs after a count is placed at position idx, or None when
+    no completion of vec can be lex-least.  A pair (p, j) says that the
+    image of vec under p, whose position j holds vec[p[j]], equals vec
+    before position j; j moves on while both j and p[j] are decided.  A
+    smaller image cuts the subtree, a larger one drops p for good."""
+    kept = []
+    for p, j in live:
+        while j <= idx and p[j] <= idx:
+            image, own = vec[p[j]], vec[j]
+            if image < own:
+                return None
+            if image > own:
+                break
+            j += 1
+        else:
+            kept.append((p, j))
+    return kept
 
 
 def _distributions_of_size(spec: GridSpec, s: int, perms):
     """Count vectors of total size s, one per symmetry orbit (its lex-least
-    member), in ascending lexicographic order."""
+    member), in ascending lexicographic order.  Each prefix carries the
+    symmetries that may still map it to a smaller vector, so a prefix no
+    completion of which is lex-least is cut before it is completed."""
     n = spec.size
+    identity = tuple(range(n))
     vec = [0] * n
 
-    def rec(idx: int, remaining: int):
+    def rec(idx: int, remaining: int, live: list):
         if remaining == 0:
             v = tuple(vec)
-            if _canonical(v, perms):
+            if _canonical(v, live):
                 yield v
             return
         if idx == n:
             return
         # leave vertex idx empty, or put 1..remaining pebbles on it
-        yield from rec(idx + 1, remaining)
-        for k in range(1, remaining + 1):
+        for k in range(remaining + 1):
             vec[idx] = k
-            yield from rec(idx + 1, remaining - k)
+            kept = _advance(vec, idx, live)
+            if kept is not None:
+                yield from rec(idx + 1, remaining - k, kept)
         vec[idx] = 0
 
-    yield from rec(0, s)
+    yield from rec(0, s, [(p, 0) for p in perms if p != identity])
 
 
-def _out_of_reach(placed, dists) -> bool:
-    """Whether some vertex has weight below 1 under the (vertex id, count)
-    pairs placed; dists[t][i] is the distance between vertex ids t and i."""
-    return any(dyadic_weight((k, row[i]) for i, k in placed) < 1 for row in dists)
+def _out_of_reach(vec: tuple, rows, one: int) -> bool:
+    """Whether some vertex has weight below 1 under the count vector vec,
+    with rows and one from weights.dyadic_rows."""
+    for row in rows:
+        if sum(map(mul, vec, row)) < one:
+            return True
+    return False
 
 
 def optimal_pebbling_number(
@@ -137,19 +194,22 @@ def optimal_pebbling_number(
         raise SearchBudgetExceeded(spec, lower)
     perms = _symmetries(spec)
     verts = list(spec.vertices())
-    dists = [list(spec.index.distances(t, verts).values()) for t in verts]
-    tested = 0
+    one, rows = dyadic_rows(spec)
+    per_size = []
     s = 0
     while True:
         s += 1
+        orbits = light = 0
         for vec in _distributions_of_size(spec, s, perms):
-            tested += 1
-            placed = [(i, k) for i, k in enumerate(vec) if k]
-            if _out_of_reach(placed, dists):
+            orbits += 1
+            if _out_of_reach(vec, rows, one):
+                light += 1
                 continue
-            d = Distribution(spec, {verts[i]: k for i, k in placed})
+            d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
             if is_solvable(d, node_cap):
-                return OptimalResult(spec=spec, pi_opt=s, witness=d, candidates_tested=tested)
+                per_size.append(SizeRow(s, orbits, light, orbits - light - 1))
+                return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
+        per_size.append(SizeRow(s, orbits, light, orbits - light))
 
 
 def optimal_ratio_series(

@@ -70,6 +70,17 @@ def dyadic_weight(terms) -> Fraction:
     return Fraction(sum(c * (1 << (top - dist)) for c, dist in terms), 1 << top)
 
 
+def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
+    """The grid's weights as integers over one denominator 2^D, D its
+    largest distance: (2^D, rows) with rows[t][i] = 2^(D - d(t, i)) over
+    vertex ids (the order of spec.vertices()), so the weight at vertex id t
+    under the count vector c is sum_i c[i] * rows[t][i] / 2^D."""
+    verts = list(spec.vertices())
+    dists = [list(spec.index.distances(t, verts).values()) for t in verts]
+    top = max(map(max, dists))
+    return 1 << top, [tuple(1 << (top - d) for d in row) for row in dists]
+
+
 def weight(d: AnyDistribution, u) -> Fraction:
     """sum_v D(v) * 2^-d(u,v) on the distribution's grid."""
     u = d.grid.check(u)
@@ -150,8 +161,14 @@ def marginal_covering_ratio_ceiling(
 
 
 def fractional_solvable(dc: ContinuousDistribution | Distribution) -> bool:
-    """True iff every vertex has weight at least 1 (exact comparison)."""
-    return all(weight(dc, u) >= 1 for u in dc.grid.vertices())
+    """True iff every vertex has weight at least 1 (exact comparison).  The
+    counts are scaled once by the lcm L of their denominators (1 for a
+    Distribution), so each weight is a sum of integer terms compared with L."""
+    scale = math.lcm(*(c.denominator for c in dc.counts.values()))
+    scaled = Distribution(
+        dc.grid, {v: c.numerator * (scale // c.denominator) for v, c in dc.items()}
+    )
+    return all(weight(scaled, u) >= scale for u in dc.grid.vertices())
 
 
 def single_pebble_weight_total(radius: int) -> Fraction:

@@ -84,24 +84,19 @@ def naive_max_at(d: Distribution, t: Vertex) -> int:
     return best
 
 
-def _reference_canonical(counts: tuple, perms) -> tuple:
-    """Lexicographically smallest image of a sorted (vertex id, count) tuple
-    under the symmetry permutations (the identity among them)."""
-    return min(tuple(sorted((p[i], k) for i, k in counts)) for p in perms)
-
-
 def reference_orbits(spec: GridSpec, s: int, perms):
     """Count vectors of total size s, one per symmetry orbit: the first
-    member of each orbit met by the recursion, recognised by its canonical
-    form in a global seen set."""
+    member of each orbit met by the recursion.  Meeting it puts every image
+    of its sorted (vertex id, count) tuple in a global seen set, so the
+    later members of its orbit are recognised by lookup."""
     n = spec.size
     seen = set()
 
     def rec(idx: int, remaining: int, placed: list):
         if remaining == 0:
-            canon = _reference_canonical(tuple(placed), perms)
-            if canon not in seen:
-                seen.add(canon)
+            key = tuple(placed)
+            if key not in seen:
+                seen.update(tuple(sorted((p[i], k) for i, k in key)) for p in perms)
                 vec = [0] * n
                 for i, k in placed:
                     vec[i] = k

@@ -193,6 +193,15 @@ class TestOptimal:
         report = json.loads(out)
         assert report["results"][0]["pi_opt"] == 3
 
+    def test_per_size_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "optimal", "--grid", "3", "3")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        rows = result["per_size"]
+        assert [r["size"] for r in rows] == [1, 2, 3, 4]
+        assert all(r["weight_refuted"] == r["orbits"] for r in rows[:-1])
+        assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 89
+
 
 class TestVerify:
     def test_small_scale_passes(self, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pebblekit import optimal
 from pebblekit.grid import PLANE, TORUS, Distribution, GridError, GridSpec
 from pebblekit.lp import fractional_optimal_pebbling
 from pebblekit.optimal import (
@@ -9,6 +10,7 @@ from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SearchBudgetExceeded,
+    SizeRow,
     _distributions_of_size,
     _out_of_reach,
     _symmetries,
@@ -17,7 +19,7 @@ from pebblekit.optimal import (
     optimal_ratio_series,
 )
 from pebblekit.reach import is_solvable
-from pebblekit.weights import weight
+from pebblekit.weights import dyadic_rows, weight
 
 from conftest import naive_reachable, reference_orbits
 
@@ -34,7 +36,14 @@ PINNED = [
     ),
     pytest.param(GridSpec(5, 3), 6, 6285, {(1, 1): 4, (4, 1): 2}, id="5x3"),
     pytest.param(GridSpec(4, 4, TORUS), 6, 342, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
+    pytest.param(GridSpec(4, 4), 7, 17543, {(2, 1): 4, (0, 2): 2, (3, 3): 1}, id="4x4"),
 ]
+
+# grids past 12 vertices for the orbit oracle, by topology
+WIDE_ORBIT_GRIDS = {
+    PLANE: [GridSpec(5, 3), GridSpec(4, 4)],
+    TORUS: [GridSpec(8, 2, TORUS), GridSpec(4, 4, TORUS)],
+}
 
 
 def grids_up_to(n_vertices: int, topology: str) -> list[GridSpec]:
@@ -62,6 +71,18 @@ class TestOptimalNumbers:
         # every 3x3 orbit below 4 pebbles has a vertex of weight < 1, so the
         # search never asks the engine, and a node cap of 1 cannot overflow
         assert optimal_pebbling_number(GridSpec(3, 3), node_cap=1).pi_opt == 4
+
+    def test_per_size_certificate(self):
+        """One row per size up to pi_opt; every 3x3 orbit below 4 pebbles is
+        refuted by weight, and the last orbit of size 4 is the witness."""
+        res = optimal_pebbling_number(GridSpec(3, 3))
+        assert [row.size for row in res.per_size] == [1, 2, 3, 4]
+        assert res.candidates_tested == sum(row.orbits for row in res.per_size) == 89
+        for row in res.per_size[:-1]:
+            assert row.weight_refuted == row.orbits and row.engine_refuted == 0
+        last = res.per_size[-1]
+        assert isinstance(last, SizeRow)
+        assert last.weight_refuted + last.engine_refuted == last.orbits - 1
 
     def test_2x3(self):
         assert optimal_pebbling_number(GridSpec(2, 3)).pi_opt == 3
@@ -105,11 +126,30 @@ class TestOptimalNumbers:
     def test_orbits_match_seen_set_reference(self, topology):
         """The lex-least test keeps the same orbit representatives, in the same
         order, as the first-met enumeration with a global seen set."""
-        for spec in grids_up_to(12, topology):
+        for spec in grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]:
             perms = _symmetries(spec)
             for s in range(1, 6):
                 got = list(_distributions_of_size(spec, s, perms))
                 assert got == list(reference_orbits(spec, s, perms)), (spec, s)
+
+    def test_pruning_cuts_leaf_tests(self, monkeypatch):
+        """Prefixes no completion of which is lex-least are cut before they
+        are completed: on the 6x2 torus, sizes 1-6, far fewer vectors reach
+        the leaf test than the 18,563 placements of those sizes."""
+        calls = 0
+        leaf_test = optimal._canonical
+
+        def counted(vec, live):
+            nonlocal calls
+            calls += 1
+            return leaf_test(vec, live)
+
+        monkeypatch.setattr(optimal, "_canonical", counted)
+        spec = GridSpec(6, 2, TORUS)
+        perms = _symmetries(spec)
+        orbits = sum(len(list(_distributions_of_size(spec, s, perms))) for s in range(1, 7))
+        assert orbits == 899
+        assert calls == 2197 < 18563
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_filter_drops_only_unsolvable_orbits(self, topology):
@@ -118,14 +158,13 @@ class TestOptimalNumbers:
         dropped = 0
         for spec in grids_up_to(9, topology):
             verts = list(spec.vertices())
-            dists = [[spec.distance(t, u) for u in verts] for t in verts]
+            one, rows = dyadic_rows(spec)
             perms = _symmetries(spec)
             for s in range(1, 7):
                 for vec in _distributions_of_size(spec, s, perms):
-                    placed = [(i, k) for i, k in enumerate(vec) if k]
-                    d = Distribution(spec, {verts[i]: k for i, k in placed})
+                    d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                     light = {v for v in verts if weight(d, v) < 1}
-                    assert _out_of_reach(placed, dists) == bool(light), d
+                    assert _out_of_reach(vec, rows, one) == bool(light), d
                     if light:
                         dropped += 1
                         assert not light & naive_reachable(d), d

@@ -17,6 +17,7 @@ from pebblekit.reach import apply_move, coverage
 from pebblekit.weights import (
     ceiling_infinite,
     covering_ratio_ceiling,
+    fractional_solvable,
     marginal_covering_ratio_ceiling,
     weight,
 )
@@ -148,6 +149,17 @@ class TestWeightKernelAgainstReference:
                 (Fraction(c, 2 ** d.grid.distance(u, v)) for v, c in d.items()), Fraction(0)
             )
             assert weight(d, u) == expected
+
+    @given(continuous_distributions())
+    @settings(max_examples=40, deadline=None)
+    def test_fractional_solvable_is_every_weight_at_least_one(self, d):
+        """On d, on d scaled so that its lightest vertex has weight exactly 1
+        and on that scaled just below 1."""
+        verts = list(d.grid.vertices())
+        up = 1 / min(weight(d, u) for u in verts)
+        for q in (1, up, up * Fraction(1023, 1024)):
+            dq = ContinuousDistribution(d.grid, {v: c * q for v, c in d.items()})
+            assert fractional_solvable(dq) == all(weight(dq, u) >= 1 for u in verts)
 
     @given(any_distributions())
     @settings(max_examples=40, deadline=None)

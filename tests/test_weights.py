@@ -127,6 +127,21 @@ class TestFractional:
         d = ContinuousDistribution(spec, {v: Fraction(1) for v in spec.vertices()})
         assert fractional_solvable(d)
 
+    def test_fractional_solvable_at_exact_one(self):
+        """Uniform 1/(s_w * s_h) on a torus, s_n the sum of 2^-d over one
+        axis, has weight exactly 1 at every vertex: solvable, and not once
+        one vertex loses a little of its mass."""
+        for width, height in ((4, 4), (6, 4), (5, 5), (9, 9)):
+            spec = GridSpec(width, height, TORUS)
+            # s_w * s_h is the weight at (0, 0) of one pebble on every vertex
+            q = 1 / sum(Fraction(1, 2 ** spec.distance((0, 0), v)) for v in spec.vertices())
+            counts = {v: q for v in spec.vertices()}
+            d = ContinuousDistribution(spec, counts)
+            assert {weight(d, u) for u in spec.vertices()} == {1}
+            assert fractional_solvable(d)
+            counts[(0, 0)] = q * Fraction(1023, 1024)
+            assert not fractional_solvable(ContinuousDistribution(spec, counts))
+
     def test_uniform_ninth_fails_on_finite_torus(self):
         # each wrap-around row/column sum of 2^-d stays strictly below 3,
         # so uniform 1/9 never reaches weight 1 on a finite torus
