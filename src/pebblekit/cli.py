@@ -84,8 +84,6 @@ def cmd_analyze(args) -> int:
         "size": _frac(dist.size) if isinstance(dist, ContinuousDistribution) else dist.size,
     }
     if args.coverage:
-        if not isinstance(dist, Distribution):
-            raise GridError("coverage needs an integer distribution")
         cov = reach.coverage(dist, args.node_cap)
         report["coverage"] = {
             "cov": cov.cov,
@@ -106,8 +104,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_reach(args) -> int:
     dist = _load(args.file)
-    if not isinstance(dist, Distribution):
-        raise GridError("reachability needs an integer distribution")
     t = Vertex(args.target[0], args.target[1])
     ok = reach.can_move_k(dist, t, args.k, args.node_cap)
     _emit(
@@ -407,7 +403,7 @@ def _checks(scale: str, node_cap: int) -> list[Check]:
 
         def pi_opt_3x3():
             r = optimal.optimal_pebbling_number(GridSpec(3, 3), node_cap)
-            lower = lp.fractional_optimal_pebbling(GridSpec(3, 3))[0]
+            lower = lp.fractional_optimum(GridSpec(3, 3))
             upper = optimal.composition_upper_bound(3, 1, 1)
             return f"3x3={r.pi_opt} within_bounds={lower <= r.pi_opt <= upper}"
 
@@ -483,10 +479,7 @@ def cmd_verify_paper(args) -> int:
 
 def _render_ascii(dist, overlay: str, node_cap: int) -> str:
     grid = dist.grid
-    cells = {}
-    for v in grid.vertices():
-        c = dist.get(v)
-        cells[v] = str(c) if c else "."
+    cells = {v: str(dist.get(v) or ".") for v in grid.vertices()}
     if overlay == "coverage":
         reachable = reach.coverage(dist, node_cap).reachable
         for v in grid.vertices():
@@ -519,12 +512,8 @@ def _render_svg(dist, overlay: str, node_cap: int) -> str:
             f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
             f'fill="{fill}" stroke="#444444"/>'
         )
-        label = None
         c = dist.get(v)
-        if overlay == "weights":
-            label = str(weights.weight(dist, v))
-        elif c:
-            label = str(c)
+        label = str(weights.weight(dist, v)) if overlay == "weights" else str(c or "")
         if label:
             parts.append(
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
@@ -536,8 +525,6 @@ def _render_svg(dist, overlay: str, node_cap: int) -> str:
 
 def cmd_render(args) -> int:
     dist = _load(args.file)
-    if args.overlay == "coverage" and not isinstance(dist, Distribution):
-        raise GridError("coverage needs an integer distribution")
     if args.format == "ascii":
         text = _render_ascii(dist, args.overlay, args.node_cap)
     else:

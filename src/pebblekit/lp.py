@@ -7,9 +7,9 @@ exact rational, and returns matching primal and dual certificates that
 verify_certificate can check independently.
 
 Also houses the unit-excess program over the eight neighborhood regions
-and the fractional optimal pebbling of a grid, a product of two axis
-programs whose optima are observed (n = 1..30, not proved) to be (n + 2)/3
-on the path P_n and n/s_n on the cycle C_n, s_n = sum_{i<n} 2^-min(i, n-i).
+and the fractional optimal pebbling of a grid, in closed form with its
+proof: the product of the axis optima, (n + 2)/3 on the path P_n and n/s_n
+on the cycle C_n, s_n = sum_{i<n} 2^-min(i, n-i).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .grid import ContinuousDistribution, GridSpec, Vertex
+from .grid import TORUS, ContinuousDistribution, GridSpec, Vertex
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -289,21 +289,38 @@ def unit_excess_problem() -> LpProblem:
     return LpProblem(objective=objective, constraints=rows, bounds=bounds)
 
 
+def _cycle_sum(n: int) -> Fraction:
+    """s_n = sum_{i<n} 2^-min(i, n-i) = 3 - 2^(1-k) + [n even] 2^-(n/2) with
+    k = (n-1)//2: 1 at i = 0, twice 2^-1 + ... + 2^-k, and the antipode."""
+    return 3 - Fraction(2, 1 << (n - 1) // 2) + (0 if n % 2 else Fraction(1, 1 << n // 2))
+
+
+def _axis_optimum(n: int, wrap: bool) -> tuple[Fraction, ...]:
+    if wrap or n == 1:  # P_1 is C_1
+        return (1 / _cycle_sum(n),) * n
+    third = Fraction(1, 3)
+    return (2 * third, *(third,) * (n - 2), 2 * third)
+
+
+def fractional_optimum(spec: GridSpec) -> Fraction:
+    """Value of fractional_optimal_pebbling(spec): the product of the axis
+    optima, (n + 2)/3 on the path P_n and n/s_n on the cycle C_n."""
+    w, h = spec.width, spec.height
+    if spec.topology == TORUS:
+        return w / _cycle_sum(w) * h / _cycle_sum(h)
+    return Fraction((w + 2) * (h + 2), 9)
+
+
 def fractional_optimal_pebbling(spec: GridSpec) -> tuple[Fraction, ContinuousDistribution]:
     """Smallest total mass of a continuous distribution with weight >= 1 at
-    every vertex.  The matrix 2^-d(u,v) is the Kronecker product A (x) B of
-    the axis matrices, so with a, b the axis optima and p, q their duals,
-    a (x) b is feasible, p (x) q is dual feasible, and both have the value
-    (1.a)(1.b) = (1.p)(1.q): the product is exact."""
-    value, optima = Fraction(1), []
-    for dist in (spec.index.cols, spec.index.rows):
-        # min 1.x s.t. sum_j 2^-dist[i][j] x_j >= 1 for every i, x >= 0
-        ones = (Fraction(1),) * len(dist)
-        rows = tuple(tuple(Fraction(1, 1 << d) for d in row) for row in dist)
-        sol = solve(LpProblem(ones, rows, ones))
-        assert sol.status == OPTIMAL  # the all-ones vector is feasible
-        value *= sol.objective_value
-        optima.append(sol.primal)
-    a, b = optima
-    counts = {Vertex(c, r): x * y for r, y in enumerate(b) if y for c, x in enumerate(a) if x}
-    return value, ContinuousDistribution(spec, counts)
+    every vertex, and one that attains it.  With M = 2^-d(u, v) symmetric,
+    an x >= 0 with M.x = 1 is feasible for min 1.x s.t. M.x >= 1 and for its
+    dual max 1.y s.t. M.y <= 1, with one value, so it is optimal.  M is the
+    Kronecker product of the axis matrices, so x = a (x) b with A.a = 1 and
+    B.b = 1.  On the cycle C_n each row sums to s_n.  On the path P_n, n >= 2,
+    read (2/3, 1/3, ..., 1/3, 2/3) as 1/3 plus 1/3 more at each end: row i
+    gets 1/3 at i and (1/3)(2^-1 + ... + 2^-i) + (1/3)2^-i = 1/3 per side."""
+    wrap = spec.topology == TORUS
+    a, b = _axis_optimum(spec.width, wrap), _axis_optimum(spec.height, wrap)
+    counts = {Vertex(c, r): x * y for r, y in enumerate(b) for c, x in enumerate(a)}
+    return fractional_optimum(spec), ContinuousDistribution(spec, counts)

@@ -36,17 +36,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .grid import Distribution, GridError, GridSpec
-from .lp import fractional_optimal_pebbling
+from .lp import fractional_optimum
 from .reach import DEFAULT_NODE_CAP, is_solvable
 from .weights import dyadic_rows
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
-
-#: Longest grid side for which a refused search still reports the
-#: fractional lower bound: an axis program's cost grows about as the cube
-#: of its length (0.2 s at 64 and 7.7 s at 200, CPython 3.11 on one core).
-MAX_BOUND_SIDE = 64
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -188,10 +183,7 @@ def optimal_pebbling_number(
     if spec.size > MAX_SEARCH_VERTICES:
         # every vertex of a solvable distribution has weight >= 1, so its
         # size is at least the fractional optimum
-        lower = 1
-        if max(spec.width, spec.height) <= MAX_BOUND_SIDE:
-            lower = ceil(fractional_optimal_pebbling(spec)[0])
-        raise SearchBudgetExceeded(spec, lower)
+        raise SearchBudgetExceeded(spec, ceil(fractional_optimum(spec)))
     perms = _symmetries(spec)
     verts = list(spec.vertices())
     one, rows = dyadic_rows(spec)

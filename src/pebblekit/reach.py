@@ -160,6 +160,8 @@ class _Engine:
     per-target searches within them."""
 
     def __init__(self, d: Distribution, node_cap: int = DEFAULT_NODE_CAP):
+        if not isinstance(d, Distribution):
+            raise GridError("reachability needs an integer distribution")
         self.d = d
         self.grid = d.grid
         self.node_cap = node_cap
@@ -309,9 +311,8 @@ def coverage(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> CoverageRepor
 
 def is_solvable(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff every grid vertex is reachable."""
-    if d.size < 1:
-        return False
-    return len(_Engine(d, node_cap).reachable_set()) == d.grid.size
+    engine = _Engine(d, node_cap)
+    return d.size >= 1 and len(engine.reachable_set()) == d.grid.size
 
 
 def boundary_vertices(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Vertex]:

@@ -3,8 +3,9 @@ cross-check the production engine on small instances, the grid adjacency
 written out for it, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set used to cross-check the lex-least one, and the fractional
-optimal pebbling program written out densely, one variable per vertex,
-used to cross-check the product of the two axis programs."""
+optimal pebbling program solved by the simplex, written out densely (one
+variable per vertex) and per axis (the path or cycle of one side), used
+to cross-check the closed-form optimum."""
 
 from __future__ import annotations
 
@@ -272,3 +273,10 @@ def reference_fractional_optimum(spec: GridSpec) -> tuple[Fraction, ContinuousDi
     assert sol.status == OPTIMAL
     counts = {v: x for v, x in zip(spec.vertices(), sol.primal) if x}
     return sol.objective_value, ContinuousDistribution(spec, counts)
+
+
+def reference_axis_optimum(n: int, topology: str) -> LpSolution:
+    """The fractional program of one n-vertex axis, the path P_n on a plane
+    and the cycle C_n on a torus, solved by pebblekit.lp.solve: the n x n
+    matrix 2^-d, a row and a variable per position."""
+    return solve(reference_fractional_problem(GridSpec(n, 1, topology)))

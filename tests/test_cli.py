@@ -289,8 +289,7 @@ def test_readme_command_lines_parse():
 
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     """Every command line in the README runs to exit 0, next to a dist.txt
-    holding the README's own distribution-file example (about 10 s: the
-    9x9 torus LP takes most of it)."""
+    holding the README's own distribution-file example."""
     example = next(
         block.strip() + "\n"
         for block in README.read_text().split("```")

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pebblekit import lp
-from pebblekit.grid import GridSpec, PLANE, TORUS
+from pebblekit.grid import GridSpec, PLANE, TORUS, Vertex
 from pebblekit.lp import (
     LpError,
     LpProblem,
     fractional_optimal_pebbling,
+    fractional_optimum,
     solve,
     unit_excess_problem,
     verify_certificate,
@@ -17,6 +19,7 @@ from pebblekit.lp import (
 from pebblekit.weights import fractional_solvable
 
 from conftest import (
+    reference_axis_optimum,
     reference_fractional_optimum,
     reference_fractional_problem,
     reference_lp_solve,
@@ -176,24 +179,67 @@ class TestFractionalOptimal:
                 assert fractional_optimal_pebbling(spec) == reference_fractional_optimum(spec), spec
 
     def test_axis_closed_forms(self):
-        """An n x 1 grid is the path P_n, an n x 1 torus the cycle C_n: the
-        optimum is (n + 2)/3 on the path and n/s_n on the cycle."""
-        for n in range(1, 31):
-            assert fractional_optimal_pebbling(GridSpec(n, 1))[0] == Fraction(n + 2, 3)
-            assert fractional_optimal_pebbling(GridSpec(n, 1, TORUS))[0] == n / cycle_sum(n)
+        """On the path P_n and the cycle C_n the closed-form vector is the
+        simplex's primal and its dual, and its sum the simplex's value."""
+        for topology in (PLANE, TORUS):
+            for n in range(1, 31):
+                sol = reference_axis_optimum(n, topology)
+                x = lp._axis_optimum(n, topology == TORUS)
+                assert x == sol.primal == sol.dual, (n, topology)
+                assert fractional_optimum(GridSpec(n, 1, topology)) == sol.objective_value
 
     def test_grid_closed_forms(self):
-        for w in range(1, 13):
-            for h in range(1, 13):
-                plane = fractional_optimal_pebbling(GridSpec(w, h))[0]
-                assert plane == Fraction((w + 2) * (h + 2), 9)
-                torus = fractional_optimal_pebbling(GridSpec(w, h, TORUS))[0]
-                assert torus == (w / cycle_sum(w)) * (h / cycle_sum(h))
+        """Value and witness on every grid of sides at most 30 are the
+        product of the simplex's two axis optima."""
+        for topology in (PLANE, TORUS):
+            axis = {n: reference_axis_optimum(n, topology) for n in range(1, 31)}
+            for w in range(1, 31):
+                for h in range(1, 31):
+                    spec = GridSpec(w, h, topology)
+                    a, b = axis[w].primal, axis[h].primal
+                    value, witness = fractional_optimal_pebbling(spec)
+                    assert value == axis[w].objective_value * axis[h].objective_value, spec
+                    assert witness.counts == {
+                        Vertex(c, r): x * y for r, y in enumerate(b) for c, x in enumerate(a)
+                    }, spec
 
+    @pytest.mark.parametrize("topology", [TORUS, PLANE])
+    def test_witness_is_its_own_dual(self, topology):
+        """The witness x is a certificate of its own optimality: with the
+        dense program's matrix symmetric, x is primal and dual feasible."""
+        for w in range(1, 10):
+            for h in range(1, 10):
+                spec = GridSpec(w, h, topology)
+                x = [fractional_optimal_pebbling(spec)[1].get(v) for v in spec.vertices()]
+                assert verify_certificate(reference_fractional_problem(spec), x, x), spec
 
-def cycle_sum(n: int) -> Fraction:
-    """s_n = sum_{i<n} 2^-min(i, n-i), the weight one unit puts on C_n."""
-    return sum(Fraction(1, 1 << min(i, n - i)) for i in range(n))
+    def test_axis_rows_sum_to_one(self):
+        """A.x = 1 exactly on every axis up to n = 200: with x scaled to
+        integers by the lcm L of its denominators and A to integers by 2^D,
+        D the longest distance, each row sums to L * 2^D."""
+        for topology in (PLANE, TORUS):
+            for n in range(1, 201):
+                x = lp._axis_optimum(n, topology == TORUS)
+                scale = lcm(*(v.denominator for v in x))
+                ints = [int(v * scale) for v in x]
+                top = n // 2 if topology == TORUS else n - 1
+                for i in range(n):
+                    dist = [abs(i - j) for j in range(n)]
+                    if topology == TORUS:
+                        dist = [min(d, n - d) for d in dist]
+                    assert sum(v << (top - d) for v, d in zip(ints, dist)) == scale << top, (n, i)
+
+    def test_no_simplex(self, monkeypatch):
+        """The optimum is read off the closed form: with lp.solve made to
+        raise, value and witness still equal the dense program's."""
+        specs = [GridSpec(w, h, t) for w, h in ((1, 1), (2, 5), (7, 7)) for t in (PLANE, TORUS)]
+        expected = [reference_fractional_optimum(spec) for spec in specs]
+
+        def no_solve(p):
+            raise AssertionError("lp.solve called")
+
+        monkeypatch.setattr(lp, "solve", no_solve)
+        assert [fractional_optimal_pebbling(spec) for spec in specs] == expected
 
 
 # small integers and dyadic rationals, both signs

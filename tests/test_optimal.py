@@ -6,7 +6,6 @@ from pebblekit import optimal
 from pebblekit.grid import PLANE, TORUS, Distribution, GridError, GridSpec
 from pebblekit.lp import fractional_optimal_pebbling
 from pebblekit.optimal import (
-    MAX_BOUND_SIDE,
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SearchBudgetExceeded,
@@ -175,8 +174,11 @@ class TestOptimalNumbers:
             optimal_pebbling_number(GridSpec(5, 5))
         assert e.value.lower == 6  # ceil(49/9), the fractional optimum
         assert GridSpec(4, 4).size == MAX_SEARCH_VERTICES  # 4x4 is the edge
-        with pytest.raises(SearchBudgetExceeded, match="known bounds: 1 <= pi_opt$"):
-            optimal_pebbling_number(GridSpec(MAX_BOUND_SIDE + 1, 1))
+        # the bound of a refused search costs O(W + H): no distance table
+        for spec, lower in ((GridSpec(2000, 1), 668), (GridSpec(2000, 1, TORUS), 667)):
+            with pytest.raises(SearchBudgetExceeded, match=f"known bounds: {lower} <= pi_opt$"):
+                optimal_pebbling_number(spec)
+            assert "index" not in spec.__dict__
 
 
 class TestSeriesAndBounds:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pebblekit.grid import Distribution, GridError, GridSpec, TORUS, Vertex
+from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, TORUS, Vertex
 from pebblekit.reach import (
     BudgetExceeded,
     apply_move,
@@ -105,6 +105,16 @@ class TestQueries:
         assert is_solvable(Distribution(spec, {(0, 1): 1, (1, 1): 2}))
         assert not is_solvable(Distribution(spec, {(0, 0): 2}))
         assert not is_solvable(Distribution(spec, {}))
+
+    @pytest.mark.parametrize(
+        "query",
+        [is_solvable, coverage, lambda d: can_move_k(d, (1, 1), 2), lambda d: is_reachable(d, (1, 1))],
+        ids=["is_solvable", "coverage", "can_move_k", "is_reachable"],
+    )
+    def test_continuous_distribution_rejected(self, query):
+        d = ContinuousDistribution(GridSpec(3, 3), {(0, 0): Fraction(5, 2)})
+        with pytest.raises(GridError, match="^reachability needs an integer distribution$"):
+            query(d)
 
     def test_boundary_vertices(self):
         d = Distribution(GridSpec(7, 7), {(3, 3): 2})
