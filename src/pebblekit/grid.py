@@ -190,6 +190,12 @@ class _Pebbles:
     def items(self):
         return self.counts.items()
 
+    def dominates(self, other: "_Pebbles") -> bool:
+        """True iff this has at least other's amount at every vertex."""
+        if self.grid != other.grid:
+            raise GridError("cannot compare distributions on different grids")
+        return all(self.counts.get(v, 0) >= c for v, c in other.counts.items())
+
     def __eq__(self, other):
         return type(other) is type(self) and self.grid == other.grid and self._key == other._key
 
@@ -223,12 +229,6 @@ class Distribution(_Pebbles):
         for v, c in other.counts.items():
             counts[v] = counts.get(v, 0) + c
         return Distribution(self.grid, counts)
-
-    def dominates(self, other: "Distribution") -> bool:
-        """True iff this distribution has >= other's pebbles at every vertex."""
-        if self.grid != other.grid:
-            raise GridError("cannot compare distributions on different grids")
-        return all(self.counts.get(v, 0) >= c for v, c in other.counts.items())
 
 
 class ContinuousDistribution(_Pebbles):

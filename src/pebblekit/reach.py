@@ -11,28 +11,38 @@ Reachability is decided in two layers:
   coverages intersect and recompute until stable.  Any target is served by
   at most one cluster.
 
-* Per-cluster search.  Within a cluster, reachability is a depth-first
-  search over distribution states with a transposition table.  A pebbling
-  move never increases the weight sum(c * 2^-d) at the target, and moves
-  that step toward the target preserve it exactly, so states whose target
-  weight drops below k are pruned without losing exactness.  The search
-  keeps that weight as an integer numerator over 2^D, D the largest
-  distance to the target, so a move updates it with two shifts.
+* Per-target stages.  Each (target, k) query is decided on its own, by
+  the first of these stages that settles it:
+
+  1. single pile: a pile of c pebbles at distance d has c >> d >= k;
+  2. weight bound: a target weight sum(c * 2^-d) below k refutes it;
+  3. greedy: moving the farthest splittable pile one step toward the
+     target delivers k (a legal sequence);
+  4. restricted DFS: the search below on the piles within radius 2, 3,
+     then 5, each with a twentieth of the node cap; dropping pebbles only
+     turns answers from true to false, so a hit is a certificate;
+  5. full DFS: the search below on the whole cluster.
+
+  The search is depth-first over distribution states with a
+  transposition table.  A move never increases the target weight, and
+  moves toward the target preserve it, so states whose weight drops
+  below k are pruned without losing exactness.  The weight is kept as an
+  integer numerator over 2^D, D the largest distance to the target, so a
+  move updates it with two shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .grid import Distribution, GridError, GridSpec, Vertex
 from .weights import dyadic_weight
 
 DEFAULT_NODE_CAP = 10**7
 
-# Radius stages for restricted positive-only searches tried before the full
-# exact search.  Dropping pebbles can only turn answers from true to false,
-# so a restricted "true" is a certificate.
+# Radii of the restricted DFS stages (stage 4 in the module docstring).
 _RESTRICT_STAGES = (2, 3, 5)
 
 
@@ -82,16 +92,10 @@ class _Search:
         self.dist = grid.index.distances(t, grid.vertices())
         self.top = max(self.dist.values())
         self.failed: set[frozenset] = set()
-        self.witness: set[Vertex] = set()
 
     def run(self, counts: dict) -> bool:
         w = dyadic_weight((c, self.dist[v]) for v, c in counts.items())
-        if w < self.k:
-            return False
-        hit = self._dfs(dict(counts), int(w * (1 << self.top)))
-        if hit:
-            self.witness.update(counts)
-        return hit
+        return w >= self.k and self._dfs(dict(counts), int(w * (1 << self.top)))
 
     def _dfs(self, state: dict, w: int) -> bool:
         """w is the target weight of state times 2^top."""
@@ -121,20 +125,17 @@ class _Search:
             if state[v] == 0:
                 del state[v]
             state[u] = state.get(u, 0) + 1
-            hit = self._dfs(state, nw)
+            if self._dfs(state, nw):
+                return True
             state[u] -= 1
             if state[u] == 0:
                 del state[u]
             state[v] = state.get(v, 0) + 2
-            if hit:
-                # every vertex occupied along the witness is itself reachable
-                self.witness.update(state)
-                return True
         self.failed.add(key)
         return False
 
 
-def _greedy_deliverable(grid: GridSpec, counts: dict, t: Vertex, trace: set | None = None) -> int:
+def _greedy_deliverable(grid: GridSpec, counts: dict, t: Vertex) -> int:
     """Pebbles placed on t by repeatedly moving the farthest splittable pile
     one step toward t.  A legal sequence, hence a lower bound; cascades
     through intermediate accumulations are followed."""
@@ -151,8 +152,6 @@ def _greedy_deliverable(grid: GridSpec, counts: dict, t: Vertex, trace: set | No
         u = max(toward, key=lambda u: (state.get(u, 0), u))
         state[u] = state.get(u, 0) + c // 2
         state[best] = c % 2
-        if trace is not None:
-            trace.add(u)
 
 
 class _Engine:
@@ -165,8 +164,7 @@ class _Engine:
         self.d = d
         self.grid = d.grid
         self.node_cap = node_cap
-        self._clusters: list[dict] | None = None
-        self._covs: list[frozenset] | None = None
+        self._clusters: list[tuple[dict, frozenset]] | None = None
 
     # -- clustering ------------------------------------------------------
 
@@ -176,35 +174,23 @@ class _Engine:
                 self._build_clusters()
             except BudgetExceeded as e:
                 raise BudgetExceeded(e.target, e.node_cap, "cluster coverage") from None
-        return list(zip(self._clusters, self._covs))
+        return self._clusters
 
     def _build_clusters(self):
-        grid = self.grid
-        clusters: list[dict] = []
-        covs: list[frozenset] = []
-        for v, c in self.d.counts.items():
-            clusters.append({v: c})
-            # a single pile of c pebbles delivers floor(c / 2^d) to distance d
-            covs.append(grid.index.ball(v, c.bit_length() - 1))
-        merged = True
-        while merged:
-            merged = False
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    if covs[i] & covs[j]:
-                        counts = dict(clusters[i])
-                        for v, c in clusters[j].items():
-                            counts[v] = counts.get(v, 0) + c
-                        del clusters[j], covs[j]
-                        del clusters[i], covs[i]
-                        clusters.append(counts)
-                        covs.append(self._cluster_coverage(counts))
-                        merged = True
-                        break
-                if merged:
-                    break
+        index = self.grid.index
+        # a single pile of c pebbles delivers floor(c / 2^d) to distance d
+        clusters = [({v: c}, index.ball(v, c.bit_length() - 1)) for v, c in self.d.counts.items()]
+        while True:
+            pairs = combinations(range(len(clusters)), 2)
+            pair = next((p for p in pairs if clusters[p[0]][1] & clusters[p[1]][1]), None)
+            if pair is None:
+                break
+            i, j = pair
+            # supports are disjoint, so this is the sum with i's vertices first
+            counts = {**clusters[i][0], **clusters[j][0]}
+            del clusters[j], clusters[i]
+            clusters.append((counts, self._cluster_coverage(counts)))
         self._clusters = clusters
-        self._covs = covs
 
     def _cluster_coverage(self, counts: dict) -> frozenset[Vertex]:
         index = self.grid.index
@@ -213,28 +199,23 @@ class _Engine:
         for v in counts:
             region |= index.ball(v, total.bit_length())
         reachable = set(counts)
+        # nearest first: a budget overflow names the nearest target that overflows
         for t in sorted(region, key=lambda t: min(index.distances(t, counts).values())):
-            if t in reachable:
-                continue
-            if self._cluster_can_k(counts, t, 1, known=reachable):
+            if t not in counts and self._cluster_can_k(counts, t, 1):
                 reachable.add(t)
         return frozenset(reachable)
 
     # -- per-cluster search ---------------------------------------------
 
-    def _cluster_can_k(self, counts: dict, t: Vertex, k: int, known: set | None = None) -> bool:
+    def _cluster_can_k(self, counts: dict, t: Vertex, k: int) -> bool:
+        """Whether the cluster puts k pebbles on t, by the stages of the module docstring."""
         grid = self.grid
-        if counts.get(t, 0) >= k:
-            return True
         dist = grid.index.distances(t, counts)
         if any(c >> dist[v] >= k for v, c in counts.items()):
             return True
         if dyadic_weight((c, dist[v]) for v, c in counts.items()) < k:
             return False
-        trace: set = set() if known is not None else None
-        if _greedy_deliverable(grid, counts, t, trace) >= k:
-            if known is not None:
-                known.update(trace)
+        if _greedy_deliverable(grid, counts, t) >= k:
             return True
         tried = None
         for radius in _RESTRICT_STAGES:
@@ -244,19 +225,12 @@ class _Engine:
             tried = sub
             if dyadic_weight((c, dist[v]) for v, c in sub.items()) < k:
                 continue
-            search = _Search(grid, t, k, max(self.node_cap // 20, 1000))
             try:
-                if search.run(sub):
-                    if known is not None:
-                        known.update(search.witness)
+                if _Search(grid, t, k, max(self.node_cap // 20, 1000)).run(sub):
                     return True
             except BudgetExceeded:
                 pass
-        search = _Search(grid, t, k, self.node_cap)
-        hit = search.run(counts)
-        if hit and known is not None:
-            known.update(search.witness)
-        return hit
+        return _Search(grid, t, k, self.node_cap).run(counts)
 
     # -- queries ---------------------------------------------------------
 
@@ -298,9 +272,10 @@ def boundary_of(grid: GridSpec, reachable: frozenset[Vertex]) -> frozenset[Verte
 
 def coverage(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> CoverageReport:
     """Reachable set, Cov(D), exact covering ratio, and boundary vertices."""
+    engine = _Engine(d, node_cap)
     if d.size < 1:
         raise GridError("coverage needs a non-empty distribution")
-    reachable = _Engine(d, node_cap).reachable_set()
+    reachable = engine.reachable_set()
     return CoverageReport(
         reachable=reachable,
         cov=len(reachable),

@@ -148,7 +148,7 @@ def _ceiling_numerator(d: AnyDistribution, infinite: bool = False, weights=None)
 
 
 def marginal_covering_ratio_ceiling(
-    d: AnyDistribution, dplus: Distribution, infinite: bool = False
+    d: AnyDistribution, dplus: AnyDistribution, infinite: bool = False
 ) -> Fraction:
     """Change of the ceiling numerator per added pebble, both terms evaluated
     in the same mode."""

@@ -17,7 +17,7 @@ from pebblekit.optimal import (
     optimal_pebbling_number,
     optimal_ratio_series,
 )
-from pebblekit.reach import is_solvable
+from pebblekit.reach import coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
 
 from conftest import naive_reachable, reference_orbits
@@ -168,6 +168,24 @@ class TestOptimalNumbers:
                         dropped += 1
                         assert not light & naive_reachable(d), d
         assert dropped > 0
+
+    @pytest.mark.parametrize("spec, pi_opt, tested, witness", PINNED)
+    def test_engine_matches_oracle_on_searched_orbits(self, spec, pi_opt, tested, witness):
+        """Differential check of the reachability engine against the naive BFS
+        oracle on every orbit that passes the weight filter, at every size up
+        to pi_opt: the instances the search hands to the engine."""
+        verts = list(spec.vertices())
+        one, rows = dyadic_rows(spec)
+        perms = _symmetries(spec)
+        checked = 0
+        for s in range(1, pi_opt + 1):
+            for vec in _distributions_of_size(spec, s, perms):
+                if _out_of_reach(vec, rows, one):
+                    continue
+                d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
+                assert coverage(d).reachable == naive_reachable(d), d
+                checked += 1
+        assert checked > 0
 
     def test_scale_guard(self):
         with pytest.raises(SearchBudgetExceeded, match="known bounds: 6 <= pi_opt$") as e:

@@ -112,9 +112,11 @@ class TestQueries:
         ids=["is_solvable", "coverage", "can_move_k", "is_reachable"],
     )
     def test_continuous_distribution_rejected(self, query):
-        d = ContinuousDistribution(GridSpec(3, 3), {(0, 0): Fraction(5, 2)})
-        with pytest.raises(GridError, match="^reachability needs an integer distribution$"):
-            query(d)
+        # a size below 1 is refused for its kind too, not for its size
+        for amount in (Fraction(5, 2), Fraction(1, 2)):
+            d = ContinuousDistribution(GridSpec(3, 3), {(0, 0): amount})
+            with pytest.raises(GridError, match="^reachability needs an integer distribution$"):
+                query(d)
 
     def test_boundary_vertices(self):
         d = Distribution(GridSpec(7, 7), {(3, 3): 2})

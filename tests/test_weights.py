@@ -112,6 +112,11 @@ class TestCeilings:
         assert grid_m > 0 and inf_m > 0
         # infinite mode: numerators are 17 and 29/2... check against fixtures
         assert inf_m == (Fraction(29, 4) * 4 - Fraction(17, 2) * 2) / 2
+        # a continuous base/extension pair gives the same values in both modes
+        cbase = ContinuousDistribution(spec, {(3, 3): Fraction(2)})
+        cext = ContinuousDistribution(spec, {(3, 3): Fraction(2), (3, 4): Fraction(2)})
+        assert marginal_covering_ratio_ceiling(cbase, cext) == grid_m
+        assert marginal_covering_ratio_ceiling(cbase, cext, infinite=True) == inf_m
 
     def test_marginal_ceiling_requires_domination(self):
         spec = GridSpec(5, 5)
