@@ -229,6 +229,58 @@ class TestRender:
         assert code == 0
         assert out.startswith("<svg") and "</svg>" in out
 
+    @pytest.fixture
+    def small_file(self, tmp_path):
+        d = Distribution(GridSpec(3, 2), {(0, 0): 2, (2, 1): 1})
+        path = tmp_path / "small.dist"
+        path.write_text(serialize_distribution(d))
+        return str(path)
+
+    def test_ascii_weights_overlay(self, capsys, small_file):
+        code, out, _ = run_cli(capsys, "render", small_file, "--overlay", "weights")
+        assert code == 0
+        assert out == "17/8  5/4    1\n 5/4    1  5/4\n"
+
+    def test_svg_weights_overlay(self, capsys, small_file):
+        code, out, _ = run_cli(
+            capsys, "render", small_file, "--format", "svg", "--overlay", "weights"
+        )
+        assert code == 0
+        assert out == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="84" height="56">\n'
+            '<rect x="0" y="0" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="14" y="18" font-size="10" text-anchor="middle">17/8</text>\n'
+            '<rect x="28" y="0" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="42" y="18" font-size="10" text-anchor="middle">5/4</text>\n'
+            '<rect x="56" y="0" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="70" y="18" font-size="10" text-anchor="middle">1</text>\n'
+            '<rect x="0" y="28" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="14" y="46" font-size="10" text-anchor="middle">5/4</text>\n'
+            '<rect x="28" y="28" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="42" y="46" font-size="10" text-anchor="middle">1</text>\n'
+            '<rect x="56" y="28" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<text x="70" y="46" font-size="10" text-anchor="middle">5/4</text>\n'
+            "</svg>\n"
+        )
+
+    def test_svg_coverage_overlay(self, capsys, small_file):
+        code, out, _ = run_cli(
+            capsys, "render", small_file, "--format", "svg", "--overlay", "coverage"
+        )
+        assert code == 0
+        assert out == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="84" height="56">\n'
+            '<rect x="0" y="0" width="28" height="28" fill="#cde8cd" stroke="#444444"/>\n'
+            '<text x="14" y="18" font-size="10" text-anchor="middle">2</text>\n'
+            '<rect x="28" y="0" width="28" height="28" fill="#cde8cd" stroke="#444444"/>\n'
+            '<rect x="56" y="0" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<rect x="0" y="28" width="28" height="28" fill="#cde8cd" stroke="#444444"/>\n'
+            '<rect x="28" y="28" width="28" height="28" fill="#ffffff" stroke="#444444"/>\n'
+            '<rect x="56" y="28" width="28" height="28" fill="#cde8cd" stroke="#444444"/>\n'
+            '<text x="70" y="46" font-size="10" text-anchor="middle">1</text>\n'
+            "</svg>\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv",
