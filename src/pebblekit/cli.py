@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions, lp, optimal, reach, weights
@@ -116,11 +115,16 @@ def cmd_reach(args) -> int:
 # -- lp -------------------------------------------------------------------
 
 
+def _unit_excess() -> tuple[lp.LpSolution, bool]:
+    """The unit-excess LP's solution and whether its certificate checks."""
+    problem = lp.unit_excess_problem()
+    sol = lp.solve(problem)
+    return sol, lp.verify_certificate(problem, sol.primal, sol.dual)
+
+
 def cmd_lp(args) -> int:
     if args.problem == "unit-excess":
-        problem = lp.unit_excess_problem()
-        sol = lp.solve(problem)
-        verified = lp.verify_certificate(problem, sol.primal, sol.dual)
+        sol, verified = _unit_excess()
         _emit(
             {
                 "schema": SCHEMA,
@@ -185,289 +189,159 @@ def cmd_optimal(args) -> int:
 # -- verify-paper ---------------------------------------------------------
 
 
-@dataclass
-class Check:
-    """One verification fixture: a claim, its expected value, and how to
-    compute the actual value."""
-
-    claim: str
-    anchor: str
-    provenance: str  # paper | derived | trivial
-    expected: str
-    compute: callable
+def _coverage_9x9(counts: dict) -> str:
+    c = reach.coverage(Distribution(GridSpec(9, 9), counts))
+    return f"cov={c.cov} ratio={c.ratio}"
 
 
-def _margin_grid() -> GridSpec:
-    return GridSpec(9, 9)
+def _ceiling_9x9(counts: dict) -> str:
+    return _frac(weights.ceiling_infinite(Distribution(GridSpec(9, 9), counts)))
 
 
-def _checks(scale: str, node_cap: int) -> list[Check]:
-    g = _margin_grid()
-    center = Vertex(4, 4)
+def _unit_excess_check() -> str:
+    sol, verified = _unit_excess()
+    return f"value={sol.objective_value} certified={verified}"
 
-    def cov_single():
-        d = Distribution(g, {center: 2})
-        c = reach.coverage(d, node_cap)
-        return f"cov={c.cov} ratio={c.ratio}"
 
-    def cov_pair():
-        d = Distribution(g, {center: 2, Vertex(5, 4): 2})
-        c = reach.coverage(d, node_cap)
-        return f"cov={c.cov} ratio={c.ratio}"
+def _banded_rows_base() -> str:
+    d = constructions.gen_banded_rows(1, 1)
+    return f"ratio={reach.coverage(d).ratio} ceiling={weights.covering_ratio_ceiling(d)}"
 
-    def ceil_single():
-        return _frac(weights.ceiling_infinite(Distribution(g, {center: 2})))
 
-    def ceil_pair():
-        return _frac(
-            weights.ceiling_infinite(Distribution(g, {center: 2, Vertex(5, 4): 2}))
-        )
+def _solvable_at_ratio(d: Distribution) -> str:
+    return f"solvable={reach.is_solvable(d)} ratio={Fraction(d.grid.size, d.size)}"
 
-    def unit_excess():
-        problem = lp.unit_excess_problem()
-        sol = lp.solve(problem)
-        ok = lp.verify_certificate(problem, sol.primal, sol.dual)
-        return f"value={sol.objective_value} certified={ok}"
 
-    def pebble_total():
-        partial = weights.single_pebble_weight_total(30)
-        return f"within_tolerance={Fraction(9) - partial <= Fraction(1, 2**20)}"
+def _banded_rows_row5() -> str:
+    d = constructions.gen_banded_rows(1, 1, augmented=True)
+    ok = all(reach.can_move_k(d, Vertex(c, 5), 4) for c in range(3))
+    return f"four_pebbles_everywhere_row5={ok}"
 
-    def banded_base():
-        d = constructions.gen_banded_rows(1, 1)
-        c = reach.coverage(d, node_cap)
-        ceil = weights.covering_ratio_ceiling(d)
-        return f"ratio={c.ratio} ceiling={ceil}"
 
-    def banded_aug():
-        d = constructions.gen_banded_rows(1, 1, augmented=True)
-        return f"solvable={reach.is_solvable(d, node_cap)} ratio={Fraction(d.grid.size, d.size)}"
+def _diag7_torus() -> str:
+    d = constructions.gen_diag7(GridSpec(14, 14, TORUS))
+    return f"size={d.size} {_solvable_at_ratio(d)}"
 
-    def banded_aug_row5():
-        d = constructions.gen_banded_rows(1, 1, augmented=True)
-        ok = all(reach.can_move_k(d, Vertex(c, 5), 4, node_cap) for c in range(3))
-        return f"four_pebbles_everywhere_row5={ok}"
 
-    def diag7():
-        d = constructions.gen_diag7(GridSpec(14, 14, TORUS))
-        solvable = reach.is_solvable(d, node_cap)
-        return f"size={d.size} solvable={solvable} ratio={Fraction(d.grid.size, d.size)}"
+def _density7() -> str:
+    basis, _ = constructions.find_density7_pattern()
+    wmin = min(constructions.density7_class_weights(basis).values())
+    b_sum = min(
+        weights.dyadic_weight((k, dd) for dd, k in shells.items())
+        for alpha, shells in constructions.density7_class_profile(basis).items()
+        if alpha != 0
+    )
+    return f"min_weight_ge_1={wmin >= 1} min_truncated_class_sum={b_sum}"
 
-    def density7():
-        basis, gen = constructions.find_density7_pattern()
-        wmin = min(constructions.density7_class_weights(basis).values())
-        profile = constructions.density7_class_profile(basis)
-        b_sum = min(
-            weights.dyadic_weight((k, dd) for dd, k in shells.items())
-            for alpha, shells in profile.items()
-            if alpha != 0
-        )
-        return f"min_weight_ge_1={wmin >= 1} min_truncated_class_sum={b_sum}"
 
-    def uniform_ninth():
-        d = constructions.gen_uniform_frac(GridSpec(9, 9, TORUS), Fraction(1, 9))
-        w = weights.weight(d, Vertex(0, 0))
-        return f"torus_weight={w} below_one={w < 1}"
+def _uniform_ninth() -> str:
+    d = constructions.gen_uniform_frac(GridSpec(9, 9, TORUS), Fraction(1, 9))
+    w = weights.weight(d, Vertex(0, 0))
+    return f"torus_weight={w} below_one={w < 1}"
 
-    def frac_optimum(spec):
-        value, witness = lp.fractional_optimal_pebbling(spec)
-        return f"value={value} solvable={weights.fractional_solvable(witness)}"
 
-    def row_ones_marginal():
-        spec = GridSpec(23, 7)
-        base = constructions.gen_row_ones(spec, 16)
-        plus = constructions.gen_row_ones(spec, 16, with_unit2=True)
-        m = reach.marginal_covering_ratio(base, plus, node_cap)
-        return f"marginal={m} exceeds_17_4={m > Fraction(17, 4)}"
+def _fractional_optimum(spec: GridSpec) -> str:
+    value, witness = lp.fractional_optimal_pebbling(spec)
+    return f"value={value} solvable={weights.fractional_solvable(witness)}"
 
-    def pi_opt_small():
-        r1 = optimal.optimal_pebbling_number(GridSpec(1, 1), node_cap)
-        r2 = optimal.optimal_pebbling_number(GridSpec(2, 2), node_cap)
-        return f"1x1={r1.pi_opt} 2x2={r2.pi_opt}"
 
-    checks = [
-        Check(
-            "cov-single-2unit",
-            "covering ratio of a single size-2 unit",
-            "paper",
-            "cov=5 ratio=5/2",
-            cov_single,
-        ),
-        Check(
-            "cov-two-adjacent-2units",
-            "covering ratio of two adjacent size-2 units",
-            "paper",
-            "cov=8 ratio=2",
-            cov_pair,
-        ),
-        Check(
-            "ceiling-single-2unit",
-            "infinite-mode covering ratio ceiling of a size-2 unit",
-            "paper",
-            "17/2",
-            ceil_single,
-        ),
-        Check(
-            "ceiling-two-adjacent-2units",
-            "infinite-mode ceiling of two adjacent size-2 units",
-            "paper",
-            "29/4",
-            ceil_pair,
-        ),
-        Check(
-            "unit-excess-lp",
-            "minimum excess weight at a covered unit",
-            "paper",
-            "value=12/25 certified=True",
-            unit_excess,
-        ),
-        Check(
-            "ifcov-bound-constant",
-            "implied ratio bound 9 - 12/25",
-            "paper",
-            "213/25",
-            lambda: _frac(weights.IFCOV_UPPER_BOUND),
-        ),
-        Check(
-            "single-pebble-weight-total",
-            "partial sums of one pebble's total weight approach 9",
-            "paper",
-            "within_tolerance=True",
-            pebble_total,
-        ),
-        Check(
-            "banded-rows-base",
-            "banded-rows base covering ratio and ceiling (n=m=1)",
-            "paper",
-            "ratio=1 ceiling=3/2",
-            banded_base,
-        ),
-        Check(
-            "banded-rows-augmented",
-            "augmented banded-rows solvable at ratio 9/8 (n=m=1)",
-            "paper",
-            "solvable=True ratio=9/8",
-            banded_aug,
-        ),
-        Check(
-            "banded-rows-row5-delivery",
-            "augmented banded-rows moves 4 pebbles to any vertex of row 5",
-            "paper",
-            "four_pebbles_everywhere_row5=True",
-            banded_aug_row5,
-        ),
-        Check(
-            "diag7-torus",
-            "diagonal pattern on the 14x14 torus",
-            "paper",
-            "size=56 solvable=True ratio=7/2",
-            diag7,
-        ),
-        Check(
-            "density7-pattern",
-            "index-7 lattice pattern weights",
-            "paper",
-            "min_weight_ge_1=True min_truncated_class_sum=1",
-            density7,
-        ),
-        Check(
-            "uniform-ninth-finite-torus",
-            "uniform 1/9 on a finite torus stays below weight 1",
-            "derived",
-            "torus_weight=529/576 below_one=True",
-            uniform_ninth,
-        ),
-        Check(
-            "fractional-optimal-2x2",
-            "fractional optimal pebbling of the 2x2 grid",
-            "derived",
-            "value=16/9 solvable=True",
-            lambda: frac_optimum(GridSpec(2, 2)),
-        ),
-        Check(
-            "row-ones-marginal",
-            "marginal covering ratio of the end unit exceeds 17/4 at k=16",
-            "derived",
-            "marginal=37/2 exceeds_17_4=True",
-            row_ones_marginal,
-        ),
-        Check(
-            "pi-opt-small",
-            "optimal pebbling numbers of the smallest grids",
-            "trivial",
-            "1x1=1 2x2=3",
-            pi_opt_small,
-        ),
-    ]
-    if scale == "full-desk":
+def _row_ones_marginal() -> str:
+    spec = GridSpec(23, 7)
+    base = constructions.gen_row_ones(spec, 16)
+    plus = constructions.gen_row_ones(spec, 16, with_unit2=True)
+    m = reach.marginal_covering_ratio(base, plus)
+    return f"marginal={m} exceeds_17_4={m > Fraction(17, 4)}"
 
-        def pi_opt_3x3():
-            r = optimal.optimal_pebbling_number(GridSpec(3, 3), node_cap)
-            lower = lp.fractional_optimum(GridSpec(3, 3))
-            upper = optimal.composition_upper_bound(3, 1, 1)
-            return f"3x3={r.pi_opt} within_bounds={lower <= r.pi_opt <= upper}"
 
-        checks += [
-            Check(
-                "fractional-optimal-9x9-torus",
-                "fractional optimal pebbling of the 9x9 torus",
-                "derived",
-                "value=5184/529 solvable=True",
-                lambda: frac_optimum(GridSpec(9, 9, TORUS)),
-            ),
-            Check(
-                "fractional-optimal-30x30-plane",
-                "fractional optimal pebbling of the 30x30 grid",
-                "derived",
-                "value=1024/9 solvable=True",
-                lambda: frac_optimum(GridSpec(30, 30)),
-            ),
-            Check(
-                "fractional-optimal-28x28-torus",
-                "fractional optimal pebbling of the 28x28 torus",
-                "derived",
-                "value=210453397504/2415624201 solvable=True",
-                lambda: frac_optimum(GridSpec(28, 28, TORUS)),
-            ),
-            Check(
-                "pi-opt-3x3",
-                "optimal pebbling number of the 3x3 grid with bounds",
-                "derived",
-                "3x3=4 within_bounds=True",
-                pi_opt_3x3,
-            ),
-        ]
-    return checks
+def _pi_opt(n: int) -> int:
+    return optimal.optimal_pebbling_number(GridSpec(n, n)).pi_opt
+
+
+def _pi_opt_3x3() -> str:
+    pi = _pi_opt(3)
+    lower, upper = lp.fractional_optimum(GridSpec(3, 3)), optimal.composition_upper_bound(3, 1, 1)
+    return f"3x3={pi} within_bounds={lower <= pi <= upper}"
+
+
+#: The fixture suite, one (claim, anchor, provenance, expected, compute) row
+#: per check; provenance is paper, derived or trivial.  A check passes iff
+#: compute() returns the expected string.
+CHECKS = (
+    ("cov-single-2unit", "covering ratio of a single size-2 unit", "paper",
+     "cov=5 ratio=5/2", lambda: _coverage_9x9({Vertex(4, 4): 2})),
+    ("cov-two-adjacent-2units", "covering ratio of two adjacent size-2 units", "paper",
+     "cov=8 ratio=2", lambda: _coverage_9x9({Vertex(4, 4): 2, Vertex(5, 4): 2})),
+    ("ceiling-single-2unit", "infinite-mode covering ratio ceiling of a size-2 unit", "paper",
+     "17/2", lambda: _ceiling_9x9({Vertex(4, 4): 2})),
+    ("ceiling-two-adjacent-2units", "infinite-mode ceiling of two adjacent size-2 units",
+     "paper", "29/4", lambda: _ceiling_9x9({Vertex(4, 4): 2, Vertex(5, 4): 2})),
+    ("unit-excess-lp", "minimum excess weight at a covered unit", "paper",
+     "value=12/25 certified=True", _unit_excess_check),
+    ("ifcov-bound-constant", "implied ratio bound 9 - 12/25", "paper",
+     "213/25", lambda: _frac(weights.IFCOV_UPPER_BOUND)),
+    ("single-pebble-weight-total", "partial sums of one pebble's total weight approach 9",
+     "paper", "within_tolerance=True",
+     lambda: f"within_tolerance={9 - weights.single_pebble_weight_total(30) <= 2**-20}"),
+    ("banded-rows-base", "banded-rows base covering ratio and ceiling (n=m=1)", "paper",
+     "ratio=1 ceiling=3/2", _banded_rows_base),
+    ("banded-rows-augmented", "augmented banded-rows solvable at ratio 9/8 (n=m=1)", "paper",
+     "solvable=True ratio=9/8",
+     lambda: _solvable_at_ratio(constructions.gen_banded_rows(1, 1, augmented=True))),
+    ("banded-rows-row5-delivery", "augmented banded-rows moves 4 pebbles to any vertex of row 5",
+     "paper", "four_pebbles_everywhere_row5=True", _banded_rows_row5),
+    ("diag7-torus", "diagonal pattern on the 14x14 torus", "paper",
+     "size=56 solvable=True ratio=7/2", _diag7_torus),
+    ("density7-pattern", "index-7 lattice pattern weights", "paper",
+     "min_weight_ge_1=True min_truncated_class_sum=1", _density7),
+    ("uniform-ninth-finite-torus", "uniform 1/9 on a finite torus stays below weight 1",
+     "derived", "torus_weight=529/576 below_one=True", _uniform_ninth),
+    ("fractional-optimal-2x2", "fractional optimal pebbling of the 2x2 grid", "derived",
+     "value=16/9 solvable=True", lambda: _fractional_optimum(GridSpec(2, 2))),
+    ("row-ones-marginal", "marginal covering ratio of the end unit exceeds 17/4 at k=16",
+     "derived", "marginal=37/2 exceeds_17_4=True", _row_ones_marginal),
+    ("pi-opt-small", "optimal pebbling numbers of the smallest grids", "trivial",
+     "1x1=1 2x2=3", lambda: f"1x1={_pi_opt(1)} 2x2={_pi_opt(2)}"),
+)
+
+#: The rows that ``--scale full-desk`` appends to CHECKS.
+FULL_DESK_CHECKS = (
+    ("fractional-optimal-9x9-torus", "fractional optimal pebbling of the 9x9 torus", "derived",
+     "value=5184/529 solvable=True", lambda: _fractional_optimum(GridSpec(9, 9, TORUS))),
+    ("fractional-optimal-30x30-plane", "fractional optimal pebbling of the 30x30 grid",
+     "derived", "value=1024/9 solvable=True", lambda: _fractional_optimum(GridSpec(30, 30))),
+    ("fractional-optimal-28x28-torus", "fractional optimal pebbling of the 28x28 torus",
+     "derived", "value=210453397504/2415624201 solvable=True",
+     lambda: _fractional_optimum(GridSpec(28, 28, TORUS))),
+    ("pi-opt-3x3", "optimal pebbling number of the 3x3 grid with bounds", "derived",
+     "3x3=4 within_bounds=True", _pi_opt_3x3),
+)
 
 
 def cmd_verify_paper(args) -> int:
-    checks = _checks(args.scale, args.node_cap)
-
-    def run(check: Check) -> dict:
+    checks = CHECKS + (FULL_DESK_CHECKS if args.scale == "full-desk" else ())
+    results = []
+    for claim, anchor, provenance, expected, compute in checks:
         start = time.monotonic()
         try:
-            computed = check.compute()
+            computed = compute()
         except Exception as e:  # a crash is a failing check, not a crash of the suite
             computed = f"error: {e}"
-        return {
-            "claim": check.claim,
-            "anchor": check.anchor,
-            "provenance": check.provenance,
-            "expected": check.expected,
-            "computed": computed,
-            "passed": computed == check.expected,
-            "runtime_s": round(time.monotonic() - start, 3),
-        }
-
-    results = [run(c) for c in checks]
+        results.append(
+            {
+                "claim": claim,
+                "anchor": anchor,
+                "provenance": provenance,
+                "expected": expected,
+                "computed": computed,
+                "passed": computed == expected,
+                "runtime_s": round(time.monotonic() - start, 3),
+            }
+        )
     all_pass = all(r["passed"] for r in results)
-    report = {
-        "schema": SCHEMA,
-        "scale": args.scale,
-        "checks": results,
-        "all_passed": all_pass,
-    }
-    _emit(report, args.out)
+    _emit(
+        {"schema": SCHEMA, "scale": args.scale, "checks": results, "all_passed": all_pass},
+        args.out,
+    )
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"[{status}] {r['claim']} ({r['runtime_s']}s)", file=sys.stderr)
@@ -477,17 +351,9 @@ def cmd_verify_paper(args) -> int:
 # -- render ---------------------------------------------------------------
 
 
-def _render_ascii(dist, overlay: str, node_cap: int) -> str:
-    grid = dist.grid
-    cells = {v: str(dist.get(v) or ".") for v in grid.vertices()}
-    if overlay == "coverage":
-        reachable = reach.coverage(dist, node_cap).reachable
-        for v in grid.vertices():
-            if dist.get(v) == 0:
-                cells[v] = "*" if v in reachable else "."
-    elif overlay == "weights":
-        for v in grid.vertices():
-            cells[v] = str(weights.weight(dist, v))
+def _render_ascii(grid: GridSpec, labels: dict, reachable: frozenset) -> str:
+    """A cell shows its label, else * when reachable, else a dot."""
+    cells = {v: labels[v] or ("*" if v in reachable else ".") for v in grid.vertices()}
     width = max(len(s) for s in cells.values())
     lines = []
     for r in range(grid.height):
@@ -495,41 +361,42 @@ def _render_ascii(dist, overlay: str, node_cap: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(dist, overlay: str, node_cap: int) -> str:
-    grid = dist.grid
+def _render_svg(grid: GridSpec, labels: dict, reachable: frozenset) -> str:
+    """A square per vertex, shaded when reachable, with its label if any."""
     cell = 28
-    shaded: frozenset = frozenset()
-    if overlay == "coverage":
-        shaded = reach.coverage(dist, node_cap).reachable
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{grid.width * cell}" height="{grid.height * cell}">'
     ]
     for v in grid.vertices():
         x, y = v.col * cell, v.row * cell
-        fill = "#cde8cd" if v in shaded else "#ffffff"
+        fill = "#cde8cd" if v in reachable else "#ffffff"
         parts.append(
             f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
             f'fill="{fill}" stroke="#444444"/>'
         )
-        c = dist.get(v)
-        label = str(weights.weight(dist, v)) if overlay == "weights" else str(c or "")
-        if label:
+        if labels[v]:
             parts.append(
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
-                f'font-size="10" text-anchor="middle">{label}</text>'
+                f'font-size="10" text-anchor="middle">{labels[v]}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def cmd_render(args) -> int:
+    """Label each vertex with its weight (--overlay weights) or its pebbles,
+    and shade the reachable set (--overlay coverage)."""
     dist = _load(args.file)
-    if args.format == "ascii":
-        text = _render_ascii(dist, args.overlay, args.node_cap)
+    if args.overlay == "weights":
+        labels = {v: str(weights.weight(dist, v)) for v in dist.grid.vertices()}
     else:
-        text = _render_svg(dist, args.overlay, args.node_cap)
-    _write(text, args.out)
+        labels = {v: str(dist.get(v) or "") for v in dist.grid.vertices()}
+    reachable = frozenset()
+    if args.overlay == "coverage":
+        reachable = reach.coverage(dist, args.node_cap).reachable
+    render = _render_ascii if args.format == "ascii" else _render_svg
+    _write(render(dist.grid, labels, reachable), args.out)
     return 0
 
 
@@ -603,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in fixture suite")
     p.add_argument("--scale", choices=["small", "full-desk"], default="small")
-    add_common(p)
+    p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("render", help="ascii or svg picture of a distribution")

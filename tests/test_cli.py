@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pebblekit import cli
 from pebblekit.cli import SCHEMA, build_parser, main
 from pebblekit.constructions import gen_cascade_ones, gen_row_ones, gen_uniform_frac
 from pebblekit.grid import (
@@ -211,6 +212,21 @@ class TestVerify:
         assert report["all_passed"] is True
         assert {c["provenance"] for c in report["checks"]} <= {"paper", "derived", "trivial"}
         assert "[PASS]" in err
+
+    def test_crashing_check_fails_without_crashing_the_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "CHECKS", (("boom", "a check that raises", "trivial", "1", lambda: 1 // 0),)
+        )
+        code, out, err = run_cli(capsys, "verify-paper")
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert check["computed"] == "error: integer division or modulo by zero"
+        assert check["passed"] is False and "[FAIL] boom" in err
+
+    def test_node_cap_not_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "verify-paper", "--node-cap", "10")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --node-cap" in err
 
 
 class TestRender:
