@@ -26,8 +26,8 @@ generator whose keyword parameters and defaults are the family's.
 Banded-rows augmentation placement: the 2m size-2 units go on empty
 vertices at row-distance at most 1 from a pebbled row, at most two units
 per pebbled row (more than two never helps a row fire and only starves
-the others).  Candidate subsets are tried in lexicographic (row, col)
-order.  Each pebbled row with its own units is one exact reachability
+the others).  Placements are built one choice per pebbled row and tried
+in lexicographic (row, col) order.  Each pebbled row with its own units is one exact reachability
 engine.  A placement is certified when the union of the row coverages
 reaches every gap vertex (the base covers the other rows, so it is then
 solvable).  The first certified placement that also lets every pebbled
@@ -46,7 +46,6 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Mapping
 
 from .grid import (
@@ -162,17 +161,45 @@ def _banded_rows_grid(n: int, m: int) -> tuple[GridSpec, dict]:
     return spec, counts
 
 
+def _augmentation_choices(n: int, m: int):
+    """Every placement of the 2m units with at most two near each pebbled
+    row, as one tuple of units per pebbled row.  Laid end to end, the
+    placements come in the lexicographic (row, col) order that
+    ``combinations`` gives them."""
+    spec, base = _banded_rows_grid(n, m)
+    # rows are 5 apart, so each empty vertex is near at most one of them
+    groups = [
+        [v for v in spec.vertices() if v not in base and abs(v.row - 5 * j) <= 1]
+        for j in range(m + 1)
+    ]
+
+    def row_choices(vs):
+        # (a, b) before (a,), and () last: the order of the concatenations
+        for i, a in enumerate(vs):
+            for b in vs[i + 1 :]:
+                yield (a, b)
+            yield (a,)
+        yield ()
+
+    def rec(j: int, left: int):
+        if j == len(groups):
+            yield ()
+            return
+        room = 2 * (len(groups) - j - 1)  # what the later rows can still take
+        for units in row_choices(groups[j]):
+            if 0 <= left - len(units) <= room:
+                for rest in rec(j + 1, left - len(units)):
+                    yield (units,) + rest
+
+    return rec(0, 2 * m)
+
+
 @lru_cache(maxsize=None)
 def banded_rows_augmentation(n: int, m: int) -> tuple:
     """The 2m size-2 unit positions for the augmented banded-rows instance
     (see the module docstring for the placement rule)."""
     spec, base = _banded_rows_grid(n, m)
     rows = [5 * j for j in range(m + 1)]
-    # candidate -> the pebbled row it is near (rows are 5 apart, so one)
-    row_of = {
-        v: j for v in spec.vertices() for j in rows if v not in base and abs(v.row - j) <= 1
-    }
-    cand = sorted(row_of, key=lambda v: (v.row, v.col))
     gaps = frozenset(v for v in spec.vertices() if v.row % 5 in (2, 3))
 
     @lru_cache(maxsize=None)
@@ -183,15 +210,11 @@ def banded_rows_augmentation(n: int, m: int) -> tuple:
         return _Engine(Distribution(spec, counts))
 
     certified = None
-    for combo in combinations(cand, 2 * m):
-        subsets = dict.fromkeys(rows, ())
-        for v in combo:
-            subsets[row_of[v]] += (v,)
-        if any(len(s) > 2 for s in subsets.values()):
-            continue
-        engines = {j: row_engine(j, s) for j, s in subsets.items()}
+    for choice in _augmentation_choices(n, m):
+        engines = {j: row_engine(j, units) for j, units in zip(rows, choice)}
         if not gaps <= frozenset().union(*(e.reachable_set() for e in engines.values())):
             continue
+        combo = sum(choice, ())
         if all(
             e.can_move_k(Vertex(c, j), 4) for j, e in engines.items() for c in range(2 * n + 1)
         ):

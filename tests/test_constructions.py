@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +19,7 @@ from pebblekit.constructions import (
     DENSITY7_BASES,
     FAMILIES,
     PatternSpec,
+    _augmentation_choices,
     banded_rows_augmentation,
     density7_class_profile,
     density7_class_weights,
@@ -148,6 +151,39 @@ class TestBandedRows:
         assert sorted(banded_rows_augmentation(1, 3)) == [
             Vertex(0, 1), Vertex(0, 4), Vertex(1, 0), Vertex(1, 4), Vertex(1, 10), Vertex(1, 15)
         ]
+        assert sorted(banded_rows_augmentation(1, 4)) == [
+            Vertex(0, 1), Vertex(0, 4), Vertex(0, 9), Vertex(1, 0), Vertex(1, 4), Vertex(1, 9),
+            Vertex(1, 15), Vertex(1, 20)
+        ]
+        assert sorted(banded_rows_augmentation(1, 5)) == [
+            Vertex(0, 1), Vertex(0, 4), Vertex(0, 9), Vertex(0, 14), Vertex(1, 0), Vertex(1, 4),
+            Vertex(1, 9), Vertex(1, 14), Vertex(1, 20), Vertex(1, 25)
+        ]
+
+    @pytest.mark.parametrize(
+        "n,m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (1, 3)]
+    )
+    def test_augmentation_choices_are_the_legal_combinations(self, n, m):
+        # oracle: every 2m-subset of the empty vertices near a pebbled row,
+        # in combinations order, kept when no row gets more than two
+        spec = GridSpec(2 * n + 1, 5 * m + 1)
+        near = {
+            v: r
+            for v in spec.vertices()
+            for r in range(0, 5 * m + 1, 5)
+            if abs(v.row - r) <= 1 and not (v.row == r and v.col % 2 == 0)
+        }
+        cand = sorted(near, key=lambda v: (v.row, v.col))
+        expected = [
+            c
+            for c in combinations(cand, 2 * m)
+            if max(Counter(near[v] for v in c).values()) <= 2
+        ]
+        choices = list(_augmentation_choices(n, m))
+        assert [sum(choice, ()) for choice in choices] == expected
+        assert all(
+            near[v] == 5 * j for choice in choices for j, units in enumerate(choice) for v in units
+        )
 
     def test_uncertified_augmentation_raises(self):
         # no placement of 2 units certifies the 7x6 grid; an uncertified
