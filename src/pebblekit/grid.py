@@ -9,7 +9,7 @@ distributions store counts sparsely (vertices with zero pebbles are absent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -167,13 +167,12 @@ class _Pebbles:
 
     grid: GridSpec
     counts: Mapping[Vertex, int | Fraction]
-    _key: frozenset = field(init=False, repr=False, compare=False, default=None)
     _integral, _zero = True, 0
 
     def __post_init__(self):
-        clean = _validate_counts(self.grid, self.counts, self._integral)
-        object.__setattr__(self, "counts", clean)
-        object.__setattr__(self, "_key", frozenset(clean.items()))
+        object.__setattr__(
+            self, "counts", _validate_counts(self.grid, self.counts, self._integral)
+        )
 
     @property
     def size(self) -> int | Fraction:
@@ -197,10 +196,10 @@ class _Pebbles:
         return all(self.counts.get(v, 0) >= c for v, c in other.counts.items())
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.grid == other.grid and self._key == other._key
+        return type(other) is type(self) and self.grid == other.grid and self.counts == other.counts
 
     def __hash__(self):
-        return hash((self.grid, self._key))
+        return hash((self.grid, frozenset(self.counts.items())))
 
 
 class Distribution(_Pebbles):
