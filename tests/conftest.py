@@ -33,15 +33,16 @@ def oracle_neighbors(grid: GridSpec, v) -> list[Vertex]:
     return out
 
 
-def naive_reachable(d: Distribution) -> frozenset[Vertex]:
-    """Breadth-first search over whole distribution states; a vertex is
-    reachable iff it holds a pebble in some reachable state."""
+def _naive_states(d: Distribution):
+    """Breadth-first walk over the whole distribution states reachable from
+    d by pebbling moves, d's own first; each state is a {vertex: count}
+    dict."""
     start = frozenset(d.counts.items())
     seen = {start}
-    reach = set(d.support)
     queue = deque([start])
     while queue:
         state = dict(queue.popleft())
+        yield state
         for v, c in list(state.items()):
             if c < 2:
                 continue
@@ -51,38 +52,20 @@ def naive_reachable(d: Distribution) -> frozenset[Vertex]:
                 if nxt[v] == 0:
                     del nxt[v]
                 nxt[u] = nxt.get(u, 0) + 1
-                reach.add(u)
                 key = frozenset(nxt.items())
                 if key not in seen:
                     seen.add(key)
                     queue.append(key)
-    return frozenset(reach)
+
+
+def naive_reachable(d: Distribution) -> frozenset[Vertex]:
+    """A vertex is reachable iff it holds a pebble in some reachable state."""
+    return frozenset().union(*_naive_states(d))
 
 
 def naive_max_at(d: Distribution, t: Vertex) -> int:
     """Largest pebble count achievable at t over all reachable states."""
-    start = frozenset(d.counts.items())
-    seen = {start}
-    best = d.get(t)
-    queue = deque([start])
-    while queue:
-        state = dict(queue.popleft())
-        for v, c in list(state.items()):
-            if c < 2:
-                continue
-            for u in oracle_neighbors(d.grid, v):
-                nxt = dict(state)
-                nxt[v] -= 2
-                if nxt[v] == 0:
-                    del nxt[v]
-                nxt[u] = nxt.get(u, 0) + 1
-                if u == t:
-                    best = max(best, nxt[u])
-                key = frozenset(nxt.items())
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-    return best
+    return max(state.get(t, 0) for state in _naive_states(d))
 
 
 def reference_orbits(spec: GridSpec, s: int, perms):
