@@ -26,10 +26,10 @@ generator whose keyword parameters and defaults are the family's.
 Banded-rows augmentation placement: the 2m size-2 units go on empty
 vertices at row-distance at most 1 from a pebbled row, at most two units
 per pebbled row (more than two never helps a row fire and only starves
-the others).  Placements are built one choice per pebbled row and tried
-in lexicographic (row, col) order.  Each pebbled row with its own units
-is one exact reachability engine.  A placement is certified when the
-union of the row coverages reaches every gap vertex (the base covers the other rows, so it is then
+the others).  Candidate subsets are tried in lexicographic (row, col)
+order.  Each pebbled row with its own units is one exact reachability
+engine.  A placement is certified when the union of the row coverages
+reaches every gap vertex (the base covers the other rows, so it is then
 solvable).  The first certified placement that also lets every pebbled
 row move 4 pebbles onto each of its own vertices wins, else the first
 certified placement at all.  If none is certified, ``GridError`` is

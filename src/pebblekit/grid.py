@@ -170,9 +170,8 @@ class _Pebbles:
     _integral, _zero = True, 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "counts", _validate_counts(self.grid, self.counts, self._integral)
-        )
+        clean = _validate_counts(self.grid, self.counts, self._integral)
+        object.__setattr__(self, "counts", clean)
 
     @property
     def size(self) -> int | Fraction:
