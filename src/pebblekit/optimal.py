@@ -19,12 +19,14 @@ refute a completion.  Only the symmetries still undecided at a complete
 vector are tested there.
 
 An orbit with some vertex of dyadic weight below 1 is refuted without
-the reachability engine: a move never raises the weight at any vertex, so
+a reachability search: a move never raises the weight at any vertex, so
 that vertex can never be reached.  The weights are integer sums over one
 power-of-two denominator, read from a table built once per grid.  The
-rest go to the engine.  The first size with a solvable distribution is
-the optimal pebbling number, and exhaustion of the smaller sizes, counted
-per size in OptimalResult.per_size, is the minimality certificate.
+rest go to one reach.StateSolver held for the whole search, whose memo of
+whole-state reach sets every orbit and size shares.  The first size with
+a solvable distribution is the optimal pebbling number, and exhaustion of
+the smaller sizes, counted per size in OptimalResult.per_size, is the
+minimality certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 from .grid import Distribution, GridError, GridSpec
 from .lp import fractional_optimum
-from .reach import DEFAULT_NODE_CAP, is_solvable
+from .reach import DEFAULT_NODE_CAP, StateBudgetExceeded, StateSolver
 from .weights import dyadic_rows
 
 #: Largest vertex count attempted by the exhaustive search.
@@ -45,20 +47,33 @@ MAX_SEARCH_VERTICES = 16
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The exhaustive search would exceed the supported scale."""
+    """The exhaustive search would exceed the supported scale (size is
+    None), or at size its solver's memo went over the node cap with entries
+    entries; lower is the bound on pi_opt known when it stopped."""
 
-    def __init__(self, spec: GridSpec, lower: int):
-        super().__init__(
-            f"optimal search not supported on {spec.width}x{spec.height} {spec.topology}"
-            f"; known bounds: {lower} <= pi_opt"
-        )
+    def __init__(
+        self, spec: GridSpec, lower: int, size: int | None = None, entries: int | None = None
+    ):
+        grid = f"{spec.width}x{spec.height} {spec.topology}"
+        if size is None:
+            head = f"optimal search not supported on {grid}"
+        else:
+            head = (
+                f"optimal search on {grid} stopped at size {size}: "
+                f"the solver memo reached the node cap of {entries} entries"
+            )
+        super().__init__(f"{head}; known bounds: {lower} <= pi_opt")
         self.lower = lower
+        self.size = size
+        self.entries = entries
 
 
 class SizeRow(NamedTuple):
     """The orbits of one size tested by the search, and how each was
     decided.  Below pi_opt every orbit is refuted; at pi_opt the last orbit
-    is the witness, counted in neither refuted column."""
+    is the witness, counted in neither refuted column.  engine_refuted
+    counts the orbits that passed the weight bound and that the state
+    solver found unsolvable."""
 
     size: int
     orbits: int
@@ -179,14 +194,16 @@ def _out_of_reach(vec: tuple, rows, one: int) -> bool:
 def optimal_pebbling_number(
     spec: GridSpec, node_cap: int = DEFAULT_NODE_CAP
 ) -> OptimalResult:
-    """Exact optimal pebbling number of the grid, by exhaustion."""
+    """Exact optimal pebbling number of the grid, by exhaustion.  node_cap
+    bounds the entries of the solver's memo; going over it raises
+    SearchBudgetExceeded."""
     if spec.size > MAX_SEARCH_VERTICES:
         # every vertex of a solvable distribution has weight >= 1, so its
         # size is at least the fractional optimum
         raise SearchBudgetExceeded(spec, ceil(fractional_optimum(spec)))
     perms = _symmetries(spec)
-    verts = list(spec.vertices())
     one, rows = dyadic_rows(spec)
+    solver = StateSolver(spec, node_cap)
     per_size = []
     s = 0
     while True:
@@ -197,8 +214,15 @@ def optimal_pebbling_number(
             if _out_of_reach(vec, rows, one):
                 light += 1
                 continue
-            d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
-            if is_solvable(d, node_cap):
+            try:
+                solved = solver.reach(vec) == solver.full
+            except StateBudgetExceeded:
+                # every smaller size was exhausted, so pi_opt >= s
+                lower = max(ceil(fractional_optimum(spec)), s)
+                raise SearchBudgetExceeded(spec, lower, s, len(solver.memo)) from None
+            if solved:
+                verts = list(spec.vertices())
+                d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 per_size.append(SizeRow(s, orbits, light, orbits - light - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
         per_size.append(SizeRow(s, orbits, light, orbits - light))

@@ -29,6 +29,12 @@ Reachability is decided in two layers:
   below k are pruned without losing exactness.  The weight is kept as an
   integer numerator over 2^D, D the largest distance to the target, so a
   move updates it with two shifts.
+
+The engine above serves coverage, can_move_k and large distributions,
+whose state space is far beyond a whole-state search.  StateSolver is the
+path for the exhaustive pi_opt search, which asks about many thousands of
+distributions of a few pebbles on one small grid: it walks whole states,
+not targets, and one memo of their reach sets serves every query.
 """
 
 from __future__ import annotations
@@ -248,6 +254,73 @@ class _Engine:
         for _, cov in self.clusters():
             out |= cov
         return frozenset(out)
+
+
+class StateBudgetExceeded(RuntimeError):
+    """A StateSolver query needed more memo entries than its budget."""
+
+
+class StateSolver:
+    """Memoised reach sets of whole distribution states on one small grid,
+    for the many tiny distributions of an exhaustive search.
+
+    A state is a tuple of pebble counts indexed by vertex id (the order of
+    grid.vertices()), and a reach set is an int bitmask over the same ids.
+    The reach set of a state is its support, the ball covered by each
+    single pile, and the reach set of each one-move successor; the walk
+    stops as soon as the mask is full.  Every state the piles alone do not
+    decide is memoised, and the memo serves every query on the solver: a
+    successor of a size-s state is a size-(s-1) state that other queries
+    meet again.  Recursion depth is at most the state's size, and the memo
+    keys are the states as bytes, so each count must be below 256.  A query
+    that would hold more than budget entries raises StateBudgetExceeded."""
+
+    def __init__(self, grid: GridSpec, budget: int = DEFAULT_NODE_CAP):
+        index = grid.index
+        verts = list(grid.vertices())
+        ids = {v: i for i, v in enumerate(verts)}
+        self.full = (1 << len(verts)) - 1
+        self.budget = budget
+        self.memo: dict[bytes, int] = {}
+        self._neighbors = [tuple(ids[u] for u in index.neighbors[v]) for v in verts]
+        self._top = max(map(max, index.cols)) + max(map(max, index.rows))
+        # _balls[i][r]: the vertices within distance r of vertex i
+        self._balls = []
+        for v in verts:
+            balls = [0] * (self._top + 1)
+            for u, d in index.distances(v, verts).items():
+                balls[d] |= 1 << ids[u]
+            for r in range(1, len(balls)):
+                balls[r] |= balls[r - 1]
+            self._balls.append(balls)
+
+    def reach(self, state: tuple[int, ...]) -> int:
+        """The reach set of state, as a bitmask over vertex ids."""
+        mask = 0
+        for i, c in enumerate(state):
+            if c:
+                # a pile of c pebbles delivers floor(c / 2^d) to distance d
+                mask |= self._balls[i][min(c.bit_length() - 1, self._top)]
+        if mask == self.full:
+            return mask
+        key = bytes(state)
+        known = self.memo.get(key)
+        if known is not None:
+            return known
+        if len(self.memo) >= self.budget:
+            raise StateBudgetExceeded(f"state memo budget of {self.budget} entries exceeded")
+        for i, c in enumerate(state):
+            if c < 2:
+                continue
+            for j in self._neighbors[i]:
+                nxt = list(state)
+                nxt[i] -= 2
+                nxt[j] += 1
+                mask |= self.reach(tuple(nxt))
+            if mask == self.full:
+                break
+        self.memo[key] = mask
+        return mask
 
 
 def can_move_k(d: Distribution, t, k: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:

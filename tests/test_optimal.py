@@ -17,10 +17,10 @@ from pebblekit.optimal import (
     optimal_pebbling_number,
     optimal_ratio_series,
 )
-from pebblekit.reach import coverage, is_solvable
+from pebblekit.reach import StateSolver, coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
 
-from conftest import naive_reachable, reference_orbits
+from conftest import burnside_orbit_count, naive_reachable, reference_orbits
 
 # (grid, pi_opt, orbit representatives tested, witness): the search
 # enumerates the same orbits in the same order as long as these hold
@@ -68,8 +68,20 @@ class TestOptimalNumbers:
 
     def test_weight_refuted_orbits_cost_no_budget(self):
         # every 3x3 orbit below 4 pebbles has a vertex of weight < 1, so the
-        # search never asks the engine, and a node cap of 1 cannot overflow
+        # search never asks the solver, and a node cap of 1 cannot overflow
         assert optimal_pebbling_number(GridSpec(3, 3), node_cap=1).pi_opt == 4
+
+    def test_solver_budget_fails_loudly(self):
+        """A node cap too small for the solver's memo stops the search with
+        the size it was at: every smaller size was exhausted, so the bound
+        is that size, above ceil(32/9) = 4 from the fractional optimum."""
+        with pytest.raises(SearchBudgetExceeded) as e:
+            optimal_pebbling_number(GridSpec(6, 2), node_cap=1)
+        assert (e.value.lower, e.value.size, e.value.entries) == (5, 5, 1)
+        assert str(e.value) == (
+            "optimal search on 6x2 plane stopped at size 5: the solver memo reached the"
+            " node cap of 1 entries; known bounds: 5 <= pi_opt"
+        )
 
     def test_per_size_certificate(self):
         """One row per size up to pi_opt; every 3x3 orbit below 4 pebbles is
@@ -131,6 +143,16 @@ class TestOptimalNumbers:
                 got = list(_distributions_of_size(spec, s, perms))
                 assert got == list(reference_orbits(spec, s, perms)), (spec, s)
 
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_orbit_counts_match_burnside(self, topology):
+        """The enumeration yields exactly as many vectors as Burnside's lemma
+        counts orbits, at sizes beyond the seen-set reference."""
+        for spec in WIDE_ORBIT_GRIDS[topology]:
+            perms = _symmetries(spec)
+            for s in range(1, 8):
+                got = sum(1 for _ in _distributions_of_size(spec, s, perms))
+                assert got == burnside_orbit_count(perms, s), (spec, s)
+
     def test_pruning_cuts_leaf_tests(self, monkeypatch):
         """Prefixes no completion of which is lex-least are cut before they
         are completed: on the 6x2 torus, sizes 1-6, far fewer vectors reach
@@ -171,19 +193,23 @@ class TestOptimalNumbers:
 
     @pytest.mark.parametrize("spec, pi_opt, tested, witness", PINNED)
     def test_engine_matches_oracle_on_searched_orbits(self, spec, pi_opt, tested, witness):
-        """Differential check of the reachability engine against the naive BFS
-        oracle on every orbit that passes the weight filter, at every size up
-        to pi_opt: the instances the search hands to the engine."""
+        """Differential check of the state solver, the reachability engine and
+        the naive BFS oracle on every orbit that passes the weight filter, at
+        every size up to pi_opt: the instances the search hands to the
+        solver.  One solver serves them all, as in the search."""
         verts = list(spec.vertices())
         one, rows = dyadic_rows(spec)
         perms = _symmetries(spec)
+        solver = StateSolver(spec)
         checked = 0
         for s in range(1, pi_opt + 1):
             for vec in _distributions_of_size(spec, s, perms):
                 if _out_of_reach(vec, rows, one):
                     continue
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
-                assert coverage(d).reachable == naive_reachable(d), d
+                mask = solver.reach(vec)
+                solved = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+                assert solved == coverage(d).reachable == naive_reachable(d), d
                 checked += 1
         assert checked > 0
 
