@@ -208,8 +208,8 @@ class TestOptimalNumbers:
                     continue
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 mask = solver.reach(vec)
-                solved = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
-                assert solved == coverage(d).reachable == naive_reachable(d), d
+                reached = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+                assert reached == coverage(d).reachable == naive_reachable(d), d
                 checked += 1
         assert checked > 0
 
