@@ -253,6 +253,12 @@ def _row_ones_marginal() -> str:
     return f"marginal={m} exceeds_17_4={m > Fraction(17, 4)}"
 
 
+def _cascade_marginal_k6() -> str:
+    base, unit = constructions.gen_cascade_ones(GridSpec(17, 7), 6)
+    cov_base, cov_plus = reach.coverage(base).cov, reach.coverage(base.combined(unit)).cov
+    return f"cov={cov_base}->{cov_plus} marginal={Fraction(cov_plus - cov_base, unit.size)}"
+
+
 def _pi_opt(n: int) -> int:
     return optimal.optimal_pebbling_number(GridSpec(n, n)).pi_opt
 
@@ -314,6 +320,8 @@ FULL_DESK_CHECKS = (
      lambda: _fractional_optimum(GridSpec(28, 28, TORUS))),
     ("pi-opt-3x3", "optimal pebbling number of the 3x3 grid with bounds", "derived",
      "3x3=4 within_bounds=True", _pi_opt_3x3),
+    ("cascade-ones-marginal-k6", "marginal covering ratio of the cascade unit at k=6 on 17x7",
+     "derived", "cov=35->53 marginal=18", _cascade_marginal_k6),
 )
 
 

@@ -9,6 +9,7 @@ distributions store counts sparsely (vertices with zero pebbles are absent).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -106,17 +107,46 @@ def _axis(n: int, wrap: bool) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _axis_maps(dist) -> tuple[tuple[int, int], ...]:
+    """The maps of one axis that preserve its distance table dist, as
+    (sign, shift) for a -> (sign * a + shift) mod n: each shift that keeps
+    the distances, alone and followed by the reflection.  A cycle (its ends
+    adjacent) keeps them under every shift, a path only under 0; on a side
+    of length 1 the reflection is the identity and is left out."""
+    n = len(dist)
+    shifts = range(n) if n > 2 and dist[0][n - 1] == 1 else range(1)
+    maps = tuple(m for s in shifts for m in ((1, s), (-1, n - 1 - s)))
+    return maps[:1] if n == 1 else maps
+
+
+class Symmetry(NamedTuple):
+    """A grid automorphism: (col, row) goes to (sc * col + c0 mod width,
+    sr * row + r0 mod height), with the two coordinates exchanged after
+    that when swap, where col = (sc, c0) and row = (sr, r0)."""
+
+    col: tuple[int, int]
+    row: tuple[int, int]
+    swap: bool
+
+
 class GridIndex:
-    """Distances and adjacency of one grid, read by every geometry query.
+    """Distances, adjacency and symmetries of one grid, read by every
+    geometry query.
 
     Distance is additive over the axes, d(u, v) = cols[u.col][v.col] +
     rows[u.row][v.row], so two per-axis tables give every distance without
-    a |V| x |V| matrix.  Arguments are not checked: GridSpec's distance,
-    neighbors and ball check theirs and then read these tables."""
+    a |V| x |V| matrix.  Likewise each symmetry is a map of each axis, so
+    none is stored as a map of the vertices.  Arguments are not checked:
+    GridSpec's distance, neighbors and ball check theirs and then read
+    these tables."""
 
     def __init__(self, spec: GridSpec):
         wrap = spec.topology == TORUS
+        self.width, self.height = spec.width, spec.height
         self.cols, self.rows = _axis(spec.width, wrap), _axis(spec.height, wrap)
+        self.col_maps, self.row_maps = _axis_maps(self.cols), _axis_maps(self.rows)
+        # the axis swap, on a square grid with more than one vertex
+        self.swaps = (False, True) if spec.width == spec.height > 1 else (False,)
 
     def distances(self, t, vs) -> dict[Vertex, int]:
         """d(v, t) for each v in vs."""
@@ -139,6 +169,58 @@ class GridIndex:
             for r, dr in enumerate(rt)
             if dc + dr <= radius
         )
+
+    # -- symmetries ------------------------------------------------------
+
+    def symmetries(self) -> Iterator[Symmetry]:
+        """Every automorphism of the grid, each vertex map once, in the order
+        col map, row map, then plain before swapped."""
+        for col in self.col_maps:
+            for row in self.row_maps:
+                for swap in self.swaps:
+                    yield Symmetry(col, row, swap)
+
+    def image(self, g: Symmetry, v) -> Vertex:
+        """g(v), from the coordinates of v."""
+        (sc, c0), (sr, r0) = g.col, g.row
+        c, r = (sc * v[0] + c0) % self.width, (sr * v[1] + r0) % self.height
+        return Vertex(r, c) if g.swap else Vertex(c, r)
+
+    def permutations(self) -> list[tuple[int, ...]]:
+        """The symmetries as permutations p of vertex ids (id = row * width
+        + col, the order of GridSpec.vertices()), p[id(v)] = id(g(v))."""
+        w = self.width
+        verts = [Vertex(c, r) for r in range(self.height) for c in range(w)]
+        return [
+            tuple(r * w + c for c, r in (self.image(g, v) for v in verts))
+            for g in self.symmetries()
+        ]
+
+    def stabiliser(self, counts: Mapping[Vertex, int]) -> list[Symmetry]:
+        """The symmetries g with counts[g(v)] == counts[v] for every v.
+
+        Only the maps that send one anchor pile, of the rarest count, onto
+        a pile of the same count are tried: given the signs of the axis maps
+        and the swap, that pile fixes the shifts.  Each is tested against
+        the piles, stopping at the first mismatch."""
+        tally = Counter(counts.values())
+        ac, ar = anchor = min(counts, key=lambda v: tally[counts[v]])
+        col_maps, row_maps = set(self.col_maps), set(self.row_maps)
+
+        def sending(maps, n, a, b):
+            return [m for m in ((1, (b - a) % n), (-1, (b + a) % n)) if m in maps]
+
+        candidates = (
+            Symmetry(col, row, swap)
+            for (bc, br), c in counts.items()
+            if c == counts[anchor]
+            for swap in self.swaps
+            # g(anchor) is (col map(ac), row map(ar)), exchanged when swap
+            for col in sending(col_maps, self.width, ac, br if swap else bc)
+            for row in sending(row_maps, self.height, ar, bc if swap else br)
+        )
+        piles = counts.items()
+        return [g for g in candidates if all(counts.get(self.image(g, v)) == c for v, c in piles)]
 
 
 def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:

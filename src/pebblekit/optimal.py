@@ -5,7 +5,8 @@ enumerates the pebble distributions of total size s as count vectors
 (c_0, ..., c_{n-1}), c_i the pebbles on vertex id i, in ascending
 lexicographic order.  The symmetry group of the grid (rotations and
 reflections of the rectangle, plus the translations of a torus, each a
-permutation of vertex ids) splits them into orbits, and the first member
+permutation of vertex ids from GridIndex.permutations) splits them into
+orbits, and the first member
 of an orbit met in that order is its lex-least vector: a vector is kept
 iff no symmetry maps it to a smaller one, so each orbit is tested once,
 with no record of the orbits already seen.
@@ -97,34 +98,6 @@ class OptimalResult:
         return sum(row.orbits for row in self.per_size)
 
 
-def _symmetries(spec: GridSpec) -> list[tuple[int, ...]]:
-    """The grid automorphisms used for canonicalization, as permutations of
-    vertex ids (id = row * width + col, the order of spec.vertices()): each
-    axis is reflected and translated by the shifts that keep its distances
-    (every shift on a torus, only the identity on a plane longer than 2),
-    and a square grid also swaps its axes.  Duplicates are dropped."""
-    w, h = spec.width, spec.height
-    perms = {}
-    for fc in _axis_maps(spec.index.cols):
-        for fr in _axis_maps(spec.index.rows):
-            perms[tuple(fr[r] * w + fc[c] for r in range(h) for c in range(w))] = None
-            if w == h:
-                perms[tuple(fc[c] * w + fr[r] for r in range(h) for c in range(w))] = None
-    return list(perms)
-
-
-def _axis_maps(dist) -> list[list[int]]:
-    """The shifts of one axis that preserve its distance table dist, each
-    alone and followed by the reflection."""
-    n = len(dist)
-    maps = []
-    for s in range(n):
-        shift = [(a + s) % n for a in range(n)]
-        if all(dist[shift[a]][shift[b]] == dist[a][b] for a in range(n) for b in range(n)):
-            maps += [shift, [n - 1 - x for x in shift]]
-    return maps
-
-
 def _canonical(vec: tuple, live) -> bool:
     """Whether the complete count vector vec is the lexicographically least
     member of its orbit, given the (permutation, position) pairs still live
@@ -201,7 +174,7 @@ def optimal_pebbling_number(
         # every vertex of a solvable distribution has weight >= 1, so its
         # size is at least the fractional optimum
         raise SearchBudgetExceeded(spec, ceil(fractional_optimum(spec)))
-    perms = _symmetries(spec)
+    perms = spec.index.permutations()
     one, rows = dyadic_rows(spec)
     solver = StateSolver(spec, node_cap)
     per_size = []

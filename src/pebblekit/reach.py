@@ -1,6 +1,6 @@
 """Exact pebbling-move semantics, reachability, and coverage.
 
-Reachability is decided in two layers:
+Reachability is decided in three layers:
 
 * Interaction clustering.  Pebbles from two groups of units can only ever
   combine at a vertex both groups reach on their own, so the distribution
@@ -10,6 +10,13 @@ Reachability is decided in two layers:
   distance d, so its coverage is a ball), then merge clusters whose
   coverages intersect and recompute until stable.  Any target is served by
   at most one cluster.
+
+* Orbits.  A cluster's coverage walks its region nearest first.  A grid
+  symmetry g that maps each pile onto a pile of the same count maps move
+  sequences to move sequences, so t is reachable iff g(t) is: the answer
+  for the first target of an orbit of the cluster's stabiliser
+  (GridIndex.stabiliser) is recorded for the whole orbit, and no orbit
+  mate is queried.  An asymmetric cluster has a stabiliser of one element.
 
 * Per-target stages.  Each (target, k) query is decided on its own, by
   the first of these stages that settles it:
@@ -55,7 +62,14 @@ _RESTRICT_STAGES = (2, 3, 5)
 class BudgetExceeded(RuntimeError):
     """The state-space search for target exceeded its node cap.  stage is
     what the engine was doing: "cluster coverage" (building the reachable
-    set of an interaction cluster) or "query" (a k >= 2 can_move_k)."""
+    set of an interaction cluster) or "query" (a k >= 2 can_move_k).
+
+    A cluster's coverage queries its targets nearest first, and the first
+    target of each orbit of the cluster's stabiliser is the one queried,
+    so the target named is the first in that walk whose search overflows.
+    Reusing an answer for the rest of an orbit can make an overflow
+    disappear (an orbit mate's search might have overflowed where the
+    queried target's did not), never make one appear."""
 
     def __init__(self, target: Vertex, node_cap: int, stage: str | None = None):
         where = f" during {stage}" if stage else ""
@@ -204,11 +218,18 @@ class _Engine:
         region: set[Vertex] = set()
         for v in counts:
             region |= index.ball(v, total.bit_length())
-        reachable = set(counts)
+        # a symmetry that keeps the counts maps move sequences to move
+        # sequences, so one answer decides the target's whole orbit
+        stabiliser = index.stabiliser(counts)
+        reachable, decided = set(counts), set(counts)
         # nearest first: a budget overflow names the nearest target that overflows
         for t in sorted(region, key=lambda t: min(index.distances(t, counts).values())):
-            if t not in counts and self._cluster_can_k(counts, t, 1):
-                reachable.add(t)
+            if t in decided:
+                continue
+            orbit = {index.image(g, t) for g in stabiliser}
+            decided |= orbit
+            if self._cluster_can_k(counts, t, 1):
+                reachable |= orbit
         return frozenset(reachable)
 
     # -- per-cluster search ---------------------------------------------

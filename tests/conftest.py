@@ -1,6 +1,7 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
-written out for it, a reference simplex over Fraction used to
+written out for it, a cluster's coverage decided one region vertex at a
+time with no symmetry used, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set and Burnside's orbit count, both used to cross-check the
 lex-least enumeration, and the fractional
@@ -62,6 +63,16 @@ def _naive_states(d: Distribution):
 def naive_reachable(d: Distribution) -> frozenset[Vertex]:
     """A vertex is reachable iff it holds a pebble in some reachable state."""
     return frozenset().union(*_naive_states(d))
+
+
+def per_target_coverage(engine, counts: dict) -> frozenset[Vertex]:
+    """The coverage of one cluster of a reach._Engine, with every vertex of
+    its region queried on its own by _cluster_can_k(counts, t, 1): the
+    walk of _Engine._cluster_coverage without the orbits of its stabiliser."""
+    index = engine.grid.index
+    total = sum(counts.values())
+    region = frozenset().union(*(index.ball(v, total.bit_length()) for v in counts))
+    return frozenset(t for t in region if t in counts or engine._cluster_can_k(counts, t, 1))
 
 
 def naive_max_at(d: Distribution, t: Vertex) -> int:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,6 @@ from pebblekit.optimal import (
     SizeRow,
     _distributions_of_size,
     _out_of_reach,
-    _symmetries,
     composition_upper_bound,
     optimal_pebbling_number,
     optimal_ratio_series,
@@ -125,7 +125,7 @@ class TestOptimalNumbers:
         (maps coincide on a side of length 1 or 2)."""
         spec = GridSpec(width, height, topology)
         verts = list(spec.vertices())
-        perms = _symmetries(spec)
+        perms = spec.index.permutations()
         assert len(set(perms)) == len(perms) == order
         for p in perms:
             assert sorted(p) == list(range(spec.size))
@@ -138,7 +138,7 @@ class TestOptimalNumbers:
         """The lex-least test keeps the same orbit representatives, in the same
         order, as the first-met enumeration with a global seen set."""
         for spec in grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]:
-            perms = _symmetries(spec)
+            perms = spec.index.permutations()
             for s in range(1, 6):
                 got = list(_distributions_of_size(spec, s, perms))
                 assert got == list(reference_orbits(spec, s, perms)), (spec, s)
@@ -148,7 +148,7 @@ class TestOptimalNumbers:
         """The enumeration yields exactly as many vectors as Burnside's lemma
         counts orbits, at sizes beyond the seen-set reference."""
         for spec in WIDE_ORBIT_GRIDS[topology]:
-            perms = _symmetries(spec)
+            perms = spec.index.permutations()
             for s in range(1, 8):
                 got = sum(1 for _ in _distributions_of_size(spec, s, perms))
                 assert got == burnside_orbit_count(perms, s), (spec, s)
@@ -167,7 +167,7 @@ class TestOptimalNumbers:
 
         monkeypatch.setattr(optimal, "_canonical", counted)
         spec = GridSpec(6, 2, TORUS)
-        perms = _symmetries(spec)
+        perms = spec.index.permutations()
         orbits = sum(len(list(_distributions_of_size(spec, s, perms))) for s in range(1, 7))
         assert orbits == 899
         assert calls == 2197 < 18563
@@ -180,7 +180,7 @@ class TestOptimalNumbers:
         for spec in grids_up_to(9, topology):
             verts = list(spec.vertices())
             one, rows = dyadic_rows(spec)
-            perms = _symmetries(spec)
+            perms = spec.index.permutations()
             for s in range(1, 7):
                 for vec in _distributions_of_size(spec, s, perms):
                     d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
@@ -199,7 +199,7 @@ class TestOptimalNumbers:
         solver.  One solver serves them all, as in the search."""
         verts = list(spec.vertices())
         one, rows = dyadic_rows(spec)
-        perms = _symmetries(spec)
+        perms = spec.index.permutations()
         solver = StateSolver(spec)
         checked = 0
         for s in range(1, pi_opt + 1):
@@ -212,6 +212,29 @@ class TestOptimalNumbers:
                 assert reached == coverage(d).reachable == naive_reachable(d), d
                 checked += 1
         assert checked > 0
+
+    def test_engine_matches_oracle_on_5x4_sample(self):
+        """The same differential check on a fixed sample past the search's
+        vertex cap: the first 150 weight-passing orbits of sizes 7 and 8 on
+        the 5x4 plane (pi_opt 8), with one solver built directly."""
+        spec = GridSpec(5, 4)
+        assert spec.size > MAX_SEARCH_VERTICES
+        verts = list(spec.vertices())
+        one, rows = dyadic_rows(spec)
+        perms = spec.index.permutations()
+        solver = StateSolver(spec)
+        solved = 0
+        for s in (7, 8):
+            orbits = _distributions_of_size(spec, s, perms)
+            sample = list(islice((v for v in orbits if not _out_of_reach(v, rows, one)), 150))
+            assert len(sample) == 150
+            for vec in sample:
+                d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
+                mask = solver.reach(vec)
+                reached = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+                assert reached == coverage(d).reachable == naive_reachable(d), d
+                solved += mask == solver.full
+        assert solved > 0
 
     def test_scale_guard(self):
         with pytest.raises(SearchBudgetExceeded, match="known bounds: 6 <= pi_opt$") as e:

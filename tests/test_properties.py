@@ -193,6 +193,66 @@ class TestEngineProperties:
         assert coverage(bigger).reachable >= coverage(d).reachable
 
 
+# grids of at most 4x4 or 5x3, both topologies
+SYMMETRY_GRIDS = [
+    GridSpec(w, h, topology)
+    for topology in (PLANE, TORUS)
+    for w in range(1, 6)
+    for h in range(1, 6)
+    if w * h <= 16
+]
+
+
+def transported(g, d: Distribution) -> Distribution:
+    """g·d: the pebbles of d moved by the grid symmetry g."""
+    return Distribution(d.grid, {d.grid.index.image(g, v): c for v, c in d.items()})
+
+
+def symmetry_order(g, spec: GridSpec) -> int:
+    """The least k >= 1 with g^k the identity."""
+    verts = list(spec.vertices())
+    k, images = 1, [spec.index.image(g, v) for v in verts]
+    while images != verts:
+        k, images = k + 1, [spec.index.image(g, v) for v in images]
+    return k
+
+
+@st.composite
+def symmetric_distributions(draw, max_pebbles=6):
+    """(g, d): a grid symmetry g other than the identity, of order at most
+    max_pebbles, and a distribution d with g·d = d, the sum of g^i·d0 over
+    the g-orbit of a small random d0, of size at most max_pebbles."""
+    spec = draw(st.sampled_from([s for s in SYMMETRY_GRIDS if s.size > 1]))
+    syms = [g for g in spec.index.symmetries() if 1 < symmetry_order(g, spec) <= max_pebbles]
+    g = draw(st.sampled_from(syms))
+    verts = list(spec.vertices())
+    counts: dict = {}
+    for _ in range(draw(st.integers(1, max_pebbles // symmetry_order(g, spec)))):
+        v = draw(st.sampled_from(verts))
+        counts[v] = counts.get(v, 0) + 1
+    d0 = Distribution(spec, counts)
+    total, d = d0, transported(g, d0)
+    while d != d0:
+        total, d = total.combined(d), transported(g, d)
+    return g, total
+
+
+class TestSymmetricInputs:
+    @given(symmetric_distributions(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_engine_matches_naive_on_symmetric_input(self, gd, data):
+        """On a distribution that a symmetry g keeps, the orbit walk of the
+        cluster coverage still gives the oracle's reachable set, and moving
+        the distribution by any symmetry h moves its reachable set."""
+        g, d = gd
+        reachable = coverage(d).reachable
+        assert reachable == naive_reachable(d)
+        h = data.draw(st.sampled_from(list(d.grid.index.symmetries())))
+        image = d.grid.index.image
+        assert coverage(transported(h, d)).reachable == {image(h, v) for v in reachable}
+        assert {image(g, v) for v in reachable} == reachable
+
+
 class TestSerializationProperties:
     @given(distributions(max_side=5, max_pebbles=8))
     @settings(max_examples=80, deadline=None)

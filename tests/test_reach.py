@@ -3,9 +3,19 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, TORUS, Vertex
+from pebblekit import constructions
+from pebblekit.grid import (
+    TORUS,
+    ContinuousDistribution,
+    Distribution,
+    GridError,
+    GridSpec,
+    Symmetry,
+    Vertex,
+)
 from pebblekit.reach import (
     BudgetExceeded,
+    _Engine,
     apply_move,
     boundary_vertices,
     can_move_k,
@@ -17,7 +27,14 @@ from pebblekit.reach import (
     marginal_covering_ratio,
 )
 
-from conftest import naive_max_at, naive_reachable
+from conftest import naive_max_at, naive_reachable, per_target_coverage
+
+IDENTITY = Symmetry((1, 0), (1, 0), False)
+
+
+def cascade5(plus: bool) -> Distribution:
+    d, u = constructions.gen_cascade_ones(GridSpec(15, 7), 5)
+    return d.combined(u) if plus else d
 
 
 class TestApplyMove:
@@ -180,3 +197,51 @@ class TestQueries:
         assert Vertex(1, 1) in rep.reachable
         for counts in ({(0, 0): 3}, {(2, 0): 3}):
             assert Vertex(1, 1) not in coverage(Distribution(spec, counts)).reachable
+
+
+class TestClusterOrbits:
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            # the row reflection only: the piles sit on the middle row, off centre
+            (cascade5(False), {IDENTITY, Symmetry((1, 0), (-1, 6), False)}),
+            (cascade5(True), {IDENTITY, Symmetry((1, 0), (-1, 6), False)}),
+            # the test_budget_exceeded instance: the axis swap only
+            (
+                Distribution(GridSpec(4, 4), {(0, 0): 3, (0, 2): 3, (2, 0): 3}),
+                {IDENTITY, Symmetry((1, 0), (1, 0), True)},
+            ),
+            (Distribution(GridSpec(5, 4), {(0, 0): 3, (1, 0): 1, (3, 2): 2}), {IDENTITY}),
+        ],
+        ids=["cascade5-base", "cascade5-plus", "budget-instance", "asymmetric"],
+    )
+    def test_stabiliser(self, d, expected):
+        got = d.grid.index.stabiliser(d.counts)
+        assert len(got) == len(expected) and set(got) == expected
+
+    def test_stabiliser_matches_brute_force(self):
+        """diag7 on the 14x14 torus: the stabiliser has as many elements as
+        there are permutations from the grid's symmetries that keep its count
+        vector, and each of them keeps every pile's count."""
+        d = constructions.gen_diag7(GridSpec(14, 14, TORUS))
+        index = d.grid.index
+        vec = [d.get(v) for v in d.grid.vertices()]
+        fixed = [p for p in index.permutations() if all(vec[j] == c for j, c in zip(p, vec))]
+        got = index.stabiliser(d.counts)
+        assert len(got) == len(set(got)) == len(fixed) == 28
+        for g in got:
+            assert all(d.get(index.image(g, v)) == c for v, c in d.items())
+
+    @pytest.mark.parametrize(
+        "d",
+        [cascade5(False), cascade5(True), constructions.gen_diag7(GridSpec(14, 14, TORUS))],
+        ids=["cascade5-base", "cascade5-plus", "diag7-14-torus"],
+    )
+    def test_cluster_coverage_matches_per_target_walk(self, d):
+        """Each cluster's coverage, decided once per orbit of its stabiliser,
+        equals its region vertices accepted one by one."""
+        engine = _Engine(d)
+        clusters = engine.clusters()
+        assert any(len(counts) > 1 for counts, _ in clusters)
+        for counts, cov in clusters:
+            assert cov == per_target_coverage(engine, counts), counts
