@@ -208,6 +208,7 @@ class GridIndex:
         col_maps, row_maps = set(self.col_maps), set(self.row_maps)
 
         def sending(maps, n, a, b):
+            # the maps of an axis that send a to b: each sign fixes the shift
             return [m for m in ((1, (b - a) % n), (-1, (b + a) % n)) if m in maps]
 
         candidates = (

@@ -6,10 +6,10 @@ enumerates the pebble distributions of total size s as count vectors
 lexicographic order.  The symmetry group of the grid (rotations and
 reflections of the rectangle, plus the translations of a torus, each a
 permutation of vertex ids from GridIndex.permutations) splits them into
-orbits, and the first member
-of an orbit met in that order is its lex-least vector: a vector is kept
-iff no symmetry maps it to a smaller one, so each orbit is tested once,
-with no record of the orbits already seen.
+orbits, and the first member of an orbit met in that order is its
+lex-least vector: a vector is kept iff no symmetry maps it to a smaller
+one, so each orbit is tested once, with no record of the orbits already
+seen.
 
 The test is made on prefixes, as in canonical augmentation: the vector
 is built one vertex at a time, and each symmetry p is compared with it
