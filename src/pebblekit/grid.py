@@ -154,10 +154,27 @@ class GridIndex:
         return {v: ct[v[0]] + rt[v[1]] for v in vs}
 
     @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices by id, row-major (id = row * width + col): the order
+        of GridSpec.vertices()."""
+        return tuple(Vertex(c, r) for r in range(self.height) for c in range(self.width))
+
+    @cached_property
+    def ids(self) -> dict[Vertex, int]:
+        """Each vertex's id: the inverse of vertices."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def neighbors(self) -> dict[Vertex, tuple[Vertex, ...]]:
         """Each vertex's neighbours in sorted order: the rest of its radius-1 ball."""
-        verts = (Vertex(c, r) for r in range(len(self.rows)) for c in range(len(self.cols)))
-        return {v: tuple(sorted(self.ball(v, 1) - {v})) for v in verts}
+        return {v: tuple(sorted(self.ball(v, 1) - {v})) for v in self.vertices}
+
+    @cached_property
+    def neighbor_ids(self) -> tuple[tuple[int, ...], ...]:
+        """neighbors over ids: neighbor_ids[i] holds the ids of the
+        neighbours of vertex i, in the order of neighbors."""
+        ids, neighbors = self.ids, self.neighbors
+        return tuple(tuple(ids[u] for u in neighbors[v]) for v in self.vertices)
 
     def ball(self, center, radius: int) -> frozenset[Vertex]:
         """The vertices at distance <= radius from center."""
@@ -187,14 +204,9 @@ class GridIndex:
         return Vertex(r, c) if g.swap else Vertex(c, r)
 
     def permutations(self) -> list[tuple[int, ...]]:
-        """The symmetries as permutations p of vertex ids (id = row * width
-        + col, the order of GridSpec.vertices()), p[id(v)] = id(g(v))."""
-        w = self.width
-        verts = [Vertex(c, r) for r in range(self.height) for c in range(w)]
-        return [
-            tuple(r * w + c for c, r in (self.image(g, v) for v in verts))
-            for g in self.symmetries()
-        ]
+        """The symmetries as permutations p of vertex ids, p[id(v)] = id(g(v))."""
+        ids = self.ids
+        return [tuple(ids[self.image(g, v)] for v in self.vertices) for g in self.symmetries()]
 
     def stabiliser(self, counts: Mapping[Vertex, int]) -> list[Symmetry]:
         """The symmetries g with counts[g(v)] == counts[v] for every v.

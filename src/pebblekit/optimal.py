@@ -194,7 +194,7 @@ def optimal_pebbling_number(
                 lower = max(ceil(fractional_optimum(spec)), s)
                 raise SearchBudgetExceeded(spec, lower, s, len(solver.memo)) from None
             if solved:
-                verts = list(spec.vertices())
+                verts = spec.index.vertices
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 per_size.append(SizeRow(s, orbits, light, orbits - light - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))

@@ -35,7 +35,16 @@ Reachability is decided in three layers:
   moves toward the target preserve it, so states whose weight drops
   below k are pruned without losing exactness.  The weight is kept as an
   integer numerator over 2^D, D the largest distance to the target, so a
-  move updates it with two shifts.
+  move updates it with two table reads.
+
+  Region lemma: a pile set of T pebbles never puts a pebble on a vertex
+  at distance r > T.bit_length() - 1 from every pile.  A move never raises
+  the weight sum(c * 2^-d) at any vertex, a vertex holding a pebble has
+  weight at least 1, and at such a vertex the weight is at most T * 2^-r
+  < 1.  So the search numbers only the target and the vertices within
+  T.bit_length() - 1 of a pile, and holds a state as a packed count vector
+  over those ids: a bytearray, or an array("I") once T reaches 256.  Its
+  transposition table keys are the vectors as bytes.
 
 The engine above serves coverage, can_move_k and large distributions,
 whose state space is far beyond a whole-state search.  StateSolver is the
@@ -46,6 +55,7 @@ not targets, and one memo of their reach sets serves every query.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,6 +63,10 @@ from itertools import combinations
 from .grid import Distribution, GridError, GridSpec, Vertex
 from .weights import dyadic_weight
 
+# Each DFS node adds at most one transposition-table entry.  On a region
+# of n vertices an entry takes about n + 75 bytes (4n + 75 for an
+# array("I") state): 190-199 bytes measured at n = 119 on cascade_ones k=7
+# on 19x7, so a search that fills the default cap holds ~2 GB there.
 DEFAULT_NODE_CAP = 10**7
 
 # Radii of the restricted DFS stages (stage 4 in the module docstring).
@@ -101,7 +115,14 @@ def apply_move(d: Distribution, frm, to) -> Distribution:
 
 
 class _Search:
-    """DFS over distribution states for one (target, k) query."""
+    """DFS over distribution states for one (target, k) query.
+
+    run(counts) numbers the region of the module docstring's lemma in
+    sorted (col, row) order and packs the state over those ids; failed
+    holds the refuted states as bytes.  Moves are tried toward the target
+    first, then from larger piles, then by (from, to) id, so ties break as
+    on the vertices themselves and the node counts are those of a search
+    over {vertex: count} states."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -109,48 +130,57 @@ class _Search:
         self.k = k
         self.node_cap = node_cap
         self.nodes = 0
-        self.dist = grid.index.distances(t, grid.vertices())
-        self.top = max(self.dist.values())
-        self.failed: set[frozenset] = set()
+        self.failed: set[bytes] = set()
 
     def run(self, counts: dict) -> bool:
-        w = dyadic_weight((c, self.dist[v]) for v, c in counts.items())
-        return w >= self.k and self._dfs(dict(counts), int(w * (1 << self.top)))
+        index = self.grid.index
+        total = sum(counts.values())
+        region = sorted({self.t}.union(*(index.ball(v, total.bit_length() - 1) for v in counts)))
+        ids = {v: i for i, v in enumerate(region)}
+        dist = list(index.distances(self.t, region).values())
+        top = max(dist)
+        # a pebble on id i adds gain[i] to the target weight, kept times 2^top
+        self.gain = gain = [1 << (top - d) for d in dist]
+        self.need = self.k << top
+        # steps[i]: (away from the target, j, gain[j]) for each neighbour j of i in the region
+        self.steps = [
+            tuple((dist[ids[u]] >= d, ids[u], gain[ids[u]]) for u in index.neighbors[v] if u in ids)
+            for v, d in zip(region, dist)
+        ]
+        self.tid = ids[self.t]
+        state = array("I", [0]) * len(region) if total >= 256 else bytearray(len(region))
+        for v, c in counts.items():
+            state[ids[v]] = c
+        w = sum(c * gain[ids[v]] for v, c in counts.items())
+        return w >= self.need and self._dfs(state, w)
 
-    def _dfs(self, state: dict, w: int) -> bool:
+    def _dfs(self, state, w: int) -> bool:
         """w is the target weight of state times 2^top."""
-        if state.get(self.t, 0) >= self.k:
+        if state[self.tid] >= self.k:
             return True
-        key = frozenset(state.items())
+        key = bytes(state)
         if key in self.failed:
             return False
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise BudgetExceeded(self.t, self.node_cap)
-        dist, top, neighbors = self.dist, self.top, self.grid.index.neighbors
-        need = self.k << top
+        gain, steps, need = self.gain, self.steps, self.need
         moves = []
-        for v, c in state.items():
+        for v, c in enumerate(state):
             if c < 2:
                 continue
-            dv = dist[v]
-            rest = w - (2 << (top - dv))
-            for u in neighbors[v]:
-                nw = rest + (1 << (top - dist[u]))
-                if nw >= need:
-                    moves.append((dist[u] >= dv, -c, v, u, nw))
+            rest = w - 2 * gain[v]
+            for away, u, g in steps[v]:
+                if rest + g >= need:
+                    moves.append((away, -c, v, u, rest + g))
         moves.sort()
         for _, _, v, u, nw in moves:
             state[v] -= 2
-            if state[v] == 0:
-                del state[v]
-            state[u] = state.get(u, 0) + 1
+            state[u] += 1
             if self._dfs(state, nw):
                 return True
             state[u] -= 1
-            if state[u] == 0:
-                del state[u]
-            state[v] = state.get(v, 0) + 2
+            state[v] += 2
         self.failed.add(key)
         return False
 
@@ -253,11 +283,15 @@ class _Engine:
             if dyadic_weight((c, dist[v]) for v, c in sub.items()) < k:
                 continue
             try:
-                if _Search(grid, t, k, max(self.node_cap // 20, 1000)).run(sub):
+                if self._search(sub, t, k, max(self.node_cap // 20, 1000)):
                     return True
             except BudgetExceeded:
                 pass
-        return _Search(grid, t, k, self.node_cap).run(counts)
+        return self._search(counts, t, k, self.node_cap)
+
+    def _search(self, counts: dict, t: Vertex, k: int, node_cap: int) -> bool:
+        """The DFS stages: whether counts put k pebbles on t, by one _Search."""
+        return _Search(self.grid, t, k, node_cap).run(counts)
 
     # -- queries ---------------------------------------------------------
 
@@ -286,7 +320,7 @@ class StateSolver:
     for the many tiny distributions of an exhaustive search.
 
     A state is a tuple of pebble counts indexed by vertex id (the order of
-    grid.vertices()), and a reach set is an int bitmask over the same ids.
+    GridIndex.vertices), and a reach set is an int bitmask over the same ids.
     The reach set of a state is its support, the ball covered by each
     single pile, and the reach set of each one-move successor; the walk
     stops as soon as the mask is full.  Every state the piles alone do not
@@ -298,19 +332,18 @@ class StateSolver:
 
     def __init__(self, grid: GridSpec, budget: int = DEFAULT_NODE_CAP):
         index = grid.index
-        verts = list(grid.vertices())
-        ids = {v: i for i, v in enumerate(verts)}
+        verts = index.vertices
         self.full = (1 << len(verts)) - 1
         self.budget = budget
         self.memo: dict[bytes, int] = {}
-        self._neighbors = [tuple(ids[u] for u in index.neighbors[v]) for v in verts]
+        self._neighbors = index.neighbor_ids
         self._top = max(map(max, index.cols)) + max(map(max, index.rows))
         # _balls[i][r]: the vertices within distance r of vertex i
         self._balls = []
         for v in verts:
             balls = [0] * (self._top + 1)
-            for u, d in index.distances(v, verts).items():
-                balls[d] |= 1 << ids[u]
+            for i, d in enumerate(index.distances(v, verts).values()):
+                balls[d] |= 1 << i
             for r in range(1, len(balls)):
                 balls[r] |= balls[r - 1]
             self._balls.append(balls)

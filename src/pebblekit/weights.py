@@ -73,9 +73,9 @@ def dyadic_weight(terms) -> Fraction:
 def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
     """The grid's weights as integers over one denominator 2^D, D its
     largest distance: (2^D, rows) with rows[t][i] = 2^(D - d(t, i)) over
-    vertex ids (the order of spec.vertices()), so the weight at vertex id t
-    under the count vector c is sum_i c[i] * rows[t][i] / 2^D."""
-    verts = list(spec.vertices())
+    vertex ids (GridIndex.vertices), so the weight at vertex id t under the
+    count vector c is sum_i c[i] * rows[t][i] / 2^D."""
+    verts = spec.index.vertices
     dists = [list(spec.index.distances(t, verts).values()) for t in verts]
     top = max(map(max, dists))
     return 1 << top, [tuple(1 << (top - d) for d in row) for row in dists]

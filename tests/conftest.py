@@ -1,7 +1,8 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
 written out for it, a cluster's coverage decided one region vertex at a
-time with no symmetry used, a reference simplex over Fraction used to
+time with no symmetry used, the engine's depth-first search over
+{vertex: count} states used to cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set and Burnside's orbit count, both used to cross-check the
 lex-least enumeration, and the fractional
@@ -73,6 +74,52 @@ def per_target_coverage(engine, counts: dict) -> frozenset[Vertex]:
     total = sum(counts.values())
     region = frozenset().union(*(index.ball(v, total.bit_length()) for v in counts))
     return frozenset(t for t in region if t in counts or engine._cluster_can_k(counts, t, 1))
+
+
+class ReferenceSearch:
+    """The depth-first search of reach._Search on {vertex: count} dicts,
+    with Fraction weights, the four-offset neighbour rule and a
+    transposition table of frozenset(state.items()) keys: the same moves in
+    the same order, so the same answer, node count and table size."""
+
+    def __init__(self, grid: GridSpec, t: Vertex, k: int):
+        self.grid, self.t, self.k = grid, t, k
+        self.dist = {v: oracle_distance(grid, t, v) for v in grid.vertices()}
+        self.nodes = 0
+        self.failed: set[frozenset] = set()
+
+    def run(self, counts: dict) -> bool:
+        w = sum(Fraction(c, 2 ** self.dist[v]) for v, c in counts.items())
+        return w >= self.k and self._dfs(dict(counts), w)
+
+    def _dfs(self, state: dict, w: Fraction) -> bool:
+        if state.get(self.t, 0) >= self.k:
+            return True
+        key = frozenset(state.items())
+        if key in self.failed:
+            return False
+        self.nodes += 1
+        dist = self.dist
+        moves = []
+        for v, c in state.items():
+            if c < 2:
+                continue
+            for u in oracle_neighbors(self.grid, v):
+                nw = w - Fraction(2, 2 ** dist[v]) + Fraction(1, 2 ** dist[u])
+                if nw >= self.k:
+                    # toward the target first, then larger piles, then (from, to)
+                    moves.append((dist[u] >= dist[v], -c, v, u, nw))
+        moves.sort()
+        for _, _, v, u, nw in moves:
+            nxt = dict(state)
+            nxt[v] -= 2
+            if nxt[v] == 0:
+                del nxt[v]
+            nxt[u] = nxt.get(u, 0) + 1
+            if self._dfs(nxt, nw):
+                return True
+        self.failed.add(key)
+        return False
 
 
 def naive_max_at(d: Distribution, t: Vertex) -> int:

@@ -85,6 +85,16 @@ class TestGridSpec:
         for v in spec.vertices():
             assert spec.neighbors(v) == tuple(sorted(oracle_neighbors(spec, v)))
 
+    @pytest.mark.parametrize("width, height, topology", SMALL_GRIDS)
+    def test_vertex_ids_row_major(self, width, height, topology):
+        spec = GridSpec(width, height, topology)
+        index = spec.index
+        assert index.vertices == tuple(spec.vertices())
+        for v in spec.vertices():
+            i = index.ids[v]
+            assert i == v.row * width + v.col and index.vertices[i] == v
+            assert tuple(index.vertices[j] for j in index.neighbor_ids[i]) == spec.neighbors(v)
+
     def test_neighbors_plane_corner(self):
         spec = GridSpec(3, 3)
         assert set(spec.neighbors((0, 0))) == {Vertex(1, 0), Vertex(0, 1)}

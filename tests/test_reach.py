@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -16,6 +17,7 @@ from pebblekit.grid import (
 from pebblekit.reach import (
     BudgetExceeded,
     _Engine,
+    _Search,
     apply_move,
     boundary_vertices,
     can_move_k,
@@ -27,7 +29,7 @@ from pebblekit.reach import (
     marginal_covering_ratio,
 )
 
-from conftest import naive_max_at, naive_reachable, per_target_coverage
+from conftest import ReferenceSearch, naive_max_at, naive_reachable, per_target_coverage
 
 IDENTITY = Symmetry((1, 0), (1, 0), False)
 
@@ -245,3 +247,105 @@ class TestClusterOrbits:
         assert any(len(counts) > 1 for counts, _ in clusters)
         for counts, cov in clusters:
             assert cov == per_target_coverage(engine, counts), counts
+
+
+class _CheckedEngine(_Engine):
+    """An engine whose every DFS runs a packed _Search next to a
+    ReferenceSearch, asserts that both give the same answer, node count and
+    table size, and records (nodes, table size)."""
+
+    def __init__(self, d: Distribution):
+        super().__init__(d)
+        self.runs: list[tuple[int, int]] = []
+
+    def _search(self, counts, t, k, node_cap):
+        search, ref = _Search(self.grid, t, k, node_cap), ReferenceSearch(self.grid, t, k)
+        found = search.run(counts)
+        assert found == ref.run(counts), (counts, tuple(t), k)
+        assert (search.nodes, len(search.failed)) == (ref.nodes, len(ref.failed))
+        self.runs.append((search.nodes, len(search.failed)))
+        return found
+
+
+def picture(rows: list[str]) -> frozenset[Vertex]:
+    """The vertices marked # in rows, row 0 first."""
+    return frozenset(Vertex(c, r) for r, line in enumerate(rows) for c, ch in enumerate(line) if ch == "#")
+
+
+class TestPackedSearch:
+    @pytest.mark.parametrize(
+        "plus, nodes, peak, reachable",
+        [
+            (
+                False,
+                6214,
+                2130,
+                [
+                    "...............",
+                    "...............",
+                    "..#########....",
+                    ".###########...",
+                    "..#########....",
+                    "...............",
+                    "...............",
+                ],
+            ),
+            (
+                True,
+                4986,
+                3626,
+                [
+                    "...............",
+                    "..#.#.#.#.#....",
+                    ".###########...",
+                    "#############..",
+                    ".###########...",
+                    "..#.#.#.#.#....",
+                    "...............",
+                ],
+            ),
+        ],
+        ids=["cascade5-base", "cascade5-plus"],
+    )
+    def test_cascade5_matches_reference(self, plus, nodes, peak, reachable):
+        """Every DFS of the coverage of cascade_ones k=5 on 15x7 agrees with
+        the dict search; the totals are those of the frozenset-keyed search
+        that the packed one replaced."""
+        engine = _CheckedEngine(cascade5(plus))
+        assert engine.reachable_set() == picture(reachable)
+        assert sum(n for n, _ in engine.runs) == nodes
+        assert max(p for _, p in engine.runs) == peak
+
+    def test_wide_counts_refuted(self):
+        """257 pebbles beside t and 1 on its other side, k = 129: the weight
+        at t is exactly 129, so only moves onto t keep it, and each leaves
+        the pile beside t odd; its last pebble never moves, so at most 128
+        reach t.  One pile exceeds 255, so the state is an array("I")."""
+        spec = GridSpec(3, 1)
+        d = Distribution(spec, {(0, 0): 257, (2, 0): 1})
+        t = Vertex(1, 0)
+        assert naive_max_at(d, t) == 128
+        engine = _CheckedEngine(d)
+        assert engine.can_move_k(t, 128)  # the single pile: 257 >> 1
+        assert engine.runs == []
+        assert not engine.can_move_k(t, 129)
+        assert engine.runs == [(129, 129)]  # greedy gives 128, so the DFS decides
+        search = _Search(spec, t, 129, 10**6)
+        assert not search.run(d.counts)
+        assert {len(key) for key in search.failed} == {3 * array("I").itemsize}
+
+    def test_wide_counts_reached(self):
+        """Two pebbles reach the far corner t of a 2x2 grid from the piles
+        2, 1 and 2 on its other corners: (1,0)->(1,1), (0,0)->(0,1), then
+        (0,1)->(1,1).  Greedy sends (0,0)'s pebble to (1,0) and delivers 1.
+        With 256 more pebbles idle on t, only the DFS finds k = 258."""
+        spec = GridSpec(2, 2)
+        counts = {(0, 0): 2, (0, 1): 1, (1, 0): 2}
+        t = Vertex(1, 1)
+        assert naive_max_at(Distribution(spec, counts), t) == 2
+        d = Distribution(spec, {**counts, t: 256})
+        engine = _CheckedEngine(d)
+        assert engine.can_move_k(t, 258)
+        assert len(engine.runs) == 1
+        assert not engine.can_move_k(t, 259)  # the weight at t is 258
+        assert len(engine.runs) == 1
