@@ -494,9 +494,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        GridError, lp.LpError, OSError, reach.BudgetExceeded, optimal.SearchBudgetExceeded
-    ) as e:
+    except (GridError, lp.LpError, OSError, reach.BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -40,33 +40,24 @@ from typing import NamedTuple
 
 from .grid import Distribution, GridError, GridSpec
 from .lp import fractional_optimum
-from .reach import DEFAULT_NODE_CAP, StateBudgetExceeded, StateSolver
+from .reach import DEFAULT_NODE_CAP, BudgetExceeded, StateSolver
 from .weights import dyadic_rows
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """The exhaustive search would exceed the supported scale (size is
-    None), or at size its solver's memo went over the node cap with entries
-    entries; lower is the bound on pi_opt known when it stopped."""
-
-    def __init__(
-        self, spec: GridSpec, lower: int, size: int | None = None, entries: int | None = None
-    ):
-        grid = f"{spec.width}x{spec.height} {spec.topology}"
-        if size is None:
-            head = f"optimal search not supported on {grid}"
-        else:
-            head = (
-                f"optimal search on {grid} stopped at size {size}: "
-                f"the solver memo reached the node cap of {entries} entries"
-            )
-        super().__init__(f"{head}; known bounds: {lower} <= pi_opt")
-        self.lower = lower
-        self.size = size
-        self.entries = entries
+def _stopped(spec: GridSpec, node_cap: int, lower: int, size: int | None = None):
+    """The BudgetExceeded that stops the search at size, or before it starts
+    (size None); lower is the bound on pi_opt known then."""
+    grid = f"{spec.width}x{spec.height} {spec.topology}"
+    if size is None:
+        head = f"optimal search not supported on {grid}"
+    else:
+        memo = f"the solver memo reached the node cap of {node_cap} entries"
+        head = f"optimal search on {grid} stopped at size {size}: {memo}"
+    message = f"{head}; known bounds: {lower} <= pi_opt"
+    return BudgetExceeded(message, node_cap, stage="optimal search", size=size, lower=lower)
 
 
 class SizeRow(NamedTuple):
@@ -168,12 +159,12 @@ def optimal_pebbling_number(
     spec: GridSpec, node_cap: int = DEFAULT_NODE_CAP
 ) -> OptimalResult:
     """Exact optimal pebbling number of the grid, by exhaustion.  node_cap
-    bounds the entries of the solver's memo; going over it raises
-    SearchBudgetExceeded."""
+    bounds the entries of the solver's memo; going over it, or a grid past
+    MAX_SEARCH_VERTICES, raises reach.BudgetExceeded."""
     if spec.size > MAX_SEARCH_VERTICES:
         # every vertex of a solvable distribution has weight >= 1, so its
         # size is at least the fractional optimum
-        raise SearchBudgetExceeded(spec, ceil(fractional_optimum(spec)))
+        raise _stopped(spec, node_cap, ceil(fractional_optimum(spec)))
     perms = spec.index.permutations()
     one, rows = dyadic_rows(spec)
     solver = StateSolver(spec, node_cap)
@@ -189,10 +180,10 @@ def optimal_pebbling_number(
                 continue
             try:
                 solved = solver.reach(vec) == solver.full
-            except StateBudgetExceeded:
+            except BudgetExceeded:
                 # every smaller size was exhausted, so pi_opt >= s
                 lower = max(ceil(fractional_optimum(spec)), s)
-                raise SearchBudgetExceeded(spec, lower, s, len(solver.memo)) from None
+                raise _stopped(spec, node_cap, lower, s) from None
             if solved:
                 verts = spec.index.vertices
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})

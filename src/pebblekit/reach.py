@@ -74,9 +74,16 @@ _RESTRICT_STAGES = (2, 3, 5)
 
 
 class BudgetExceeded(RuntimeError):
-    """The state-space search for target exceeded its node cap.  stage is
-    what the engine was doing: "cluster coverage" (building the reachable
-    set of an interaction cluster) or "query" (a k >= 2 can_move_k).
+    """A search ran out of its budget, node_cap.  stage names the search
+    and the fields it sets:
+
+    * "cluster coverage" (an interaction cluster's reachable set) and
+      "query" (a k >= 2 can_move_k) set target: its DFS went over node_cap
+      nodes, or over Python's recursion limit, one frame a move.
+    * "optimal search" (optimal.optimal_pebbling_number) sets lower, the
+      known bound on pi_opt, and size: at size the StateSolver memo reached
+      node_cap entries (a StateSolver raises with neither set), or size is
+      None and the grid is past optimal.MAX_SEARCH_VERTICES.
 
     A cluster's coverage queries its targets nearest first, and the first
     target of each orbit of the cluster's stabiliser is the one queried,
@@ -85,14 +92,13 @@ class BudgetExceeded(RuntimeError):
     disappear (an orbit mate's search might have overflowed where the
     queried target's did not), never make one appear."""
 
-    def __init__(self, target: Vertex, node_cap: int, stage: str | None = None):
-        where = f" during {stage}" if stage else ""
-        super().__init__(
-            f"search budget of {node_cap} states exceeded for target {tuple(target)}{where}"
-        )
-        self.target = target
+    def __init__(self, message: str, node_cap: int, target=None, stage=None, size=None, lower=None):
+        super().__init__(message)
         self.node_cap = node_cap
+        self.target = target
         self.stage = stage
+        self.size = size
+        self.lower = lower
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,17 @@ class _Search:
         for v, c in counts.items():
             state[ids[v]] = c
         w = sum(c * gain[ids[v]] for v, c in counts.items())
-        return w >= self.need and self._dfs(state, w)
+        try:
+            return w >= self.need and self._dfs(state, w)
+        except RecursionError:
+            raise self._overflow("depth exceeded Python's recursion limit") from None
+
+    def _overflow(self, what: str) -> BudgetExceeded:
+        """The error for this search running out of what.  Only a cluster's
+        coverage searches for one pebble: can_move_k answers k = 1 from it."""
+        stage = "cluster coverage" if self.k == 1 else "query"
+        message = f"search {what} for target {tuple(self.t)} during {stage}"
+        return BudgetExceeded(message, self.node_cap, self.t, stage)
 
     def _dfs(self, state, w: int) -> bool:
         """w is the target weight of state times 2^top."""
@@ -163,7 +179,7 @@ class _Search:
             return False
         self.nodes += 1
         if self.nodes > self.node_cap:
-            raise BudgetExceeded(self.t, self.node_cap)
+            raise self._overflow(f"budget of {self.node_cap} states exceeded")
         gain, steps, need = self.gain, self.steps, self.need
         moves = []
         for v, c in enumerate(state):
@@ -220,10 +236,7 @@ class _Engine:
 
     def clusters(self) -> list[tuple[dict, frozenset]]:
         if self._clusters is None:
-            try:
-                self._build_clusters()
-            except BudgetExceeded as e:
-                raise BudgetExceeded(e.target, e.node_cap, "cluster coverage") from None
+            self._build_clusters()
         return self._clusters
 
     def _build_clusters(self):
@@ -298,10 +311,7 @@ class _Engine:
     def can_move_k(self, t: Vertex, k: int) -> bool:
         for counts, cov in self.clusters():
             if t in cov:
-                try:
-                    return k == 1 or self._cluster_can_k(counts, t, k)
-                except BudgetExceeded as e:
-                    raise BudgetExceeded(e.target, e.node_cap, "query") from None
+                return k == 1 or self._cluster_can_k(counts, t, k)
         return False
 
     def reachable_set(self) -> frozenset[Vertex]:
@@ -309,10 +319,6 @@ class _Engine:
         for _, cov in self.clusters():
             out |= cov
         return frozenset(out)
-
-
-class StateBudgetExceeded(RuntimeError):
-    """A StateSolver query needed more memo entries than its budget."""
 
 
 class StateSolver:
@@ -328,13 +334,13 @@ class StateSolver:
     successor of a size-s state is a size-(s-1) state that other queries
     meet again.  Recursion depth is at most the state's size, and the memo
     keys are the states as bytes, so each count must be below 256.  A query
-    that would hold more than budget entries raises StateBudgetExceeded."""
+    that would hold more than node_cap entries raises BudgetExceeded."""
 
-    def __init__(self, grid: GridSpec, budget: int = DEFAULT_NODE_CAP):
+    def __init__(self, grid: GridSpec, node_cap: int = DEFAULT_NODE_CAP):
         index = grid.index
         verts = index.vertices
         self.full = (1 << len(verts)) - 1
-        self.budget = budget
+        self.node_cap = node_cap
         self.memo: dict[bytes, int] = {}
         self._neighbors = index.neighbor_ids
         self._top = max(map(max, index.cols)) + max(map(max, index.rows))
@@ -361,8 +367,9 @@ class StateSolver:
         known = self.memo.get(key)
         if known is not None:
             return known
-        if len(self.memo) >= self.budget:
-            raise StateBudgetExceeded(f"state memo budget of {self.budget} entries exceeded")
+        if len(self.memo) >= self.node_cap:
+            cap = f"state memo budget of {self.node_cap} entries exceeded"
+            raise BudgetExceeded(cap, self.node_cap, stage="optimal search")
         for i, c in enumerate(state):
             if c < 2:
                 continue

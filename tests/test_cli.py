@@ -162,6 +162,19 @@ class TestReach:
         code, out, _ = run_cli(capsys, "reach", dist_file, "--target", "3", "3", "-k", "2")
         assert code == 0 and json.loads(out)["k"] == 2
 
+    def test_depth_overflow_exit_2(self, capsys, tmp_path):
+        """A DFS deeper than Python's recursion limit (test_reach's
+        test_deep_pile_overflows_depth) ends in one error line naming the
+        depth, not in a traceback."""
+        path = tmp_path / "deep.dist"
+        d = Distribution(GridSpec(3, 1), {(0, 0): 2001, (2, 0): 1})
+        path.write_text(serialize_distribution(d))
+        code, out, err = run_cli(capsys, "reach", str(path), "--target", "1", "0", "-k", "1001")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: search depth exceeded Python's recursion limit for target (1, 0) during query\n"
+        )
+
 
 class TestLp:
     def test_unit_excess(self, capsys):

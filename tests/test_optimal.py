@@ -9,7 +9,6 @@ from pebblekit.lp import fractional_optimal_pebbling
 from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
-    SearchBudgetExceeded,
     SizeRow,
     _distributions_of_size,
     _out_of_reach,
@@ -17,7 +16,7 @@ from pebblekit.optimal import (
     optimal_pebbling_number,
     optimal_ratio_series,
 )
-from pebblekit.reach import StateSolver, coverage, is_solvable
+from pebblekit.reach import BudgetExceeded, StateSolver, coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
 
 from conftest import burnside_orbit_count, naive_reachable, reference_orbits
@@ -75,9 +74,9 @@ class TestOptimalNumbers:
         """A node cap too small for the solver's memo stops the search with
         the size it was at: every smaller size was exhausted, so the bound
         is that size, above ceil(32/9) = 4 from the fractional optimum."""
-        with pytest.raises(SearchBudgetExceeded) as e:
+        with pytest.raises(BudgetExceeded) as e:
             optimal_pebbling_number(GridSpec(6, 2), node_cap=1)
-        assert (e.value.lower, e.value.size, e.value.entries) == (5, 5, 1)
+        assert (e.value.lower, e.value.size, e.value.node_cap) == (5, 5, 1)
         assert str(e.value) == (
             "optimal search on 6x2 plane stopped at size 5: the solver memo reached the"
             " node cap of 1 entries; known bounds: 5 <= pi_opt"
@@ -237,13 +236,13 @@ class TestOptimalNumbers:
         assert solved > 0
 
     def test_scale_guard(self):
-        with pytest.raises(SearchBudgetExceeded, match="known bounds: 6 <= pi_opt$") as e:
+        with pytest.raises(BudgetExceeded, match="known bounds: 6 <= pi_opt$") as e:
             optimal_pebbling_number(GridSpec(5, 5))
         assert e.value.lower == 6  # ceil(49/9), the fractional optimum
         assert GridSpec(4, 4).size == MAX_SEARCH_VERTICES  # 4x4 is the edge
         # the bound of a refused search costs O(W + H): no distance table
         for spec, lower in ((GridSpec(2000, 1), 668), (GridSpec(2000, 1, TORUS), 667)):
-            with pytest.raises(SearchBudgetExceeded, match=f"known bounds: {lower} <= pi_opt$"):
+            with pytest.raises(BudgetExceeded, match=f"known bounds: {lower} <= pi_opt$"):
                 optimal_pebbling_number(spec)
             assert "index" not in spec.__dict__
 

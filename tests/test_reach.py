@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import pebblekit
 from pebblekit import constructions
 from pebblekit.grid import (
     TORUS,
@@ -14,7 +15,9 @@ from pebblekit.grid import (
     Symmetry,
     Vertex,
 )
+from pebblekit.optimal import optimal_pebbling_number
 from pebblekit.reach import (
+    DEFAULT_NODE_CAP,
     BudgetExceeded,
     _Engine,
     _Search,
@@ -173,22 +176,58 @@ class TestQueries:
         with pytest.raises(GridError):
             marginal_covering_ratio(base, base)
 
-    def test_budget_exceeded(self):
-        d = Distribution(GridSpec(4, 4), {(0, 0): 3, (0, 2): 3, (2, 0): 3})
-        with pytest.raises(BudgetExceeded) as info:
-            coverage(d, node_cap=1)
+    @pytest.mark.parametrize(
+        "run, fields, message",
+        [
+            pytest.param(
+                lambda: coverage(
+                    Distribution(GridSpec(4, 4), {(0, 0): 3, (0, 2): 3, (2, 0): 3}), node_cap=1
+                ),
+                ("cluster coverage", 1, Vertex(1, 1), None, None),
+                "search budget of 1 states exceeded for target (1, 1) during cluster coverage",
+                id="cluster-coverage",
+            ),
+            pytest.param(
+                # the cluster coverage fits the cap, so the k = 3 query overflows
+                lambda: can_move_k(
+                    Distribution(GridSpec(5, 5), {(0, 4): 2, (2, 3): 5}), (1, 3), 3, node_cap=5
+                ),
+                ("query", 5, Vertex(1, 3), None, None),
+                "search budget of 5 states exceeded for target (1, 3) during query",
+                id="query",
+            ),
+            pytest.param(
+                # TestPackedSearch.test_deep_pile_overflows_depth
+                lambda: can_move_k(
+                    Distribution(GridSpec(3, 1), {(0, 0): 2001, (2, 0): 1}), (1, 0), 1001
+                ),
+                ("query", DEFAULT_NODE_CAP, Vertex(1, 0), None, None),
+                "search depth exceeded Python's recursion limit for target (1, 0) during query",
+                id="query-depth",
+            ),
+            pytest.param(
+                lambda: optimal_pebbling_number(GridSpec(6, 2), node_cap=1),
+                ("optimal search", 1, None, 5, 5),
+                "optimal search on 6x2 plane stopped at size 5: the solver memo reached the"
+                " node cap of 1 entries; known bounds: 5 <= pi_opt",
+                id="optimal-memo",
+            ),
+            pytest.param(
+                lambda: optimal_pebbling_number(GridSpec(5, 5)),
+                ("optimal search", DEFAULT_NODE_CAP, None, None, 6),
+                "optimal search not supported on 5x5 plane; known bounds: 6 <= pi_opt",
+                id="optimal-vertex-cap",
+            ),
+        ],
+    )
+    def test_budget_exceeded(self, run, fields, message):
+        """Every search that runs out raises the one error the package
+        exports, and its stage says which of target, size and lower it sets."""
+        with pytest.raises(pebblekit.BudgetExceeded) as info:
+            run()
         e = info.value
-        assert (e.stage, e.target, e.node_cap) == ("cluster coverage", Vertex(1, 1), 1)
-        assert str(e) == "search budget of 1 states exceeded for target (1, 1) during cluster coverage"
-
-    def test_budget_exceeded_in_query(self):
-        d = Distribution(GridSpec(5, 5), {(0, 4): 2, (2, 3): 5})
-        assert coverage(d, node_cap=5).cov == 14  # the cluster coverage fits the cap
-        with pytest.raises(BudgetExceeded) as info:
-            can_move_k(d, (1, 3), 3, node_cap=5)
-        e = info.value
-        assert (e.stage, e.target, e.node_cap) == ("query", Vertex(1, 3), 5)
-        assert str(e) == "search budget of 5 states exceeded for target (1, 3) during query"
+        assert (e.stage, e.node_cap, e.target, e.size, e.lower) == fields
+        assert str(e) == message
 
     def test_interaction_engine_merges_clusters(self):
         # (1,1) needs one pebble from each pile pooled at (1,0): neither
@@ -349,3 +388,17 @@ class TestPackedSearch:
         assert len(engine.runs) == 1
         assert not engine.can_move_k(t, 259)  # the weight at t is 258
         assert len(engine.runs) == 1
+
+    def test_deep_pile_overflows_depth(self):
+        """2001 pebbles beside t and 1 on its other side, k = 1001: by the
+        parity argument of test_wide_counts_refuted at most 1000 reach t,
+        but the refuting DFS would go about 1000 moves deep, past Python's
+        recursion limit.  The search reports that as a BudgetExceeded naming
+        the depth, well within its node cap."""
+        spec = GridSpec(3, 1)
+        t = Vertex(1, 0)
+        search = _Search(spec, t, 1001, 10**6)
+        with pytest.raises(BudgetExceeded, match="^search depth exceeded") as info:
+            search.run({Vertex(0, 0): 2001, Vertex(2, 0): 1})
+        assert (info.value.stage, info.value.target, info.value.node_cap) == ("query", t, 10**6)
+        assert search.nodes < search.node_cap
