@@ -418,8 +418,14 @@ def _fraction(value: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {value!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One `error: ...` line and exit 2, like every other user error."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pebblekit",
         description="Exact toolkit for pebbling distributions on grid and torus graphs.",
     )

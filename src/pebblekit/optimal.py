@@ -16,8 +16,8 @@ is built one vertex at a time, and each symmetry p is compared with it
 over the positions j where both vec[j] and vec[p[j]] are decided.  A
 smaller image there cuts the whole subtree, since no completion can be
 lex-least; a larger one drops p from the subtree, since it can never
-refute a completion.  Only the symmetries still undecided at a complete
-vector are tested there.
+refute a completion.  A complete vector, 0 past its last pebble, is tested
+by the same walk run to the last position (Read's orderly generation).
 
 An orbit with some vertex of dyadic weight below 1 is refuted without
 a reachability search: a move never raises the weight at any vertex, so
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .grid import Distribution, GridError, GridSpec
 from .lp import fractional_optimum
@@ -89,16 +89,12 @@ class OptimalResult:
         return sum(row.orbits for row in self.per_size)
 
 
-def _canonical(vec: tuple, live) -> bool:
-    """Whether the complete count vector vec is the lexicographically least
-    member of its orbit, given the (permutation, position) pairs still live
-    at its leaf: no other symmetry can map it to a smaller vector.  Stops at
-    the first smaller image."""
-    at = vec.__getitem__
-    return all(vec <= tuple(map(at, p)) for p, _ in live)
+def _canonical(vec: Sequence[int], live) -> bool:
+    """Whether the complete vector vec is lex-least: _advance's prefix walk to its end."""
+    return _advance(vec, len(vec) - 1, live) is not None
 
 
-def _advance(vec: list, idx: int, live: list):
+def _advance(vec: Sequence[int], idx: int, live: list):
     """The live pairs after a count is placed at position idx, or None when
     no completion of vec can be lex-least.  A pair (p, j) says that the
     image of vec under p, whose position j holds vec[p[j]], equals vec
@@ -129,9 +125,8 @@ def _distributions_of_size(spec: GridSpec, s: int, perms):
 
     def rec(idx: int, remaining: int, live: list):
         if remaining == 0:
-            v = tuple(vec)
-            if _canonical(v, live):
-                yield v
+            if _canonical(vec, live):
+                yield tuple(vec)
             return
         if idx == n:
             return

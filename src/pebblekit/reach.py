@@ -11,12 +11,13 @@ Reachability is decided in three layers:
   coverages intersect and recompute until stable.  Any target is served by
   at most one cluster.
 
-* Orbits.  A cluster's coverage walks its region nearest first.  A grid
-  symmetry g that maps each pile onto a pile of the same count maps move
-  sequences to move sequences, so t is reachable iff g(t) is: the answer
-  for the first target of an orbit of the cluster's stabiliser
-  (GridIndex.stabiliser) is recorded for the whole orbit, and no orbit
-  mate is queried.  An asymmetric cluster has a stabiliser of one element.
+* Orbits.  A cluster's coverage walks the region of the lemma below in
+  (distance to the nearest pile, vertex) order.  A grid symmetry g that
+  maps each pile onto a pile of the same count maps move sequences to
+  move sequences, so t is reachable iff g(t) is: the answer for the first
+  target of an orbit of the cluster's stabiliser (GridIndex.stabiliser)
+  is recorded for the whole orbit, and no orbit mate is queried.  An
+  asymmetric cluster has a stabiliser of one element.
 
 * Per-target stages.  Each (target, k) query is decided on its own, by
   the first of these stages that settles it:
@@ -27,7 +28,8 @@ Reachability is decided in three layers:
      target delivers k (a legal sequence);
   4. restricted DFS: the search below on the piles within radius 2, 3,
      then 5, each with a twentieth of the node cap; dropping pebbles only
-     turns answers from true to false, so a hit is a certificate;
+     turns answers from true to false, so a hit is a certificate, and the
+     search's weight test refutes a light sub-cluster before any node;
   5. full DFS: the search below on the whole cluster.
 
   The search is depth-first over distribution states with a
@@ -257,16 +259,14 @@ class _Engine:
 
     def _cluster_coverage(self, counts: dict) -> frozenset[Vertex]:
         index = self.grid.index
-        total = sum(counts.values())
-        region: set[Vertex] = set()
-        for v in counts:
-            region |= index.ball(v, total.bit_length())
+        radius = sum(counts.values()).bit_length() - 1
+        region = set().union(*(index.ball(v, radius) for v in counts))
         # a symmetry that keeps the counts maps move sequences to move
         # sequences, so one answer decides the target's whole orbit
         stabiliser = index.stabiliser(counts)
         reachable, decided = set(counts), set(counts)
         # nearest first: a budget overflow names the nearest target that overflows
-        for t in sorted(region, key=lambda t: min(index.distances(t, counts).values())):
+        for t in sorted(region, key=lambda t: (min(index.distances(t, counts).values()), t)):
             if t in decided:
                 continue
             orbit = {index.image(g, t) for g in stabiliser}
@@ -293,8 +293,6 @@ class _Engine:
             if not sub or sub == tried or len(sub) == len(counts):
                 continue
             tried = sub
-            if dyadic_weight((c, dist[v]) for v, c in sub.items()) < k:
-                continue
             try:
                 if self._search(sub, t, k, max(self.node_cap // 20, 1000)):
                     return True

@@ -63,8 +63,8 @@ def dyadic_weight(terms) -> Fraction:
     """Exact sum of c * 2^-d over (count, distance) pairs.
 
     The sum is kept as one numerator over 2^D, D the largest distance, so
-    each term costs a shift; counts may be ints or Fractions.  Every weight
-    and weight bound in the package is evaluated here."""
+    each term costs a shift; counts may be ints or Fractions.  dyadic_rows
+    and the gains of reach._Search are integer forms of the same sum."""
     terms = list(terms)
     top = max((dist for _, dist in terms), default=0)
     return Fraction(sum(c * (1 << (top - dist)) for c, dist in terms), 1 << top)

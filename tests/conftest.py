@@ -69,7 +69,9 @@ def naive_reachable(d: Distribution) -> frozenset[Vertex]:
 def per_target_coverage(engine, counts: dict) -> frozenset[Vertex]:
     """The coverage of one cluster of a reach._Engine, with every vertex of
     its region queried on its own by _cluster_can_k(counts, t, 1): the
-    walk of _Engine._cluster_coverage without the orbits of its stabiliser."""
+    walk of _Engine._cluster_coverage without the orbits of its stabiliser.
+    The region is one ring wider than the walk's, so the region lemma in
+    the reach docstring is checked too."""
     index = engine.grid.index
     total = sum(counts.values())
     region = frozenset().union(*(index.ball(v, total.bit_length()) for v in counts))

@@ -352,7 +352,8 @@ def test_user_error_exits_2(capsys, tmp_path, argv):
     frac.write_text(serialize_distribution(gen_uniform_frac(GridSpec(3, 3), Fraction(1, 2))))
     code, _, err = run_cli(capsys, *(a.format(cascade=cascade, frac=frac) for a in argv))
     assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -287,6 +287,31 @@ class TestClusterOrbits:
         for counts, cov in clusters:
             assert cov == per_target_coverage(engine, counts), counts
 
+    @pytest.mark.parametrize("plus, queries", [(False, 84), (True, 105)], ids=["base", "plus"])
+    def test_walk_covers_the_lemma_region_in_order(self, monkeypatch, plus, queries):
+        """The coverage of cascade_ones k=5 on 15x7 queries only targets
+        within T.bit_length() - 1 of a pile of their cluster, T its pebbles
+        (the region lemma), each cluster's in (distance to the nearest
+        pile, vertex) order."""
+        walks: dict[frozenset, list] = {}
+        query = _Engine._cluster_can_k
+
+        def spy(engine, counts, t, k):
+            walks.setdefault(frozenset(counts.items()), []).append(t)
+            return query(engine, counts, t, k)
+
+        monkeypatch.setattr(_Engine, "_cluster_can_k", spy)
+        d = cascade5(plus)
+        coverage(d)
+        index = d.grid.index
+        for key, targets in walks.items():
+            counts = dict(key)
+            radius = sum(counts.values()).bit_length() - 1
+            order = [(min(index.distances(t, counts).values()), t) for t in targets]
+            assert all(r <= radius for r, _ in order), counts
+            assert order == sorted(set(order)), counts
+        assert sum(map(len, walks.values())) == queries
+
 
 class _CheckedEngine(_Engine):
     """An engine whose every DFS runs a packed _Search next to a
