@@ -5,11 +5,11 @@ Reachability is decided in three layers:
 * Interaction clustering.  Pebbles from two groups of units can only ever
   combine at a vertex both groups reach on their own, so the distribution
   splits into clusters whose standalone coverages are pairwise disjoint.
-  The clusters are computed by a fixed point: start with one cluster per
-  unit (a single pile of c pebbles delivers exactly floor(c / 2^d) to
-  distance d, so its coverage is a ball), then merge clusters whose
-  coverages intersect and recompute until stable.  Any target is served by
-  at most one cluster.
+  They are built in rounds from one cluster per unit, whose coverage is a
+  ball (stage 1 below).  A round joins each connected group of clusters
+  whose coverages meet, then walks each new cluster's coverage; every join
+  is forced, as coverage is monotone in the pebbles.  The rounds end at the
+  finest partition with disjoint coverages: a target has at most one cluster.
 
 * Orbits.  A cluster's coverage walks the region of the lemma below in
   (distance to the nearest pile, vertex) order.  A grid symmetry g that
@@ -60,7 +60,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .grid import Distribution, GridError, GridSpec, Vertex
 from .weights import dyadic_weight
@@ -87,12 +86,12 @@ class BudgetExceeded(RuntimeError):
       node_cap entries (a StateSolver raises with neither set), or size is
       None and the grid is past optimal.MAX_SEARCH_VERTICES.
 
-    A cluster's coverage queries its targets nearest first, and the first
-    target of each orbit of the cluster's stabiliser is the one queried,
-    so the target named is the first in that walk whose search overflows.
-    Reusing an answer for the rest of an orbit can make an overflow
-    disappear (an orbit mate's search might have overflowed where the
-    queried target's did not), never make one appear."""
+    The clusters are built in rounds, so the target named is one of the
+    first cluster whose walk overflows: the first target of that walk,
+    nearest first and one per orbit of the cluster's stabiliser, whose
+    search overflows.  Reusing an answer for the rest of an orbit can make
+    an overflow disappear (an orbit mate's search might have overflowed
+    where the queried target's did not), never make one appear."""
 
     def __init__(self, message: str, node_cap: int, target=None, stage=None, size=None, lower=None):
         super().__init__(message)
@@ -223,8 +222,8 @@ def _greedy_deliverable(grid: GridSpec, counts: dict, t: Vertex) -> int:
 
 
 class _Engine:
-    """Reachability context for one distribution: interaction clusters plus
-    per-target searches within them."""
+    """Reachability context for one distribution: interaction clusters,
+    built when the engine is made, plus per-target searches within them."""
 
     def __init__(self, d: Distribution, node_cap: int = DEFAULT_NODE_CAP):
         if not isinstance(d, Distribution):
@@ -232,29 +231,29 @@ class _Engine:
         self.d = d
         self.grid = d.grid
         self.node_cap = node_cap
-        self._clusters: list[tuple[dict, frozenset]] | None = None
+        self._build_clusters()
 
     # -- clustering ------------------------------------------------------
-
-    def clusters(self) -> list[tuple[dict, frozenset]]:
-        if self._clusters is None:
-            self._build_clusters()
-        return self._clusters
 
     def _build_clusters(self):
         index = self.grid.index
         # a single pile of c pebbles delivers floor(c / 2^d) to distance d
         clusters = [({v: c}, index.ball(v, c.bit_length() - 1)) for v, c in self.d.counts.items()]
         while True:
-            pairs = combinations(range(len(clusters)), 2)
-            pair = next((p for p in pairs if clusters[p[0]][1] & clusters[p[1]][1]), None)
-            if pair is None:
+            # each group of clusters whose coverages meet: (counts, their union, clusters joined)
+            groups: list[tuple[dict, frozenset, int]] = []
+            for counts, cov in clusters:
+                n, apart = 1, []
+                for group in groups:
+                    if cov.isdisjoint(group[1]):
+                        apart.append(group)
+                    else:
+                        # supports are disjoint, so the joined counts are the sum
+                        counts, cov, n = {**counts, **group[0]}, cov | group[1], n + group[2]
+                groups = apart + [(counts, cov, n)]
+            if len(groups) == len(clusters):
                 break
-            i, j = pair
-            # supports are disjoint, so this is the sum with i's vertices first
-            counts = {**clusters[i][0], **clusters[j][0]}
-            del clusters[j], clusters[i]
-            clusters.append((counts, self._cluster_coverage(counts)))
+            clusters = [(c, cov if n == 1 else self._cluster_coverage(c)) for c, cov, n in groups]
         self._clusters = clusters
 
     def _cluster_coverage(self, counts: dict) -> frozenset[Vertex]:
@@ -307,14 +306,14 @@ class _Engine:
     # -- queries ---------------------------------------------------------
 
     def can_move_k(self, t: Vertex, k: int) -> bool:
-        for counts, cov in self.clusters():
+        for counts, cov in self._clusters:
             if t in cov:
                 return k == 1 or self._cluster_can_k(counts, t, k)
         return False
 
     def reachable_set(self) -> frozenset[Vertex]:
         out: set[Vertex] = set()
-        for _, cov in self.clusters():
+        for _, cov in self._clusters:
             out |= cov
         return frozenset(out)
 

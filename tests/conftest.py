@@ -1,7 +1,8 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
-written out for it, a cluster's coverage decided one region vertex at a
-time with no symmetry used, the engine's depth-first search over
+written out for it, the interaction clusters joined one pair at a time
+with the oracle's coverages, a cluster's coverage decided one region
+vertex at a time with no symmetry used, the engine's depth-first search over
 {vertex: count} states used to cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set and Burnside's orbit count, both used to cross-check the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from pebblekit.grid import TORUS, ContinuousDistribution, Distribution, GridSpec, Vertex
 from pebblekit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve
@@ -64,6 +66,27 @@ def _naive_states(d: Distribution):
 def naive_reachable(d: Distribution) -> frozenset[Vertex]:
     """A vertex is reachable iff it holds a pebble in some reachable state."""
     return frozenset().union(*_naive_states(d))
+
+
+def reference_clusters(d: Distribution) -> list[tuple[dict, frozenset[Vertex]]]:
+    """The interaction clusters of d as (counts, coverage) pairs, by the
+    pair-at-a-time fixed point: start with one cluster per pile, join the
+    first pair of clusters whose coverages meet, and repeat until none
+    do.  Each coverage is naive_reachable of the cluster's pebbles."""
+
+    def cluster(counts: dict) -> tuple[dict, frozenset[Vertex]]:
+        return counts, naive_reachable(Distribution(d.grid, counts))
+
+    clusters = [cluster({v: c}) for v, c in d.items()]
+    while True:
+        pairs = combinations(range(len(clusters)), 2)
+        pair = next((p for p in pairs if clusters[p[0]][1] & clusters[p[1]][1]), None)
+        if pair is None:
+            return clusters
+        i, j = pair
+        counts = {**clusters[i][0], **clusters[j][0]}
+        del clusters[j], clusters[i]
+        clusters.append(cluster(counts))
 
 
 def per_target_coverage(engine, counts: dict) -> frozenset[Vertex]:

@@ -13,7 +13,7 @@ from pebblekit.grid import (
     parse_distribution,
     serialize_distribution,
 )
-from pebblekit.reach import apply_move, coverage
+from pebblekit.reach import _Engine, apply_move, coverage, lonely_units
 from pebblekit.weights import (
     ceiling_infinite,
     covering_ratio_ceiling,
@@ -22,7 +22,7 @@ from pebblekit.weights import (
     weight,
 )
 
-from conftest import naive_reachable
+from conftest import naive_reachable, reference_clusters
 
 
 def grid_specs(max_side=5):
@@ -35,8 +35,8 @@ def grid_specs(max_side=5):
 
 
 @st.composite
-def distributions(draw, max_side=4, max_pebbles=6, min_pebbles=1):
-    spec = draw(grid_specs(max_side))
+def distributions(draw, max_side=4, max_pebbles=6, min_pebbles=1, specs=None):
+    spec = draw(grid_specs(max_side) if specs is None else specs)
     verts = list(spec.vertices())
     n = draw(st.integers(min_pebbles, max_pebbles))
     counts: dict = {}
@@ -251,6 +251,21 @@ class TestSymmetricInputs:
         image = d.grid.index.image
         assert coverage(transported(h, d)).reachable == {image(h, v) for v in reachable}
         assert {image(g, v) for v in reachable} == reachable
+
+
+class TestClusterProperties:
+    @given(distributions(specs=st.sampled_from(SYMMETRY_GRIDS)))
+    @settings(max_examples=80, deadline=None)
+    def test_clusters_match_pair_at_a_time_reference(self, d):
+        """Joining whole groups per round reaches the clusters of the
+        pair-at-a-time fixed point, each with the oracle's coverage, and a
+        pile is a cluster of its own iff it is a lonely unit."""
+        got = {frozenset(counts): cov for counts, cov in _Engine(d)._clusters}
+        expected = {frozenset(counts): cov for counts, cov in reference_clusters(d)}
+        assert set(got) == set(expected)
+        for piles, cov in got.items():
+            assert cov == expected[piles], piles
+        assert {v for piles in got if len(piles) == 1 for v in piles} == lonely_units(d)
 
 
 class TestSerializationProperties:

@@ -282,12 +282,12 @@ class TestClusterOrbits:
         """Each cluster's coverage, decided once per orbit of its stabiliser,
         equals its region vertices accepted one by one."""
         engine = _Engine(d)
-        clusters = engine.clusters()
+        clusters = engine._clusters
         assert any(len(counts) > 1 for counts, _ in clusters)
         for counts, cov in clusters:
             assert cov == per_target_coverage(engine, counts), counts
 
-    @pytest.mark.parametrize("plus, queries", [(False, 84), (True, 105)], ids=["base", "plus"])
+    @pytest.mark.parametrize("plus, queries", [(False, 38), (True, 47)], ids=["base", "plus"])
     def test_walk_covers_the_lemma_region_in_order(self, monkeypatch, plus, queries):
         """The coverage of cascade_ones k=5 on 15x7 queries only targets
         within T.bit_length() - 1 of a pile of their cluster, T its pebbles
@@ -312,6 +312,31 @@ class TestClusterOrbits:
             assert order == sorted(set(order)), counts
         assert sum(map(len, walks.values())) == queries
 
+    @pytest.mark.parametrize(
+        "d, walks",
+        [
+            (cascade5(False), 1),
+            (cascade5(True), 1),
+            (constructions.gen_diag7(GridSpec(14, 14, TORUS)), 2),
+            (constructions.gen_diag7(GridSpec(28, 28, TORUS)), 4),
+            (constructions.gen_diag7(GridSpec(21, 21)), 5),
+        ],
+        ids=["cascade5-base", "cascade5-plus", "diag7-14-torus", "diag7-28-torus", "diag7-21-plane"],
+    )
+    def test_clusters_walk_once_per_joined_group(self, monkeypatch, d, walks):
+        """Each round of the clustering walks the coverage of each group of
+        two or more clusters it joins, and nothing else."""
+        calls = []
+        walk = _Engine._cluster_coverage
+
+        def spy(engine, counts):
+            calls.append(counts)
+            return walk(engine, counts)
+
+        monkeypatch.setattr(_Engine, "_cluster_coverage", spy)
+        _Engine(d)
+        assert len(calls) == walks
+
 
 class _CheckedEngine(_Engine):
     """An engine whose every DFS runs a packed _Search next to a
@@ -319,8 +344,9 @@ class _CheckedEngine(_Engine):
     table size, and records (nodes, table size)."""
 
     def __init__(self, d: Distribution):
-        super().__init__(d)
+        # the clusters are built in super().__init__, and their walks search
         self.runs: list[tuple[int, int]] = []
+        super().__init__(d)
 
     def _search(self, counts, t, k, node_cap):
         search, ref = _Search(self.grid, t, k, node_cap), ReferenceSearch(self.grid, t, k)
@@ -342,7 +368,7 @@ class TestPackedSearch:
         [
             (
                 False,
-                6214,
+                6140,
                 2130,
                 [
                     "...............",
@@ -356,7 +382,7 @@ class TestPackedSearch:
             ),
             (
                 True,
-                4986,
+                4898,
                 3626,
                 [
                     "...............",
@@ -373,8 +399,9 @@ class TestPackedSearch:
     )
     def test_cascade5_matches_reference(self, plus, nodes, peak, reachable):
         """Every DFS of the coverage of cascade_ones k=5 on 15x7 agrees with
-        the dict search; the totals are those of the frozenset-keyed search
-        that the packed one replaced."""
+        the dict search.  The clusters are built in rounds, and the first
+        round joins every pile, so the totals are those of the walk of the
+        final cluster alone."""
         engine = _CheckedEngine(cascade5(plus))
         assert engine.reachable_set() == picture(reachable)
         assert sum(n for n, _ in engine.runs) == nodes
