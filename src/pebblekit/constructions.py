@@ -133,6 +133,10 @@ def gen_cascade_ones(spec: GridSpec, k: int) -> tuple[Distribution, Distribution
     cascades down the row -- 4 on a pile delivers 1 two steps to the
     right, making 4 again -- unlocking new vertices at every pile, so U's
     marginal covering ratio grows linearly in k.
+
+    On the (2k + 5) x 7 plane, coverage gives cov(D) = 6k - 1 and
+    cov(D + U) = 8k + 5, a marginal ratio of 2k + 6, for each k = 5..8.
+    These are computed values, not proved for every k.
     """
     if k < 2:
         raise GridError("k must be >= 2 (the cascade needs a feeder pile)")

@@ -11,13 +11,13 @@ Reachability is decided in three layers:
   is forced, as coverage is monotone in the pebbles.  The rounds end at the
   finest partition with disjoint coverages: a target has at most one cluster.
 
-* Orbits.  A cluster's coverage walks the region of the lemma below in
-  (distance to the nearest pile, vertex) order.  A grid symmetry g that
-  maps each pile onto a pile of the same count maps move sequences to
-  move sequences, so t is reachable iff g(t) is: the answer for the first
-  target of an orbit of the cluster's stabiliser (GridIndex.stabiliser)
-  is recorded for the whole orbit, and no orbit mate is queried.  An
-  asymmetric cluster has a stabiliser of one element.
+* Orbits.  A cluster's coverage walks the region of the region lemma
+  below in (distance to the nearest pile, vertex) order.  A grid symmetry
+  g that maps each pile onto a pile of the same count maps move sequences
+  to move sequences, so t is reachable iff g(t) is: the answer for the
+  first target of an orbit of the cluster's stabiliser
+  (GridIndex.stabiliser) is recorded for the whole orbit, and no orbit
+  mate is queried.  An asymmetric cluster has a stabiliser of one element.
 
 * Per-target stages.  Each (target, k) query is decided on its own, by
   the first of these stages that settles it:
@@ -41,12 +41,26 @@ Reachability is decided in three layers:
 
   Region lemma: a pile set of T pebbles never puts a pebble on a vertex
   at distance r > T.bit_length() - 1 from every pile.  A move never raises
-  the weight sum(c * 2^-d) at any vertex, a vertex holding a pebble has
-  weight at least 1, and at such a vertex the weight is at most T * 2^-r
-  < 1.  So the search numbers only the target and the vertices within
-  T.bit_length() - 1 of a pile, and holds a state as a packed count vector
-  over those ids: a bytearray, or an array("I") once T reaches 256.  Its
-  transposition table keys are the vectors as bytes.
+  the weight W(u) = sum(c * 2^-d(u, .)) at any vertex u (two pebbles at
+  distance d leave, one arrives at distance >= d - 1), a vertex holding c
+  pebbles has W >= c, and at such a vertex W <= T * 2^-r < 1.  This
+  bounds the region a cluster's coverage walks.
+
+  Dead-end lemma: a vertex u != t whose start weight W(u) is below 2 is a
+  dead end.  As W(u) never rises and a pile of c has W >= c, u starts with
+  0 or 1 pebbles and never holds two, so no move leaves it and a pebble
+  moved onto it stays.  Delete a move onto u from a sequence that puts k
+  pebbles on t: its source keeps two more pebbles, u one fewer, and no
+  later move leaves u, so every later move stays legal and t, not u, ends
+  with as many pebbles.  Deleting them one by one, some sequence that
+  makes no move onto a dead end puts k pebbles on t whenever any does, so
+  the search drops those moves and keeps every answer.  Then each dead end
+  keeps its start count, and the search numbers only t and the live
+  vertices, those of W >= 2: they lie within T.bit_length() - 2 of a pile,
+  as W <= T * 2^-r.  It holds a state as a packed count vector over those
+  ids, a bytearray, or an array("I") once T reaches 256, and keys its
+  transposition table on the vectors as bytes.  Pebbles on dead ends still
+  count in the target weight.
 
 The engine above serves coverage, can_move_k and large distributions,
 whose state space is far beyond a whole-state search.  StateSolver is the
@@ -64,10 +78,11 @@ from fractions import Fraction
 from .grid import Distribution, GridError, GridSpec, Vertex
 from .weights import dyadic_weight
 
-# Each DFS node adds at most one transposition-table entry.  On a region
-# of n vertices an entry takes about n + 75 bytes (4n + 75 for an
-# array("I") state): 190-199 bytes measured at n = 119 on cascade_ones k=7
-# on 19x7, so a search that fills the default cap holds ~2 GB there.
+# Each DFS node adds at most one transposition-table entry.  Over n live
+# vertices and t an entry takes about n + 75 bytes (4n + 75 for an
+# array("I") state): 122-157 bytes measured at n = 24 and 36 on
+# cascade_ones k=7 on 19x7, so a search that fills the default cap holds
+# ~1.5 GB there.
 DEFAULT_NODE_CAP = 10**7
 
 # Radii of the restricted DFS stages (stage 4 in the module docstring).
@@ -124,12 +139,14 @@ def apply_move(d: Distribution, frm, to) -> Distribution:
 class _Search:
     """DFS over distribution states for one (target, k) query.
 
-    run(counts) numbers the region of the module docstring's lemma in
-    sorted (col, row) order and packs the state over those ids; failed
-    holds the refuted states as bytes.  Moves are tried toward the target
-    first, then from larger piles, then by (from, to) id, so ties break as
-    on the vertices themselves and the node counts are those of a search
-    over {vertex: count} states."""
+    run(counts) weighs the vertices within T.bit_length() - 2 of a pile,
+    numbers t and the live ones (the dead-end lemma of the module
+    docstring) in sorted (col, row) order, and packs the state over those
+    ids; it makes no move onto any other vertex, and failed holds the
+    refuted states as bytes.  Moves are tried toward the target first, then
+    from larger piles, then by (from, to) id, so ties break as on the
+    vertices themselves and the node counts are those of a search over
+    {vertex: count} states that drops the same moves."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -142,23 +159,32 @@ class _Search:
     def run(self, counts: dict) -> bool:
         index = self.grid.index
         total = sum(counts.values())
-        region = sorted({self.t}.union(*(index.ball(v, total.bit_length() - 1) for v in counts)))
+        # live vertices have start weight >= 2, so lie within T.bit_length() - 2 of a pile
+        live = []
+        for u in set().union(*(index.ball(v, total.bit_length() - 2) for v in counts)):
+            far = index.distances(u, counts)
+            m = max(far.values())
+            if sum(c << (m - far[v]) for v, c in counts.items()) >= 2 << m:
+                live.append(u)
+        region = sorted({self.t, *live})
         ids = {v: i for i, v in enumerate(region)}
-        dist = list(index.distances(self.t, region).values())
-        top = max(dist)
+        dist = index.distances(self.t, {*region, *counts})
+        top = max(dist.values())
         # a pebble on id i adds gain[i] to the target weight, kept times 2^top
-        self.gain = gain = [1 << (top - d) for d in dist]
+        self.gain = gain = [1 << (top - dist[v]) for v in region]
         self.need = self.k << top
         # steps[i]: (away from the target, j, gain[j]) for each neighbour j of i in the region
         self.steps = [
-            tuple((dist[ids[u]] >= d, ids[u], gain[ids[u]]) for u in index.neighbors[v] if u in ids)
-            for v, d in zip(region, dist)
+            tuple((dist[u] >= dist[v], ids[u], gain[ids[u]]) for u in index.neighbors[v] if u in ids)
+            for v in region
         ]
         self.tid = ids[self.t]
         state = array("I", [0]) * len(region) if total >= 256 else bytearray(len(region))
         for v, c in counts.items():
-            state[ids[v]] = c
-        w = sum(c * gain[ids[v]] for v, c in counts.items())
+            if v in ids:
+                state[ids[v]] = c
+        # pebbles on dead vertices never move, but count toward the target weight
+        w = sum(c << (top - dist[v]) for v, c in counts.items())
         try:
             return w >= self.need and self._dfs(state, w)
         except RecursionError:

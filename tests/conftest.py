@@ -3,7 +3,8 @@ cross-check the production engine on small instances, the grid adjacency
 written out for it, the interaction clusters joined one pair at a time
 with the oracle's coverages, a cluster's coverage decided one region
 vertex at a time with no symmetry used, the engine's depth-first search over
-{vertex: count} states used to cross-check the packed one, a reference simplex over Fraction used to
+{vertex: count} states, its dead ends weighed on their own, used to
+cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set and Burnside's orbit count, both used to cross-check the
 lex-least enumeration, and the fractional
@@ -105,7 +106,11 @@ class ReferenceSearch:
     """The depth-first search of reach._Search on {vertex: count} dicts,
     with Fraction weights, the four-offset neighbour rule and a
     transposition table of frozenset(state.items()) keys: the same moves in
-    the same order, so the same answer, node count and table size."""
+    the same order, so the same answer, node count and table size.
+
+    It drops the same moves onto dead ends: vertices other than t whose
+    start weight, summed as Fractions over every grid vertex, is below 2.
+    Their counts stay in the dict states."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int):
         self.grid, self.t, self.k = grid, t, k
@@ -114,6 +119,10 @@ class ReferenceSearch:
         self.failed: set[frozenset] = set()
 
     def run(self, counts: dict) -> bool:
+        def weight(u) -> Fraction:
+            return sum(Fraction(c, 2 ** oracle_distance(self.grid, u, v)) for v, c in counts.items())
+
+        self.dead = {u for u in self.grid.vertices() if u != self.t and weight(u) < 2}
         w = sum(Fraction(c, 2 ** self.dist[v]) for v, c in counts.items())
         return w >= self.k and self._dfs(dict(counts), w)
 
@@ -131,7 +140,7 @@ class ReferenceSearch:
                 continue
             for u in oracle_neighbors(self.grid, v):
                 nw = w - Fraction(2, 2 ** dist[v]) + Fraction(1, 2 ** dist[u])
-                if nw >= self.k:
+                if nw >= self.k and u not in self.dead:
                     # toward the target first, then larger piles, then (from, to)
                     moves.append((dist[u] >= dist[v], -c, v, u, nw))
         moves.sort()

@@ -94,6 +94,13 @@ class TestCascadeOnes:
         assert values == {2: 10, 3: 12, 4: 14, 6: 18}  # 2k + 6
         assert sorted(values.values()) == list(values.values())
 
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_closed_forms(self, k):
+        """cov(D) = 6k - 1 and cov(D + U) = 8k + 5 on the (2k + 5) x 7
+        plane, the values gen_cascade_ones records as computed."""
+        d, u = gen_cascade_ones(GridSpec(2 * k + 5, 7), k)
+        assert (coverage(d).cov, coverage(d.combined(u)).cov) == (6 * k - 1, 8 * k + 5)
+
     def test_cascade_unlocks_every_pile(self):
         spec = GridSpec(13, 5)
         d, u = gen_cascade_ones(spec, 5)

@@ -13,7 +13,7 @@ from pebblekit.grid import (
     parse_distribution,
     serialize_distribution,
 )
-from pebblekit.reach import _Engine, apply_move, coverage, lonely_units
+from pebblekit.reach import _Engine, apply_move, can_move_k, coverage, lonely_units
 from pebblekit.weights import (
     ceiling_infinite,
     covering_ratio_ceiling,
@@ -22,7 +22,7 @@ from pebblekit.weights import (
     weight,
 )
 
-from conftest import naive_reachable, reference_clusters
+from conftest import _naive_states, naive_reachable, oracle_distance, reference_clusters
 
 
 def grid_specs(max_side=5):
@@ -266,6 +266,46 @@ class TestClusterProperties:
         for piles, cov in got.items():
             assert cov == expected[piles], piles
         assert {v for piles in got if len(piles) == 1 for v in piles} == lonely_units(d)
+
+
+@st.composite
+def piles_and_singles(draw):
+    """Up to two piles of 2-4 pebbles and one to five single pebbles on a
+    grid of at most 4x4 or 5x3: many vertices of start weight just below
+    or just above 2."""
+    spec = draw(st.sampled_from(SYMMETRY_GRIDS))
+    verts = list(spec.vertices())
+    counts: dict = {}
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.sampled_from(verts))
+        counts[v] = counts.get(v, 0) + draw(st.integers(2, 4))
+    for v in draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5, unique=True)):
+        counts[v] = counts.get(v, 0) + 1
+    return Distribution(spec, counts)
+
+
+class TestDeadEnds:
+    @given(piles_and_singles())
+    @settings(max_examples=100, deadline=None)
+    def test_dead_ends_never_hold_two_and_queries_match_naive(self, d):
+        """The dead-end lemma of the reach docstring: no state the naive
+        walk reaches puts two pebbles on a vertex whose start weight,
+        summed as Fractions, is below 2.  can_move_k, whose searches drop
+        the moves onto such vertices, matches the walk for k = 1..3."""
+        grid = d.grid
+        dead = {
+            u
+            for u in grid.vertices()
+            if sum(Fraction(c, 2 ** oracle_distance(grid, u, v)) for v, c in d.items()) < 2
+        }
+        most = dict.fromkeys(grid.vertices(), 0)
+        for state in _naive_states(d):
+            for v, c in state.items():
+                most[v] = max(most[v], c)
+        assert all(most[u] <= 1 for u in dead)
+        for t in grid.vertices():
+            for k in (1, 2, 3):
+                assert can_move_k(d, t, k) == (most[t] >= k), (tuple(t), k)
 
 
 class TestSerializationProperties:

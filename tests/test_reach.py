@@ -368,8 +368,8 @@ class TestPackedSearch:
         [
             (
                 False,
-                6140,
-                2130,
+                1318,
+                434,
                 [
                     "...............",
                     "...............",
@@ -382,8 +382,8 @@ class TestPackedSearch:
             ),
             (
                 True,
-                4898,
-                3626,
+                4508,
+                3290,
                 [
                     "...............",
                     "..#.#.#.#.#....",
