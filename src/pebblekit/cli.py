@@ -397,7 +397,7 @@ def cmd_render(args) -> int:
     and shade the reachable set (--overlay coverage)."""
     dist = _load(args.file)
     if args.overlay == "weights":
-        labels = {v: str(weights.weight(dist, v)) for v in dist.grid.vertices()}
+        labels = {v: str(w) for v, w in weights.grid_weights(dist).items()}
     else:
         labels = {v: str(dist.get(v) or "") for v in dist.grid.vertices()}
     reachable = frozenset()

@@ -18,6 +18,23 @@ Two evaluation modes exist and are never mixed:
   vertices totals exactly 9 (the self-term 2^0 included), so the ceiling
   numerator is 9|D| minus the total excess over the finite region where
   W can exceed 1.
+
+Both modes weigh with one kernel, _kernel.  On both topologies a distance
+is a column distance plus a row distance (|dcol| + |drow| on Z^2 and the
+plane; on a torus the sum of the two cycle distances, GridIndex.cols and
+.rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the Kronecker structure of
+lp.fractional_optimal_pebbling.  With the counts scaled by the lcm L of
+their denominators, a column pass sums each support row's piles times
+2^(Ec - dcol) at each target column and a row pass sums those times
+2^(Er - drow) at each target: integer numerators over L * 2^(Ec+Er), Ec
+and Er the largest axis distances, in O(C*S + T*R) for C target columns,
+S piles, T targets and R support rows, where one sum over the piles per
+target costs O(T*S).  With one pile per row (R = S) the row pass costs
+that too, but as integer products, not a Fraction per target.
+
+Region lemma: with r = ceil(log2 |D|), a vertex farther than r from every
+pile has W <= |D| * 2^-(r+1) <= 1/2, so infinite mode weighs only
+infinite_excess_region, the vertices within r of the support.
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .grid import AnyDistribution, ContinuousDistribution, Distribution, GridError, GridSpec, Vertex
 
@@ -70,6 +88,32 @@ def dyadic_weight(terms) -> Fraction:
     return Fraction(sum(c * (1 << (top - dist)) for c, dist in terms), 1 << top)
 
 
+def _powers(table, targets, sources) -> tuple[int, dict]:
+    """One axis's factors: (e, p) with p[a][b] = 2^(e - dist(a, b)) for a in
+    targets and b in sources, e the largest such dist; dist(a, b) is
+    table[a][b], or |a - b| on Z when table is None."""
+    dist = {a: {b: abs(a - b) if table is None else table[a][b] for b in sources} for a in targets}
+    e = max((x for row in dist.values() for x in row.values()), default=0)
+    return e, {a: {b: 1 << (e - x) for b, x in row.items()} for a, row in dist.items()}
+
+
+def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, list[int]]:
+    """The weights at targets of the piles in counts, by the two passes of
+    the module docstring on the axis distances of spec (GridIndex.cols and
+    .rows), or of Z^2 when spec is None: (den, nums) with W(targets[i]) =
+    nums[i] / den."""
+    scale = math.lcm(*(c.denominator for c in counts.values()))
+    by_row: dict[int, list] = {}
+    for (c, r), k in counts.items():
+        by_row.setdefault(r, []).append((c, k.numerator * (scale // k.denominator)))
+    cols, rows = (spec.index.cols, spec.index.rows) if spec else (None, None)
+    ec, cp = _powers(cols, {u[0] for u in targets}, {v[0] for v in counts})
+    er, rp = _powers(rows, {u[1] for u in targets}, by_row)
+    part = {a: [sum(k * p[c] for c, k in row) for row in by_row.values()] for a, p in cp.items()}
+    # rp[r] holds its factors in by_row's order, as each part[c] does
+    return scale << (ec + er), [sum(map(mul, rp[r].values(), part[c])) for c, r in targets]
+
+
 def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
     """The grid's weights as integers over one denominator 2^D, D its
     largest distance: (2^D, rows) with rows[t][i] = 2^(D - d(t, i)) over
@@ -93,16 +137,24 @@ def excess(d: AnyDistribution, u) -> Fraction:
     return max(weight(d, u) - 1, Fraction(0))
 
 
+def grid_weights(d: AnyDistribution) -> dict[Vertex, Fraction]:
+    """The weight at every vertex of the distribution's grid."""
+    den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
+    return {u: Fraction(n, den) for u, n in zip(d.grid.index.vertices, nums)}
+
+
 def weight_report(d: AnyDistribution) -> WeightReport:
     """Weights and excess at every grid vertex, with ceiling aggregates."""
-    weights = {u: weight(d, u) for u in d.grid.vertices()}
-    exc = {u: max(w - 1, Fraction(0)) for u, w in weights.items()}
+    _nonempty(d)
+    verts = d.grid.index.vertices
+    den, nums = _kernel(d.counts, verts, d.grid)
+    over = [max(n - den, 0) for n in nums]
     return WeightReport(
-        weights=weights,
-        excess=exc,
-        total_weight=sum(weights.values(), Fraction(0)),
-        total_excess=sum(exc.values(), Fraction(0)),
-        ceiling=_ceiling_numerator(d, weights=weights.values()) / d.size,
+        weights={u: Fraction(n, den) for u, n in zip(verts, nums)},
+        excess={u: Fraction(x, den) for u, x in zip(verts, over)},
+        total_weight=Fraction(sum(nums), den),
+        total_excess=Fraction(sum(over), den),
+        ceiling=Fraction(sum(nums) - sum(over), den) / d.size,
     )
 
 
@@ -112,6 +164,7 @@ def covering_ratio_ceiling(d: AnyDistribution) -> Fraction:
 
 
 def _infinite_weight(counts: dict, u: tuple) -> Fraction:
+    """W(u) on the unbounded grid, one sum over the piles: infinite mode's one-vertex read."""
     return dyadic_weight(
         (c, abs(u[0] - c0) + abs(u[1] - r0)) for (c0, r0), c in counts.items()
     )
@@ -119,7 +172,8 @@ def _infinite_weight(counts: dict, u: tuple) -> Fraction:
 
 def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
     """Vertices of the unbounded grid where W can exceed 1: within distance
-    ceil(log2 |D|) of the support (outside, W <= |D| * 2^-d <= 1)."""
+    r = ceil(log2 |D|) of the support (the region lemma of the module
+    docstring: outside, W <= |D| * 2^-(r+1) < 1)."""
     # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
     radius = (math.ceil(d.size) - 1).bit_length()
     diamond = GridSpec(2 * radius + 1, 2 * radius + 1).ball((radius, radius), radius)
@@ -132,19 +186,21 @@ def ceiling_infinite(d: AnyDistribution) -> Fraction:
     return _ceiling_numerator(d, infinite=True) / d.size
 
 
-def _ceiling_numerator(d: AnyDistribution, infinite: bool = False, weights=None) -> Fraction:
-    """sum_v min(W(v), 1), the numerator of every ceiling.  In infinite mode
-    it is 9|D| minus the total excess; in grid mode, weights may pass the
-    grid's weights when the caller has already evaluated them."""
+def _nonempty(d: AnyDistribution):
     if not d.counts:
         raise GridError("ceiling needs a non-empty distribution")
+
+
+def _ceiling_numerator(d: AnyDistribution, infinite: bool = False) -> Fraction:
+    """sum_v min(W(v), 1), the numerator of every ceiling.  In infinite mode
+    it is 9|D| minus the total excess over infinite_excess_region, weighed
+    on plane distances."""
+    _nonempty(d)
     if infinite:
-        region = infinite_excess_region(d)
-        exc = sum((max(_infinite_weight(d.counts, u) - 1, Fraction(0)) for u in region), Fraction(0))
-        return PEBBLE_TOTAL_WEIGHT * d.size - exc
-    if weights is None:
-        weights = (weight(d, u) for u in d.grid.vertices())
-    return sum((min(w, Fraction(1)) for w in weights), Fraction(0))
+        den, nums = _kernel(d.counts, list(infinite_excess_region(d)))
+        return PEBBLE_TOTAL_WEIGHT * d.size - Fraction(sum(n - den for n in nums if n > den), den)
+    den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
+    return Fraction(sum(min(n, den) for n in nums), den)
 
 
 def marginal_covering_ratio_ceiling(
@@ -161,14 +217,10 @@ def marginal_covering_ratio_ceiling(
 
 
 def fractional_solvable(dc: ContinuousDistribution | Distribution) -> bool:
-    """True iff every vertex has weight at least 1 (exact comparison).  The
-    counts are scaled once by the lcm L of their denominators (1 for a
-    Distribution), so each weight is a sum of integer terms compared with L."""
-    scale = math.lcm(*(c.denominator for c in dc.counts.values()))
-    scaled = Distribution(
-        dc.grid, {v: c.numerator * (scale // c.denominator) for v, c in dc.items()}
-    )
-    return all(weight(scaled, u) >= scale for u in dc.grid.vertices())
+    """True iff every vertex has weight at least 1 (exact comparison of the
+    kernel's integers)."""
+    den, nums = _kernel(dc.counts, dc.grid.index.vertices, dc.grid)
+    return min(nums) >= den
 
 
 def single_pebble_weight_total(radius: int) -> Fraction:
@@ -219,7 +271,7 @@ def ifcov_bound_report(d: Distribution, n: int) -> IfcovBoundReport:
     if d.size < 1:
         raise GridError("bound report needs a non-empty distribution")
     lower = UNIT_EXCESS_LOWER_BOUND * d.size
-    actual = sum((excess(d, v) for v in d.grid.vertices()), Fraction(0))
+    actual = weight_report(d).total_excess
     return IfcovBoundReport(
         size=d.size,
         n_squared=n * n,

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebblekit.grid import (
@@ -15,12 +16,19 @@ from pebblekit.grid import (
 )
 from pebblekit.reach import _Engine, apply_move, can_move_k, coverage, lonely_units
 from pebblekit.weights import (
+    _infinite_weight,
     ceiling_infinite,
     covering_ratio_ceiling,
+    dyadic_rows,
+    excess,
     fractional_solvable,
+    grid_weights,
+    infinite_excess_region,
     marginal_covering_ratio_ceiling,
     weight,
+    weight_report,
 )
+import pebblekit.weights as weights_module
 
 from conftest import _naive_states, naive_reachable, oracle_distance, reference_clusters
 
@@ -140,7 +148,78 @@ def extensions(draw, base):
     return Distribution(base.grid, counts)
 
 
+def kernel_distributions():
+    """Integer or rational counts on grids of sides 1..5, both topologies."""
+    return st.one_of(distributions(max_side=5), continuous_distributions(max_side=5))
+
+
+ALL_GRIDS = [GridSpec(w, h, t) for t in (PLANE, TORUS) for w in range(1, 6) for h in range(1, 6)]
+
+
 class TestWeightKernelAgainstReference:
+    """The two-pass kernel behind every whole-grid read, against weight(d, u)
+    and _infinite_weight, the one-vertex sums over the support."""
+
+    @pytest.mark.parametrize("spec", ALL_GRIDS, ids=str)
+    def test_every_grid_shape(self, spec):
+        """1 x n and n x 1 included: an integer pile at one corner, and
+        rational piles at the far corner and the middle."""
+        far, mid = (spec.width - 1, spec.height - 1), (spec.width // 2, spec.height // 2)
+        counts = {far: Fraction(5, 3)}
+        counts[mid] = counts.get(mid, 0) + Fraction(1, 7)
+        for d in (Distribution(spec, {(0, 0): 3}), ContinuousDistribution(spec, counts)):
+            assert grid_weights(d) == {u: weight(d, u) for u in spec.vertices()}
+
+    @given(kernel_distributions())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_report_field_by_field(self, d):
+        rep = weight_report(d)
+        verts = list(d.grid.vertices())
+        assert rep.weights == {u: weight(d, u) for u in verts}
+        assert rep.excess == {u: excess(d, u) for u in verts}
+        assert rep.total_weight == sum(rep.weights.values())
+        assert rep.total_excess == sum(rep.excess.values())
+        assert rep.ceiling == sum((min(weight(d, u), 1) for u in verts), Fraction(0)) / d.size
+        assert rep.ceiling == covering_ratio_ceiling(d)
+
+    @given(kernel_distributions())
+    @settings(max_examples=60, deadline=None)
+    def test_infinite_ceiling_is_region_sum(self, d):
+        region = infinite_excess_region(d)
+        total = sum((max(_infinite_weight(d.counts, u) - 1, 0) for u in region), Fraction(0))
+        assert ceiling_infinite(d) == (9 * d.size - total) / d.size
+
+    @pytest.mark.parametrize("spec", ALL_GRIDS, ids=str)
+    def test_dyadic_rows_are_shifted_distances(self, spec):
+        """rows[t][i] is the one shift 2^(D - d(t, i)), D the largest distance."""
+        verts = spec.index.vertices
+        top = max(spec.distance(t, v) for t in verts for v in verts)
+        expected = [tuple(1 << (top - spec.distance(t, v)) for v in verts) for t in verts]
+        assert dyadic_rows(spec) == (1 << top, expected)
+
+    def test_empty_and_single_vertex_edges(self):
+        """The empty-ceiling errors are pinned in test_weights."""
+        assert fractional_solvable(Distribution(GridSpec(3, 3), {})) is False
+        assert fractional_solvable(ContinuousDistribution(GridSpec(2, 1, TORUS), {})) is False
+        single = Distribution(GridSpec(1, 1), {(0, 0): 1})
+        assert ceiling_infinite(single) == 9
+        assert weight_report(single).weights == {(0, 0): 1}
+
+    def test_far_apart_piles_weigh_only_the_region(self, monkeypatch):
+        """Infinite mode hands the kernel the region's vertices and no
+        others, however far apart the piles are."""
+        d = Distribution(GridSpec(400, 400), {(0, 0): 1, (399, 399): 1, (0, 399): 2})
+        seen = []
+        kernel = weights_module._kernel
+
+        def counting(counts, targets, spec=None):
+            seen.append(len(targets))
+            return kernel(counts, targets, spec)
+
+        monkeypatch.setattr(weights_module, "_kernel", counting)
+        ceiling_infinite(d)
+        assert seen == [len(infinite_excess_region(d))] == [3 * 13]
+
     @given(any_distributions())
     @settings(max_examples=60, deadline=None)
     def test_weight_is_dyadic_sum(self, d):
@@ -150,7 +229,7 @@ class TestWeightKernelAgainstReference:
             )
             assert weight(d, u) == expected
 
-    @given(continuous_distributions())
+    @given(kernel_distributions())
     @settings(max_examples=40, deadline=None)
     def test_fractional_solvable_is_every_weight_at_least_one(self, d):
         """On d, on d scaled so that its lightest vertex has weight exactly 1

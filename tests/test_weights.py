@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from pebblekit import weights
+from pebblekit.constructions import find_density7_pattern, gen_diag7, gen_row_ones
 from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, TORUS
 from pebblekit.weights import (
     IFCOV_UPPER_BOUND,
@@ -79,12 +81,10 @@ class TestCeilings:
             assert (v.col, v.row) in region
 
     def test_ceiling_empty_distribution_rejected(self):
-        with pytest.raises(GridError):
-            covering_ratio_ceiling(Distribution(GridSpec(3, 3), {}))
-        with pytest.raises(GridError):
-            ceiling_infinite(Distribution(GridSpec(3, 3), {}))
-        with pytest.raises(GridError):
-            weight_report(Distribution(GridSpec(3, 3), {}))
+        empty = Distribution(GridSpec(3, 3), {})
+        for read in (covering_ratio_ceiling, ceiling_infinite, weight_report):
+            with pytest.raises(GridError, match="^ceiling needs a non-empty distribution$"):
+                read(empty)
 
     def test_ceiling_of_mass_below_one(self):
         # non-empty although |D| < 1; W = 1/3, 1/6, 1/12 on center, sides, corners
@@ -179,3 +179,57 @@ class TestFractional:
         assert rep.excess_lower_bound == Fraction(12, 25) * 9
         assert not rep.violated
         assert rep.to_json()["violated"] is False
+
+
+@pytest.fixture(scope="module")
+def frozen_instances():
+    """The instances whose answers the benchmark's weights workload freezes."""
+    _, density7 = find_density7_pattern()
+    row = GridSpec(23, 7)
+    return {
+        "diag7_42t": gen_diag7(GridSpec(42, 42, TORUS)),
+        "density7_28t": density7(4),
+        "diag7_21p": gen_diag7(GridSpec(21, 21)),
+        "row_ones": gen_row_ones(row, 16),
+        "row_ones_u2": gen_row_ones(row, 16, with_unit2=True),
+    }
+
+
+def frozen_reads(inst) -> list[str]:
+    d, dplus = inst["row_ones"], inst["row_ones_u2"]
+    return [
+        str(weight_report(inst["diag7_42t"]).ceiling),
+        str(covering_ratio_ceiling(inst["density7_28t"])),
+        str(fractional_solvable(inst["density7_28t"])),
+        str(ceiling_infinite(inst["diag7_21p"])),
+        f"{marginal_covering_ratio_ceiling(d, dplus)} "
+        f"{marginal_covering_ratio_ceiling(d, dplus, infinite=True)}",
+    ]
+
+
+class TestFrozenAnswers:
+    def test_weights_workload_answers(self, frozen_instances):
+        assert frozen_reads(frozen_instances) == [
+            "7/2",
+            "7",
+            "True",
+            "2870497580891251/716881581309952",
+            "15991109/4194304 1376277/262144",
+        ]
+
+    def test_whole_grid_reads_make_no_per_vertex_calls(self, frozen_instances, monkeypatch):
+        """Every whole-grid read goes through the two-pass kernel: none calls
+        the one-vertex reads weight or _infinite_weight."""
+        calls = []
+        for name in ("weight", "_infinite_weight"):
+            one_vertex = getattr(weights, name)
+
+            def counted(*args, _read=one_vertex, _name=name):
+                calls.append(_name)
+                return _read(*args)
+
+            monkeypatch.setattr(weights, name, counted)
+        frozen_reads(frozen_instances)
+        assert calls == []
+        weights.weight(frozen_instances["row_ones"], (0, 0))
+        assert calls == ["weight"]
