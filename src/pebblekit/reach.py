@@ -62,6 +62,25 @@ Reachability is decided in three layers:
   transposition table on the vectors as bytes.  Pebbles on dead ends still
   count in the target weight.
 
+  Reversal lemma: after x -> y and then y -> x the state is A - e_x - e_y
+  <= A, A the state before the pair.  Extra pebbles keep every move legal,
+  so the rest of a winning sequence wins from A: a winning sequence of
+  least length makes no such pair, and by the dead-end lemma no move onto
+  a dead end (W never rises, so a dead end of the start is one of every
+  later state).  The search never makes the reverse b_Z of the move that
+  entered a state Z; the root has none.
+
+  The table stays sound.  Each move spends a pebble and a refuted state is
+  never entered again, so a state is entered at most once.  Suppose the
+  root R wins but the search refutes it: every state it entered is in the
+  table.  Among those that win, take Z with the shortest winning sequence
+  sigma.  If sigma starts with a move other than b_Z, Z tried that move,
+  as sigma keeps the target weight >= k and makes no dead-end move; the
+  child was no hit, so it is in the table, and it wins in |sigma| - 1
+  moves.  If sigma starts with b_Z, then Z b_Z <= P, P the parent that
+  entered Z, so P wins in |sigma| - 1 moves.  Both contradict the choice
+  of Z.
+
 The engine above serves coverage, can_move_k and large distributions,
 whose state space is far beyond a whole-state search.  StateSolver is the
 path for the exhaustive pi_opt search, which asks about many thousands of
@@ -142,11 +161,12 @@ class _Search:
     run(counts) weighs the vertices within T.bit_length() - 2 of a pile,
     numbers t and the live ones (the dead-end lemma of the module
     docstring) in sorted (col, row) order, and packs the state over those
-    ids; it makes no move onto any other vertex, and failed holds the
-    refuted states as bytes.  Moves are tried toward the target first, then
-    from larger piles, then by (from, to) id, so ties break as on the
-    vertices themselves and the node counts are those of a search over
-    {vertex: count} states that drops the same moves."""
+    ids; it makes no move onto any other vertex, nor the reverse of the
+    move just made (the reversal lemma), and failed holds the refuted
+    states as bytes.  Moves are tried toward the target first, then from
+    larger piles, then by (from, to) id, so ties break as on the vertices
+    themselves and the node counts are those of a search over {vertex:
+    count} states that drops the same moves."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -185,8 +205,10 @@ class _Search:
                 state[ids[v]] = c
         # pebbles on dead vertices never move, but count toward the target weight
         w = sum(c << (top - dist[v]) for v, c in counts.items())
+        if state[self.tid] >= self.k:
+            return True
         try:
-            return w >= self.need and self._dfs(state, w)
+            return w >= self.need and self._dfs(state, bytes(state), w, None)
         except RecursionError:
             raise self._overflow("depth exceeded Python's recursion limit") from None
 
@@ -197,34 +219,39 @@ class _Search:
         message = f"search {what} for target {tuple(self.t)} during {stage}"
         return BudgetExceeded(message, self.node_cap, self.t, stage)
 
-    def _dfs(self, state, w: int) -> bool:
-        """w is the target weight of state times 2^top."""
-        if state[self.tid] >= self.k:
-            return True
-        key = bytes(state)
-        if key in self.failed:
-            return False
+    def _dfs(self, state, key: bytes, w: int, back) -> bool:
+        """Whether state, neither a hit nor refuted, puts k pebbles on t.  key
+        is state as bytes, w its target weight times 2^top, and back the move
+        (from, to) that undoes the one into state, None at the root: it is
+        not tried (the reversal lemma of the module docstring).  Each child
+        is tested here, so a call is one node."""
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise self._overflow(f"budget of {self.node_cap} states exceeded")
-        gain, steps, need = self.gain, self.steps, self.need
+        gain, steps, need, failed = self.gain, self.steps, self.need, self.failed
+        tid, k = self.tid, self.k
+        bv, bu = back or (-1, -1)
         moves = []
         for v, c in enumerate(state):
             if c < 2:
                 continue
             rest = w - 2 * gain[v]
+            skip = bu if v == bv else -1
             for away, u, g in steps[v]:
-                if rest + g >= need:
+                if rest + g >= need and u != skip:
                     moves.append((away, -c, v, u, rest + g))
         moves.sort()
         for _, _, v, u, nw in moves:
             state[v] -= 2
             state[u] += 1
-            if self._dfs(state, nw):
+            if u == tid and state[u] >= k:
+                return True
+            child = bytes(state)
+            if child not in failed and self._dfs(state, child, nw, (u, v)):
                 return True
             state[u] -= 1
             state[v] += 2
-        self.failed.add(key)
+        failed.add(key)
         return False
 
 

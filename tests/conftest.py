@@ -110,7 +110,9 @@ class ReferenceSearch:
 
     It drops the same moves onto dead ends: vertices other than t whose
     start weight, summed as Fractions over every grid vertex, is below 2.
-    Their counts stay in the dict states."""
+    Their counts stay in the dict states.  Nor does it make the reverse of
+    the move that entered a state, and it tests each child for a hit and
+    in the table before it recurses, so a _dfs call is one node."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int):
         self.grid, self.t, self.k = grid, t, k
@@ -124,14 +126,13 @@ class ReferenceSearch:
 
         self.dead = {u for u in self.grid.vertices() if u != self.t and weight(u) < 2}
         w = sum(Fraction(c, 2 ** self.dist[v]) for v, c in counts.items())
-        return w >= self.k and self._dfs(dict(counts), w)
-
-    def _dfs(self, state: dict, w: Fraction) -> bool:
-        if state.get(self.t, 0) >= self.k:
+        if counts.get(self.t, 0) >= self.k:
             return True
-        key = frozenset(state.items())
-        if key in self.failed:
-            return False
+        return w >= self.k and self._dfs(dict(counts), w, None)
+
+    def _dfs(self, state: dict, w: Fraction, back) -> bool:
+        """state is neither a hit nor refuted; back is the move (from, to)
+        that undoes the one into state, None at the root."""
         self.nodes += 1
         dist = self.dist
         moves = []
@@ -140,7 +141,7 @@ class ReferenceSearch:
                 continue
             for u in oracle_neighbors(self.grid, v):
                 nw = w - Fraction(2, 2 ** dist[v]) + Fraction(1, 2 ** dist[u])
-                if nw >= self.k and u not in self.dead:
+                if nw >= self.k and u not in self.dead and (v, u) != back:
                     # toward the target first, then larger piles, then (from, to)
                     moves.append((dist[u] >= dist[v], -c, v, u, nw))
         moves.sort()
@@ -150,9 +151,11 @@ class ReferenceSearch:
             if nxt[v] == 0:
                 del nxt[v]
             nxt[u] = nxt.get(u, 0) + 1
-            if self._dfs(nxt, nw):
+            if u == self.t and nxt[u] >= self.k:
                 return True
-        self.failed.add(key)
+            if frozenset(nxt.items()) not in self.failed and self._dfs(nxt, nw, (u, v)):
+                return True
+        self.failed.add(frozenset(state.items()))
         return False
 
 

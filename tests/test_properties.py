@@ -14,7 +14,7 @@ from pebblekit.grid import (
     parse_distribution,
     serialize_distribution,
 )
-from pebblekit.reach import _Engine, apply_move, can_move_k, coverage, lonely_units
+from pebblekit.reach import _Engine, _Search, apply_move, can_move_k, coverage, lonely_units
 from pebblekit.weights import (
     _infinite_weight,
     ceiling_infinite,
@@ -262,6 +262,22 @@ class TestEngineProperties:
     @settings(max_examples=50, deadline=None)
     def test_engine_matches_naive(self, d):
         assert coverage(d).reachable == naive_reachable(d)
+
+    @given(distributions(max_pebbles=12))
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_naive(self, d):
+        """The DFS alone, without the single-pile, weight, greedy and
+        restricted stages that settle most small queries, answers every
+        (t, k <= 3) as the naive walk does: its dead-end and reversal rules
+        keep every answer."""
+        top = {}
+        for state in _naive_states(d):
+            for v, c in state.items():
+                top[v] = max(top.get(v, 0), c)
+        for t in d.grid.vertices():
+            for k in (1, 2, 3):
+                found = _Search(d.grid, t, k, 10**6).run(d.counts)
+                assert found == (top.get(t, 0) >= k), (d.counts, tuple(t), k)
 
     @given(distributions(), st.sampled_from(range(4)))
     @settings(max_examples=40, deadline=None)

@@ -368,8 +368,8 @@ class TestPackedSearch:
         [
             (
                 False,
-                1318,
-                434,
+                858,
+                300,
                 [
                     "...............",
                     "...............",
@@ -382,8 +382,8 @@ class TestPackedSearch:
             ),
             (
                 True,
-                4508,
-                3290,
+                3696,
+                2478,
                 [
                     "...............",
                     "..#.#.#.#.#....",
@@ -406,6 +406,27 @@ class TestPackedSearch:
         assert engine.reachable_set() == picture(reachable)
         assert sum(n for n, _ in engine.runs) == nodes
         assert max(p for _, p in engine.runs) == peak
+
+    @pytest.mark.parametrize(
+        "plus, cov, nodes, peak", [(False, 35, 7619, 2144), (True, 53, 25017, 17346)], ids=["base", "plus"]
+    )
+    def test_cascade6_node_totals(self, monkeypatch, plus, cov, nodes, peak):
+        """A regression pin of the DFS work in the coverage of cascade_ones
+        k=6 on 17x7: the nodes over every search, and the largest table."""
+        runs = []
+        run = _Search.run
+
+        def spy(search, counts):
+            try:
+                return run(search, counts)
+            finally:
+                runs.append((search.nodes, len(search.failed)))
+
+        monkeypatch.setattr(_Search, "run", spy)
+        d, u = constructions.gen_cascade_ones(GridSpec(17, 7), 6)
+        assert coverage(d.combined(u) if plus else d).cov == cov
+        assert sum(n for n, _ in runs) == nodes
+        assert max(p for _, p in runs) == peak
 
     def test_wide_counts_refuted(self):
         """257 pebbles beside t and 1 on its other side, k = 129: the weight
