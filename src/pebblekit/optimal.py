@@ -22,12 +22,29 @@ by the same walk run to the last position (Read's orderly generation).
 An orbit with some vertex of dyadic weight below 1 is refuted without
 a reachability search: a move never raises the weight at any vertex, so
 that vertex can never be reached.  The weights are integer sums over one
-power-of-two denominator, read from a table built once per grid.  The
-rest go to one reach.StateSolver held for the whole search, whose memo of
-whole-state reach sets every orbit and size shares.  The first size with
-a solvable distribution is the optimal pebbling number, and exhaustion of
-the smaller sizes, counted per size in OptimalResult.per_size, is the
-minimality certificate.
+power-of-two denominator 2^D, read from a table built once per grid, and
+the bound is applied to prefixes too.  Let the counts at ids < idx be
+decided, with partial weight P_t at vertex t, and let r pebbles remain.
+Each of them lands on an id j >= idx and adds 2^(D - d(t, j)) at t, at
+most B_t(idx), the largest such entry at ids >= idx, so every completion
+has weight at most P_t + r * B_t(idx) at t.  If that is below 2^D for
+some t, no completion reaches t and the subtree is cut; at r = 0 this is
+the weight test of the complete vector.  The cut drops no vector that
+passes the weight test, and the lex-least test does not look at weights,
+so the walk yields exactly the lex-least vectors that pass it, in the
+same order as the unpruned walk.
+
+The survivors go to one reach.StateSolver held for the whole search,
+whose memo of whole-state reach sets every orbit and size shares.  The
+first size with a solvable distribution is the optimal pebbling number,
+and exhaustion of the smaller sizes, counted per size in
+OptimalResult.per_size, is the minimality certificate.  The orbits cut by
+weight are never built, so below pi_opt a row counts its orbits by
+Burnside's lemma from the cycle types of the symmetries: the weight
+refuted orbits are that count less the survivors, and every survivor is
+refuted by the solver.  The row at pi_opt counts the survivors tested, the
+witness last; the orbits of that size the walk cut by weight before the
+witness are not counted.
 """
 
 from __future__ import annotations
@@ -35,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .grid import Distribution, GridError, GridSpec
@@ -61,11 +77,12 @@ def _stopped(spec: GridSpec, node_cap: int, lower: int, size: int | None = None)
 
 
 class SizeRow(NamedTuple):
-    """The orbits of one size tested by the search, and how each was
-    decided.  Below pi_opt every orbit is refuted; at pi_opt the last orbit
-    is the witness, counted in neither refuted column.  engine_refuted
-    counts the orbits that passed the weight bound and that the state
-    solver found unsolvable."""
+    """The orbits of one size and how each was decided.  Below pi_opt,
+    orbits is every orbit of the size (Burnside's count), each refuted by
+    the weight bound or by the state solver (engine_refuted, the orbits
+    that pass the weight bound).  At pi_opt, orbits counts the
+    weight-passing orbits tested up to and including the witness, which is
+    counted in neither refuted column, and weight_refuted is 0."""
 
     size: int
     orbits: int
@@ -76,7 +93,7 @@ class SizeRow(NamedTuple):
 @dataclass(frozen=True)
 class OptimalResult:
     """Exact optimal pebbling number with a witness and, per size, the
-    orbits that certify its minimality."""
+    orbits that certify its minimality (see SizeRow)."""
 
     spec: GridSpec
     pi_opt: int
@@ -85,7 +102,8 @@ class OptimalResult:
 
     @property
     def candidates_tested(self) -> int:
-        """Orbit representatives tested over all sizes."""
+        """Every orbit of the sizes below pi_opt, plus the weight-passing
+        orbits tested at pi_opt."""
         return sum(row.orbits for row in self.per_size)
 
 
@@ -114,40 +132,78 @@ def _advance(vec: Sequence[int], idx: int, live: list):
     return kept
 
 
-def _distributions_of_size(spec: GridSpec, s: int, perms):
+def _distributions_of_size(spec: GridSpec, s: int, perms, one: int = 0, rows=()):
     """Count vectors of total size s, one per symmetry orbit (its lex-least
-    member), in ascending lexicographic order.  Each prefix carries the
-    symmetries that may still map it to a smaller vector, so a prefix no
-    completion of which is lex-least is cut before it is completed."""
+    member), in ascending lexicographic order, under which every vertex has
+    weight at least 1 (rows and one from weights.dyadic_rows).  Each prefix
+    carries the symmetries that may still map it to a smaller vector and the
+    partial weight at every vertex, and is cut before it is completed when
+    no completion of it is lex-least, or none has weight >= one at every
+    vertex.  With rows empty no prefix is cut by weight, and the walk yields
+    every orbit."""
     n = spec.size
     identity = tuple(range(n))
     vec = [0] * n
+    # The weights at all targets are packed in one integer, target t in the
+    # field of f + 1 bits at bit t * (f + 1).  A field never holds more than
+    # s * one < 2^f, so adding 2^f - one to each sets the field's top bit
+    # iff its weight is >= one, and never carries into the next field.
+    f = (s * one).bit_length()
+    shifts = range(0, len(rows) * (f + 1), f + 1)
 
-    def rec(idx: int, remaining: int, live: list):
+    def pack(values) -> int:
+        return sum(v << b for v, b in zip(values, shifts))
+
+    lift, flags = pack([(1 << f) - one] * n), pack([1 << f] * n)
+    # cols[i]: what one pebble on id i adds at each target; best[i]: the
+    # most one pebble on an id >= i adds there, 0 past the last id
+    cols = [pack(row[i] for row in rows) for i in range(n)]
+    best = [pack(max(row[i:]) for row in rows) for i in range(n)] + [0]
+
+    def rec(idx: int, remaining: int, live: list, partial: int):
         if remaining == 0:
             if _canonical(vec, live):
                 yield tuple(vec)
             return
         if idx == n:
             return
+        col, most = cols[idx], best[idx + 1]
         # leave vertex idx empty, or put 1..remaining pebbles on it
         for k in range(remaining + 1):
+            weights = partial + k * col
+            left = remaining - k
+            if (weights + left * most + lift) & flags != flags:
+                continue
             vec[idx] = k
             kept = _advance(vec, idx, live)
             if kept is not None:
-                yield from rec(idx + 1, remaining - k, kept)
+                yield from rec(idx + 1, left, kept, weights)
         vec[idx] = 0
 
-    yield from rec(0, s, [(p, 0) for p in perms if p != identity])
+    yield from rec(0, s, [(p, 0) for p in perms if p != identity], 0)
 
 
-def _out_of_reach(vec: tuple, rows, one: int) -> bool:
-    """Whether some vertex has weight below 1 under the count vector vec,
-    with rows and one from weights.dyadic_rows."""
-    for row in rows:
-        if sum(map(mul, vec, row)) < one:
-            return True
-    return False
+def burnside_orbit_count(perms, s: int) -> int:
+    """Orbits of count vectors of total size s under the group perms, by
+    Burnside's lemma: (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).
+    A vector fixed by g is constant on each cycle of g, so a cycle of length
+    L holding c pebbles per vertex adds c * L to the size."""
+    total = 0
+    for p in perms:
+        fixed = [1] + [0] * s  # fixed[k]: vectors fixed by p of size k
+        seen = set()
+        for start in range(len(p)):
+            if start in seen:
+                continue
+            length, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v, length = p[v], length + 1
+            for k in range(length, s + 1):
+                fixed[k] += fixed[k - length]
+        total += fixed[s]
+    assert total % len(perms) == 0
+    return total // len(perms)
 
 
 def optimal_pebbling_number(
@@ -167,12 +223,9 @@ def optimal_pebbling_number(
     s = 0
     while True:
         s += 1
-        orbits = light = 0
-        for vec in _distributions_of_size(spec, s, perms):
-            orbits += 1
-            if _out_of_reach(vec, rows, one):
-                light += 1
-                continue
+        tested = 0
+        for vec in _distributions_of_size(spec, s, perms, one, rows):
+            tested += 1
             try:
                 solved = solver.reach(vec) == solver.full
             except BudgetExceeded:
@@ -182,9 +235,10 @@ def optimal_pebbling_number(
             if solved:
                 verts = spec.index.vertices
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
-                per_size.append(SizeRow(s, orbits, light, orbits - light - 1))
+                per_size.append(SizeRow(s, tested, 0, tested - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
-        per_size.append(SizeRow(s, orbits, light, orbits - light))
+        orbits = burnside_orbit_count(perms, s)
+        per_size.append(SizeRow(s, orbits, orbits - tested, tested))
 
 
 def optimal_ratio_series(

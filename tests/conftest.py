@@ -6,11 +6,10 @@ vertex at a time with no symmetry used, the engine's depth-first search over
 {vertex: count} states, its dead ends weighed on their own, used to
 cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
-global seen set and Burnside's orbit count, both used to cross-check the
-lex-least enumeration, and the fractional
-optimal pebbling program solved by the simplex, written out densely (one
-variable per vertex) and per axis (the path or cycle of one side), used
-to cross-check the closed-form optimum."""
+global seen set, used to cross-check the lex-least enumeration, and the
+fractional optimal pebbling program solved by the simplex, written out
+densely (one variable per vertex) and per axis (the path or cycle of one
+side), used to cross-check the closed-form optimum."""
 
 from __future__ import annotations
 
@@ -192,29 +191,6 @@ def reference_orbits(spec: GridSpec, s: int, perms):
             placed.pop()
 
     yield from rec(0, s, [])
-
-
-def burnside_orbit_count(perms, s: int) -> int:
-    """Orbits of count vectors of total size s under the group perms, by
-    Burnside's lemma: (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).
-    A vector fixed by g is constant on each cycle of g, so a cycle of length
-    L holding c pebbles per vertex adds c * L to the size."""
-    total = 0
-    for p in perms:
-        fixed = [1] + [0] * s  # fixed[k]: vectors fixed by p of size k
-        seen = set()
-        for start in range(len(p)):
-            if start in seen:
-                continue
-            length, v = 0, start
-            while v not in seen:
-                seen.add(v)
-                v, length = p[v], length + 1
-            for k in range(length, s + 1):
-                fixed[k] += fixed[k - length]
-        total += fixed[s]
-    assert total % len(perms) == 0
-    return total // len(perms)
 
 
 class _FractionTableau:

@@ -214,7 +214,7 @@ class TestOptimal:
         rows = result["per_size"]
         assert [r["size"] for r in rows] == [1, 2, 3, 4]
         assert all(r["weight_refuted"] == r["orbits"] for r in rows[:-1])
-        assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 89
+        assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 46
 
     def test_node_cap_reports_exhausted_sizes(self, capsys):
         """Sizes 1-4 of 6x2 are exhausted before the one-entry memo overflows

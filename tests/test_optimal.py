@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -11,7 +12,7 @@ from pebblekit.optimal import (
     OptimalResult,
     SizeRow,
     _distributions_of_size,
-    _out_of_reach,
+    burnside_orbit_count,
     composition_upper_bound,
     optimal_pebbling_number,
     optimal_ratio_series,
@@ -19,22 +20,69 @@ from pebblekit.optimal import (
 from pebblekit.reach import BudgetExceeded, StateSolver, coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
 
-from conftest import burnside_orbit_count, naive_reachable, reference_orbits
+from conftest import naive_reachable, reference_orbits
 
-# (grid, pi_opt, orbit representatives tested, witness): the search
-# enumerates the same orbits in the same order as long as these hold
+# (grid, pi_opt, orbits counted, witness): every orbit of the sizes below
+# pi_opt plus the weight-passing orbits tested at pi_opt, the witness last;
+# the search enumerates the same orbits in the same order as long as these
+# hold
 PINNED = [
-    pytest.param(GridSpec(2, 2), 3, 6, {(0, 1): 1, (1, 1): 2}, id="2x2"),
-    pytest.param(GridSpec(3, 3), 4, 89, {(1, 1): 4}, id="3x3"),
+    pytest.param(GridSpec(2, 2), 3, 5, {(0, 1): 1, (1, 1): 2}, id="2x2"),
+    pytest.param(GridSpec(3, 3), 4, 46, {(1, 1): 4}, id="3x3"),
     pytest.param(GridSpec(3, 3, TORUS), 4, 12, {(2, 2): 4}, id="3x3-torus"),
-    pytest.param(GridSpec(4, 3), 5, 839, {(1, 1): 4, (3, 1): 1}, id="4x3"),
-    pytest.param(GridSpec(6, 2, TORUS), 6, 338, {(2, 1): 2, (5, 1): 4}, id="6x2-torus"),
+    pytest.param(GridSpec(4, 3), 5, 504, {(1, 1): 4, (3, 1): 1}, id="4x3"),
+    pytest.param(GridSpec(6, 2, TORUS), 6, 312, {(2, 1): 2, (5, 1): 4}, id="6x2-torus"),
     pytest.param(
-        GridSpec(6, 2), 6, 4566, {(1, 0): 1, (1, 1): 2, (4, 0): 1, (4, 1): 2}, id="6x2"
+        GridSpec(6, 2), 6, 1962, {(1, 0): 1, (1, 1): 2, (4, 0): 1, (4, 1): 2}, id="6x2"
     ),
-    pytest.param(GridSpec(5, 3), 6, 6285, {(1, 1): 4, (4, 1): 2}, id="5x3"),
-    pytest.param(GridSpec(4, 4, TORUS), 6, 342, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
-    pytest.param(GridSpec(4, 4), 7, 17543, {(2, 1): 4, (0, 2): 2, (3, 3): 1}, id="4x4"),
+    pytest.param(GridSpec(5, 3), 6, 4119, {(1, 1): 4, (4, 1): 2}, id="5x3"),
+    pytest.param(GridSpec(4, 4, TORUS), 6, 282, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
+    pytest.param(GridSpec(4, 4), 7, 9669, {(2, 1): 4, (0, 2): 2, (3, 3): 1}, id="4x4"),
+]
+
+# (grid, per_size rows as (orbits, weight_refuted, engine_refuted), sizes
+# 1, 2, ...): the rows below pi_opt are the same as when every orbit was
+# built and weighed in full; at pi_opt, orbits = engine_refuted + 1 and no
+# orbit is counted as weight refuted
+PER_SIZE = [
+    pytest.param(GridSpec(2, 2), [(1, 1, 0), (3, 2, 1), (1, 0, 0)], id="2x2"),
+    pytest.param(GridSpec(3, 3), [(3, 3, 0), (11, 11, 0), (31, 31, 0), (1, 0, 0)], id="3x3"),
+    pytest.param(
+        GridSpec(3, 3, TORUS), [(1, 1, 0), (3, 3, 0), (7, 4, 3), (1, 0, 0)], id="3x3-torus"
+    ),
+    pytest.param(
+        GridSpec(4, 3),
+        [(4, 4, 0), (26, 26, 0), (100, 100, 0), (373, 373, 0), (1, 0, 0)],
+        id="4x3",
+    ),
+    pytest.param(
+        GridSpec(6, 2, TORUS),
+        [(1, 1, 0), (8, 8, 0), (20, 20, 0), (78, 72, 6), (204, 135, 69), (1, 0, 0)],
+        id="6x2-torus",
+    ),
+    pytest.param(
+        GridSpec(6, 2),
+        [(3, 3, 0), (24, 24, 0), (91, 91, 0), (357, 357, 0), (1092, 1072, 20), (395, 0, 394)],
+        id="6x2",
+    ),
+    pytest.param(
+        GridSpec(5, 3),
+        [(6, 6, 0), (40, 40, 0), (194, 194, 0), (832, 832, 0), (3046, 3043, 3), (1, 0, 0)],
+        id="5x3",
+    ),
+    pytest.param(
+        GridSpec(4, 4, TORUS),
+        [(1, 1, 0), (6, 6, 0), (16, 16, 0), (67, 61, 6), (190, 132, 58), (2, 0, 1)],
+        id="4x4-torus",
+    ),
+    pytest.param(
+        GridSpec(4, 4),
+        [
+            (3, 3, 0), (24, 24, 0), (113, 113, 0), (528, 528, 0), (2003, 2003, 0),
+            (6968, 6725, 243), (30, 0, 29),
+        ],
+        id="4x4",
+    ),
 ]
 
 # grids past 12 vertices for the orbit oracle, by topology
@@ -65,6 +113,29 @@ class TestOptimalNumbers:
         assert res.witness == Distribution(spec, witness)
         assert is_solvable(res.witness)
 
+    @pytest.mark.parametrize("spec, rows", PER_SIZE)
+    def test_per_size_rows(self, spec, rows):
+        res = optimal_pebbling_number(spec)
+        assert res.per_size == tuple(SizeRow(s, *row) for s, row in enumerate(rows, 1))
+
+    def test_5x4_past_the_vertex_cap(self, monkeypatch):
+        """With the vertex cap raised, the 5x4 plane (20 vertices) has pi_opt
+        8, and its rows below 8 are those of the search that built and
+        weighed every orbit in full."""
+        monkeypatch.setattr(optimal, "MAX_SEARCH_VERTICES", 20)
+        res = optimal_pebbling_number(GridSpec(5, 4))
+        assert res.pi_opt == 8
+        assert res.witness == Distribution(GridSpec(5, 4), {(2, 1): 4, (0, 2): 2, (4, 2): 2})
+        assert res.per_size[:-1] == (
+            SizeRow(1, 6, 6, 0),
+            SizeRow(2, 62, 62, 0),
+            SizeRow(3, 398, 398, 0),
+            SizeRow(4, 2279, 2279, 0),
+            SizeRow(5, 10716, 10716, 0),
+            SizeRow(6, 44596, 44591, 5),
+            SizeRow(7, 164892, 162660, 2232),
+        )
+
     def test_weight_refuted_orbits_cost_no_budget(self):
         # every 3x3 orbit below 4 pebbles has a vertex of weight < 1, so the
         # search never asks the solver, and a node cap of 1 cannot overflow
@@ -87,7 +158,7 @@ class TestOptimalNumbers:
         refuted by weight, and the last orbit of size 4 is the witness."""
         res = optimal_pebbling_number(GridSpec(3, 3))
         assert [row.size for row in res.per_size] == [1, 2, 3, 4]
-        assert res.candidates_tested == sum(row.orbits for row in res.per_size) == 89
+        assert res.candidates_tested == sum(row.orbits for row in res.per_size) == 46
         for row in res.per_size[:-1]:
             assert row.weight_refuted == row.orbits and row.engine_refuted == 0
         last = res.per_size[-1]
@@ -143,6 +214,22 @@ class TestOptimalNumbers:
                 assert got == list(reference_orbits(spec, s, perms)), (spec, s)
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_weight_cut_keeps_exactly_the_weight_passing_orbits(self, topology):
+        """The walk that cuts prefixes by weight yields the vectors of the
+        unpruned walk (empty rows) under which every vertex has weight >= 1,
+        in the same order."""
+        for spec in grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]:
+            perms = spec.index.permutations()
+            one, rows = dyadic_rows(spec)
+            for s in range(1, 7):
+                heavy = [
+                    vec
+                    for vec in _distributions_of_size(spec, s, perms)
+                    if all(sum(map(mul, vec, row)) >= one for row in rows)
+                ]
+                assert list(_distributions_of_size(spec, s, perms, one, rows)) == heavy, (spec, s)
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_orbit_counts_match_burnside(self, topology):
         """The enumeration yields exactly as many vectors as Burnside's lemma
         counts orbits, at sizes beyond the seen-set reference."""
@@ -173,18 +260,20 @@ class TestOptimalNumbers:
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_filter_drops_only_unsolvable_orbits(self, topology):
-        """The weight filter drops an orbit exactly when some vertex has weight
-        below 1, and the naive BFS oracle reaches none of those vertices."""
+        """The weight cut drops an orbit of the unpruned walk exactly when some
+        vertex has weight below 1, and the naive BFS oracle reaches none of
+        those vertices."""
         dropped = 0
         for spec in grids_up_to(9, topology):
             verts = list(spec.vertices())
             one, rows = dyadic_rows(spec)
             perms = spec.index.permutations()
             for s in range(1, 7):
+                kept = set(_distributions_of_size(spec, s, perms, one, rows))
                 for vec in _distributions_of_size(spec, s, perms):
                     d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                     light = {v for v in verts if weight(d, v) < 1}
-                    assert _out_of_reach(vec, rows, one) == bool(light), d
+                    assert (vec not in kept) == bool(light), d
                     if light:
                         dropped += 1
                         assert not light & naive_reachable(d), d
@@ -202,9 +291,7 @@ class TestOptimalNumbers:
         solver = StateSolver(spec)
         checked = 0
         for s in range(1, pi_opt + 1):
-            for vec in _distributions_of_size(spec, s, perms):
-                if _out_of_reach(vec, rows, one):
-                    continue
+            for vec in _distributions_of_size(spec, s, perms, one, rows):
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 mask = solver.reach(vec)
                 reached = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
@@ -224,8 +311,7 @@ class TestOptimalNumbers:
         solver = StateSolver(spec)
         solved = 0
         for s in (7, 8):
-            orbits = _distributions_of_size(spec, s, perms)
-            sample = list(islice((v for v in orbits if not _out_of_reach(v, rows, one)), 150))
+            sample = list(islice(_distributions_of_size(spec, s, perms, one, rows), 150))
             assert len(sample) == 150
             for vec in sample:
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
