@@ -22,12 +22,13 @@ by the same walk run to the last position (Read's orderly generation).
 An orbit with some vertex of dyadic weight below 1 is refuted without
 a reachability search: a move never raises the weight at any vertex, so
 that vertex can never be reached.  The weights are integer sums over one
-power-of-two denominator 2^D, read from a table built once per grid, and
-the bound is applied to prefixes too.  Let the counts at ids < idx be
-decided, with partial weight P_t at vertex t, and let r pebbles remain.
-Each of them lands on an id j >= idx and adds 2^(D - d(t, j)) at t, at
-most B_t(idx), the largest such entry at ids >= idx, so every completion
-has weight at most P_t + r * B_t(idx) at t.  If that is below 2^D for
+power-of-two denominator 2^D, read from the table (weights.dyadic_rows)
+that the search's state solver builds, and the bound is applied to
+prefixes too.  Let the counts at ids < idx be decided, with partial
+weight P_t at vertex t, and let r pebbles remain.  Each of them lands on
+an id j >= idx and adds 2^(D - d(t, j)) at t, at most B_t(idx), the
+largest such entry at ids >= idx, so every completion has weight at most
+P_t + r * B_t(idx) at t.  If that is below 2^D for
 some t, no completion reaches t and the subtree is cut; at r = 0 this is
 the weight test of the complete vector.  The cut drops no vector that
 passes the weight test, and the lex-least test does not look at weights,
@@ -57,7 +58,6 @@ from typing import NamedTuple, Sequence
 from .grid import Distribution, GridError, GridSpec
 from .lp import fractional_optimum
 from .reach import DEFAULT_NODE_CAP, BudgetExceeded, StateSolver
-from .weights import dyadic_rows
 
 #: Largest vertex count attempted by the exhaustive search.
 MAX_SEARCH_VERTICES = 16
@@ -217,14 +217,13 @@ def optimal_pebbling_number(
         # size is at least the fractional optimum
         raise _stopped(spec, node_cap, ceil(fractional_optimum(spec)))
     perms = spec.index.permutations()
-    one, rows = dyadic_rows(spec)
     solver = StateSolver(spec, node_cap)
     per_size = []
     s = 0
     while True:
         s += 1
         tested = 0
-        for vec in _distributions_of_size(spec, s, perms, one, rows):
+        for vec in _distributions_of_size(spec, s, perms, solver.one, solver.rows):
             tested += 1
             try:
                 solved = solver.reach(vec) == solver.full

@@ -86,6 +86,20 @@ whose state space is far beyond a whole-state search.  StateSolver is the
 path for the exhaustive pi_opt search, which asks about many thousands of
 distributions of a few pebbles on one small grid: it walks whole states,
 not targets, and one memo of their reach sets serves every query.
+
+Whole-state dead ends: call j dead in a state A when W_A(j) < 2.  Then
+reach(A) is the support of A, the ball each pile of A covers alone, and
+the reach sets of the successors of A by moves i -> j onto live j.  For t
+in reach(A) outside the support, the dead-end lemma with A as the start
+and t as the target gives a sequence that puts a pebble on t and makes no
+move onto a dead end u != t.  Its first move i -> j lands on a live j,
+and t is in the reach set of the successor it makes; or it lands on t
+itself, so t is next to a pile of >= 2 and lies in that pile's ball.  So
+StateSolver drops the moves onto dead ends.  The rule reads A alone, so a
+memoised reach set is exact for its key whichever query stored it.  The
+reversal lemma reads the state before A as well, and a memo entry made
+under it would hold the reach set of A less what the skipped move gives,
+so StateSolver does not use it.
 """
 
 from __future__ import annotations
@@ -93,9 +107,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .grid import Distribution, GridError, GridSpec, Vertex
-from .weights import dyadic_weight
+from .weights import dyadic_rows, dyadic_weight
 
 # Each DFS node adds at most one transposition-table entry.  Over n live
 # vertices and t an entry takes about n + 75 bytes (4n + 75 for an
@@ -377,35 +392,61 @@ class StateSolver:
 
     A state is a tuple of pebble counts indexed by vertex id (the order of
     GridIndex.vertices), and a reach set is an int bitmask over the same ids.
-    The reach set of a state is its support, the ball covered by each
-    single pile, and the reach set of each one-move successor; the walk
-    stops as soon as the mask is full.  Every state the piles alone do not
-    decide is memoised, and the memo serves every query on the solver: a
-    successor of a size-s state is a size-(s-1) state that other queries
-    meet again.  Recursion depth is at most the state's size, and the memo
-    keys are the states as bytes, so each count must be below 256.  A query
-    that would hold more than node_cap entries raises BudgetExceeded."""
+    The reach set of a state A is its support, the ball covered by each
+    single pile, and the reach set of each successor A' by a move i -> j
+    onto a live vertex j, one of weight W_A(j) >= 2; the walk stops as soon
+    as the mask is full.  Moves onto a dead end j, W_A(j) < 2, are never
+    made (whole-state dead ends in the module docstring): some sequence
+    that puts a pebble on a reachable t makes no move onto a dead end
+    other than t, so its first move makes a successor walked here, or
+    lands on t from a pile whose ball holds t.  The rule reads A alone,
+    never the state it came from, so every memo entry is the exact reach
+    set of its key, whichever query made it.  The weights are integers
+    over 2^D, one and rows from weights.dyadic_rows, so a test is one
+    integer compare; the balls are read from the same table.
+
+    Every state the piles alone do not decide is memoised, and the memo
+    serves every query on the solver: a successor of a size-s state is a
+    size-(s-1) state that other queries meet again.  Recursion depth is at
+    most the state's size.  The memo keys are the states as bytes, and no
+    count ever exceeds the state's size, so a state holds at most 255
+    pebbles; reach raises GridError for a state of the wrong length or
+    counts outside that.  A query that would hold more than node_cap
+    entries raises BudgetExceeded."""
 
     def __init__(self, grid: GridSpec, node_cap: int = DEFAULT_NODE_CAP):
-        index = grid.index
-        verts = index.vertices
-        self.full = (1 << len(verts)) - 1
+        self.one, self.rows = dyadic_rows(grid)
+        self.full = (1 << grid.size) - 1
         self.node_cap = node_cap
         self.memo: dict[bytes, int] = {}
-        self._neighbors = index.neighbor_ids
-        self._top = max(map(max, index.cols)) + max(map(max, index.rows))
-        # _balls[i][r]: the vertices within distance r of vertex i
+        self._neighbors = grid.index.neighbor_ids
+        self._top = top = self.one.bit_length() - 1
+        # _balls[i][r]: the vertices within distance r of vertex i, where
+        # rows[i][j] = 2^(top - d(i, j))
         self._balls = []
-        for v in verts:
-            balls = [0] * (self._top + 1)
-            for i, d in enumerate(index.distances(v, verts).values()):
-                balls[d] |= 1 << i
+        for row in self.rows:
+            balls = [0] * (top + 1)
+            for j, w in enumerate(row):
+                balls[top + 1 - w.bit_length()] |= 1 << j
             for r in range(1, len(balls)):
                 balls[r] |= balls[r - 1]
             self._balls.append(balls)
 
     def reach(self, state: tuple[int, ...]) -> int:
         """The reach set of state, as a bitmask over vertex ids."""
+        n = len(self.rows)
+        if len(state) != n:
+            raise GridError(f"a state has one count per vertex: {n}, not {len(state)}")
+        try:
+            # bytes() rejects a count that is not an int in range(256)
+            fits = sum(bytes(state)) <= 255
+        except (TypeError, ValueError):
+            fits = False
+        if not fits:
+            raise GridError("a state's counts must be ints >= 0 summing to at most 255")
+        return self._reach(tuple(state))
+
+    def _reach(self, state: tuple[int, ...]) -> int:
         mask = 0
         for i, c in enumerate(state):
             if c:
@@ -420,14 +461,17 @@ class StateSolver:
         if len(self.memo) >= self.node_cap:
             cap = f"state memo budget of {self.node_cap} entries exceeded"
             raise BudgetExceeded(cap, self.node_cap, stage="optimal search")
+        rows, two = self.rows, 2 * self.one
         for i, c in enumerate(state):
             if c < 2:
                 continue
             for j in self._neighbors[i]:
+                if sum(map(mul, rows[j], state)) < two:
+                    continue
                 nxt = list(state)
                 nxt[i] -= 2
                 nxt[j] += 1
-                mask |= self.reach(tuple(nxt))
+                mask |= self._reach(tuple(nxt))
             if mask == self.full:
                 break
         self.memo[key] = mask

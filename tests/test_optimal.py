@@ -85,6 +85,16 @@ PER_SIZE = [
     ),
 ]
 
+# grids past MAX_SEARCH_VERTICES, searched with the cap raised: (grid,
+# pi_opt, orbits counted, witness) as in PINNED
+PAST_THE_CAP = [
+    pytest.param(
+        GridSpec(5, 4, TORUS), 7, 3464, {(4, 2): 4, (1, 3): 1, (2, 3): 2}, id="5x4-torus"
+    ),
+    pytest.param(GridSpec(6, 3), 7, 34468, {(1, 1): 4, (4, 1): 1, (5, 1): 2}, id="6x3"),
+    pytest.param(GridSpec(7, 3), 8, 299997, {(1, 1): 4, (5, 1): 4}, id="7x3"),
+]
+
 # grids past 12 vertices for the orbit oracle, by topology
 WIDE_ORBIT_GRIDS = {
     PLANE: [GridSpec(5, 3), GridSpec(4, 4)],
@@ -135,6 +145,46 @@ class TestOptimalNumbers:
             SizeRow(6, 44596, 44591, 5),
             SizeRow(7, 164892, 162660, 2232),
         )
+
+    @pytest.mark.parametrize("spec, pi_opt, tested, witness", PAST_THE_CAP)
+    def test_past_the_vertex_cap(self, spec, pi_opt, tested, witness, monkeypatch):
+        monkeypatch.setattr(optimal, "MAX_SEARCH_VERTICES", spec.size)
+        res = optimal_pebbling_number(spec)
+        assert (res.pi_opt, res.candidates_tested) == (pi_opt, tested)
+        assert res.witness == Distribution(spec, witness)
+
+    @pytest.mark.parametrize(
+        "spec, entries",
+        [
+            pytest.param(GridSpec(6, 2), 816, id="6x2"),
+            pytest.param(GridSpec(6, 2, TORUS), 127, id="6x2-torus"),
+        ],
+    )
+    def test_solver_memo_entries(self, spec, entries, monkeypatch):
+        """The solver makes no move onto a vertex of weight below 2 in the
+        current state, so after the whole search its memo holds exactly
+        these entries; making every legal move, it held 1,838 and 367."""
+        solvers = []
+
+        class Recorded(StateSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(self)
+
+        monkeypatch.setattr(optimal, "StateSolver", Recorded)
+        optimal_pebbling_number(spec)
+        assert [len(solver.memo) for solver in solvers] == [entries]
+
+    def test_solver_rejects_bad_states(self):
+        """A state of the wrong length, or one whose counts do not fit the
+        memo's byte keys, raises GridError before any search."""
+        solver = StateSolver(GridSpec(6, 5))
+        with pytest.raises(GridError, match="one count per vertex: 30, not 29"):
+            solver.reach((1,) * 29)
+        for state in ((300,) + (0,) * 29, (-1,) + (0,) * 29, (1.0,) + (0,) * 29):
+            with pytest.raises(GridError, match="summing to at most 255"):
+                solver.reach(state)
+        assert solver.memo == {}
 
     def test_weight_refuted_orbits_cost_no_budget(self):
         # every 3x3 orbit below 4 pebbles has a vertex of weight < 1, so the

@@ -14,7 +14,15 @@ from pebblekit.grid import (
     parse_distribution,
     serialize_distribution,
 )
-from pebblekit.reach import _Engine, _Search, apply_move, can_move_k, coverage, lonely_units
+from pebblekit.reach import (
+    StateSolver,
+    _Engine,
+    _Search,
+    apply_move,
+    can_move_k,
+    coverage,
+    lonely_units,
+)
 from pebblekit.weights import (
     _infinite_weight,
     ceiling_infinite,
@@ -278,6 +286,30 @@ class TestEngineProperties:
             for k in (1, 2, 3):
                 found = _Search(d.grid, t, k, 10**6).run(d.counts)
                 assert found == (top.get(t, 0) >= k), (d.counts, tuple(t), k)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda w: st.builds(
+                GridSpec, st.just(w), st.integers(1, 12 // w), st.sampled_from([PLANE, TORUS])
+            )
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_state_solver_matches_naive(self, spec, data):
+        """StateSolver.reach, which makes no move onto a vertex of weight
+        below 2 in the current state, equals the naive walk on random
+        distributions of up to 8 pebbles on grids of at most 12 vertices:
+        states the pi_opt search never hands it, as they are not lex-least
+        or fail the weight test.  One solver answers all the draws on a
+        grid, so the memo the earlier ones fill serves the later ones."""
+        solver = StateSolver(spec)
+        verts = spec.index.vertices
+        for _ in range(data.draw(st.integers(1, 3))):
+            d = data.draw(distributions(max_pebbles=8, specs=st.just(spec)))
+            mask = solver.reach(tuple(d.get(v) for v in verts))
+            reached = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            assert reached == naive_reachable(d), d.counts
 
     @given(distributions(), st.sampled_from(range(4)))
     @settings(max_examples=40, deadline=None)
