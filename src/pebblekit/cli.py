@@ -227,7 +227,7 @@ def _density7() -> str:
     basis, _ = constructions.find_density7_pattern()
     wmin = min(constructions.density7_class_weights(basis).values())
     b_sum = min(
-        weights.dyadic_weight((k, dd) for dd, k in shells.items())
+        sum(Fraction(k, 1 << dd) for dd, k in shells.items())
         for alpha, shells in constructions.density7_class_profile(basis).items()
         if alpha != 0
     )

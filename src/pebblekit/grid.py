@@ -289,6 +289,15 @@ class _Pebbles:
             raise GridError("cannot compare distributions on different grids")
         return all(self.counts.get(v, 0) >= c for v, c in other.counts.items())
 
+    def added_over(self, base: "_Pebbles") -> int | Fraction:
+        """The pebbles this adds to base; GridError unless it dominates base and adds some."""
+        if not self.dominates(base):
+            raise GridError("extended distribution must dominate the base pointwise")
+        added = self.size - base.size
+        if added <= 0:
+            raise GridError("extended distribution must add at least one pebble")
+        return added
+
     def __eq__(self, other):
         return type(other) is type(self) and self.grid == other.grid and self.counts == other.counts
 

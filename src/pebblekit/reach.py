@@ -109,14 +109,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from . import weights
 from .grid import Distribution, GridError, GridSpec, Vertex
-from .weights import dyadic_rows, dyadic_weight
 
 # Each DFS node adds at most one transposition-table entry.  Over n live
 # vertices and t an entry takes about n + 75 bytes (4n + 75 for an
 # array("I") state): 122-157 bytes measured at n = 24 and 36 on
 # cascade_ones k=7 on 19x7, so a search that fills the default cap holds
-# ~1.5 GB there.
+# ~1.5 GB there, as does a full StateSolver memo (~150 bytes an entry).
 DEFAULT_NODE_CAP = 10**7
 
 # Radii of the restricted DFS stages (stage 4 in the module docstring).
@@ -173,15 +173,15 @@ def apply_move(d: Distribution, frm, to) -> Distribution:
 class _Search:
     """DFS over distribution states for one (target, k) query.
 
-    run(counts) weighs the vertices within T.bit_length() - 2 of a pile,
-    numbers t and the live ones (the dead-end lemma of the module
-    docstring) in sorted (col, row) order, and packs the state over those
-    ids; it makes no move onto any other vertex, nor the reverse of the
-    move just made (the reversal lemma), and failed holds the refuted
-    states as bytes.  Moves are tried toward the target first, then from
-    larger piles, then by (from, to) id, so ties break as on the vertices
-    themselves and the node counts are those of a search over {vertex:
-    count} states that drops the same moves."""
+    run(counts) weighs the vertices within T.bit_length() - 2 of a pile in
+    one weights._kernel call, numbers t and the live ones (the dead-end
+    lemma of the module docstring) in sorted (col, row) order as region,
+    and packs the state over those ids; it makes no move onto any other
+    vertex, nor the reverse of the move just made (the reversal lemma),
+    and failed holds the refuted states as bytes.  Moves are tried toward
+    the target first, then from larger piles, then by (from, to) id, so
+    ties break as on the vertices themselves and the node counts are those
+    of a search over {vertex: count} states that drops the same moves."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -195,13 +195,10 @@ class _Search:
         index = self.grid.index
         total = sum(counts.values())
         # live vertices have start weight >= 2, so lie within T.bit_length() - 2 of a pile
-        live = []
-        for u in set().union(*(index.ball(v, total.bit_length() - 2) for v in counts)):
-            far = index.distances(u, counts)
-            m = max(far.values())
-            if sum(c << (m - far[v]) for v, c in counts.items()) >= 2 << m:
-                live.append(u)
-        region = sorted({self.t, *live})
+        near = list(set().union(*(index.ball(v, total.bit_length() - 2) for v in counts)))
+        den, nums = weights._kernel(counts, near, self.grid)
+        live = [u for u, n in zip(near, nums) if n >= 2 * den]
+        self.region = region = sorted({self.t, *live})
         ids = {v: i for i, v in enumerate(region)}
         dist = index.distances(self.t, {*region, *counts})
         top = max(dist.values())
@@ -350,7 +347,8 @@ class _Engine:
         dist = grid.index.distances(t, counts)
         if any(c >> dist[v] >= k for v, c in counts.items()):
             return True
-        if dyadic_weight((c, dist[v]) for v, c in counts.items()) < k:
+        top = max(dist.values())
+        if sum(c << (top - dist[v]) for v, c in counts.items()) < k << top:
             return False
         if _greedy_deliverable(grid, counts, t) >= k:
             return True
@@ -412,10 +410,12 @@ class StateSolver:
     count ever exceeds the state's size, so a state holds at most 255
     pebbles; reach raises GridError for a state of the wrong length or
     counts outside that.  A query that would hold more than node_cap
-    entries raises BudgetExceeded."""
+    entries raises BudgetExceeded.  An entry costs ~150 bytes (peak RSS:
+    6x4 plane 829,043 entries, 141 MB; 5x5 plane 376,505, 79 MB), so the
+    default cap allows ~1.5 GB."""
 
     def __init__(self, grid: GridSpec, node_cap: int = DEFAULT_NODE_CAP):
-        self.one, self.rows = dyadic_rows(grid)
+        self.one, self.rows = weights.dyadic_rows(grid)
         self.full = (1 << grid.size) - 1
         self.node_cap = node_cap
         self.memo: dict[bytes, int] = {}
@@ -547,11 +547,7 @@ def marginal_covering_ratio(
     d: Distribution, dplus: Distribution, node_cap: int = DEFAULT_NODE_CAP
 ) -> Fraction:
     """(Cov(D') - Cov(D)) / (|D'| - |D|) for D' pointwise >= D."""
-    if not dplus.dominates(d):
-        raise GridError("extended distribution must dominate the base pointwise")
-    added = dplus.size - d.size
-    if added <= 0:
-        raise GridError("extended distribution must add at least one pebble")
+    added = dplus.added_over(d)
     cov_base = coverage(d, node_cap).cov
     cov_plus = coverage(dplus, node_cap).cov
     assert cov_plus >= cov_base, "coverage must be monotone under adding pebbles"

@@ -19,7 +19,9 @@ Two evaluation modes exist and are never mixed:
   numerator is 9|D| minus the total excess over the finite region where
   W can exceed 1.
 
-Both modes weigh with one kernel, _kernel.  On both topologies a distance
+Every weight of a distribution comes from one kernel, _kernel (one target
+for weight and _infinite_weight, the live set for reach._Search), or from
+its axis factors, _powers, as in dyadic_rows.  On both topologies a distance
 is a column distance plus a row distance (|dcol| + |drow| on Z^2 and the
 plane; on a torus the sum of the two cycle distances, GridIndex.cols and
 .rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the Kronecker structure of
@@ -77,17 +79,6 @@ class WeightReport:
         }
 
 
-def dyadic_weight(terms) -> Fraction:
-    """Exact sum of c * 2^-d over (count, distance) pairs.
-
-    The sum is kept as one numerator over 2^D, D the largest distance, so
-    each term costs a shift; counts may be ints or Fractions.  dyadic_rows
-    and the gains of reach._Search are integer forms of the same sum."""
-    terms = list(terms)
-    top = max((dist for _, dist in terms), default=0)
-    return Fraction(sum(c * (1 << (top - dist)) for c, dist in terms), 1 << top)
-
-
 def _powers(table, targets, sources) -> tuple[int, dict]:
     """One axis's factors: (e, p) with p[a][b] = 2^(e - dist(a, b)) for a in
     targets and b in sources, e the largest such dist; dist(a, b) is
@@ -118,18 +109,17 @@ def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
     """The grid's weights as integers over one denominator 2^D, D its
     largest distance: (2^D, rows) with rows[t][i] = 2^(D - d(t, i)) over
     vertex ids (GridIndex.vertices), so the weight at vertex id t under the
-    count vector c is sum_i c[i] * rows[t][i] / 2^D."""
+    count vector c is sum_i c[i] * rows[t][i] / 2^D, D = Ec + Er."""
+    ec, cp = _powers(spec.index.cols, range(spec.width), range(spec.width))
+    er, rp = _powers(spec.index.rows, range(spec.height), range(spec.height))
     verts = spec.index.vertices
-    dists = [list(spec.index.distances(t, verts).values()) for t in verts]
-    top = max(map(max, dists))
-    return 1 << top, [tuple(1 << (top - d) for d in row) for row in dists]
+    return 1 << (ec + er), [tuple(cp[c][i] * rp[r][j] for i, j in verts) for c, r in verts]
 
 
 def weight(d: AnyDistribution, u) -> Fraction:
-    """sum_v D(v) * 2^-d(u,v) on the distribution's grid."""
-    u = d.grid.check(u)
-    ct, rt = d.grid.index.cols[u[0]], d.grid.index.rows[u[1]]
-    return dyadic_weight((c, ct[v[0]] + rt[v[1]]) for v, c in d.items())
+    """sum_v D(v) * 2^-d(u,v) on the distribution's grid: the kernel on one target."""
+    den, (num,) = _kernel(d.counts, [d.grid.check(u)], d.grid)
+    return Fraction(num, den)
 
 
 def excess(d: AnyDistribution, u) -> Fraction:
@@ -164,10 +154,9 @@ def covering_ratio_ceiling(d: AnyDistribution) -> Fraction:
 
 
 def _infinite_weight(counts: dict, u: tuple) -> Fraction:
-    """W(u) on the unbounded grid, one sum over the piles: infinite mode's one-vertex read."""
-    return dyadic_weight(
-        (c, abs(u[0] - c0) + abs(u[1] - r0)) for (c0, r0), c in counts.items()
-    )
+    """W(u) on the unbounded grid: infinite mode's one-vertex read."""
+    den, (num,) = _kernel(counts, [u])
+    return Fraction(num, den)
 
 
 def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
@@ -208,11 +197,7 @@ def marginal_covering_ratio_ceiling(
 ) -> Fraction:
     """Change of the ceiling numerator per added pebble, both terms evaluated
     in the same mode."""
-    if not dplus.dominates(d):
-        raise GridError("extended distribution must dominate the base pointwise")
-    added = dplus.size - d.size
-    if added <= 0:
-        raise GridError("extended distribution must add at least one pebble")
+    added = dplus.added_over(d)
     return (_ceiling_numerator(dplus, infinite) - _ceiling_numerator(d, infinite)) / added
 
 
@@ -225,11 +210,15 @@ def fractional_solvable(dc: ContinuousDistribution | Distribution) -> bool:
 
 def single_pebble_weight_total(radius: int) -> Fraction:
     """Partial sum of one pebble's weight contributions out to the given
-    distance on the unbounded grid: 1 + sum_{k<=radius} 4k * 2^-k.
-    Monotone increasing with limit 9."""
+    distance r on the unbounded grid: 1 + sum_{k<=r} 4k * 2^-k, in closed
+    form 9 - 4(r+2) / 2^r.  Monotone increasing with limit 9.
+
+    Proof: S(r) = sum_{k<=r} k * 2^-k = 2 - (r+2) * 2^-r, by induction on
+    r: S(0) = 0 = 2 - 2, and S(r) + (r+1) * 2^-(r+1) = 2 - (2r+4 - r-1) *
+    2^-(r+1) = 2 - (r+3) * 2^-(r+1).  So the sum is 1 + 4 S(r)."""
     if radius < 0:
         raise GridError("radius must be non-negative")
-    return 1 + dyadic_weight((4 * k, k) for k in range(1, radius + 1))
+    return PEBBLE_TOTAL_WEIGHT - Fraction(4 * (radius + 2), 1 << radius)
 
 
 #: Lower bound on the excess weight at a unit of size k in any distribution

@@ -9,7 +9,8 @@ cross-check the integer one, a reference orbit enumerator with a
 global seen set, used to cross-check the lex-least enumeration, and the
 fractional optimal pebbling program solved by the simplex, written out
 densely (one variable per vertex) and per axis (the path or cycle of one
-side), used to cross-check the closed-form optimum."""
+side), used to cross-check the closed-form optimum, and the weight
+W(u) summed one Fraction per pile, used to cross-check the weight kernel."""
 
 from __future__ import annotations
 
@@ -120,10 +121,9 @@ class ReferenceSearch:
         self.failed: set[frozenset] = set()
 
     def run(self, counts: dict) -> bool:
-        def weight(u) -> Fraction:
-            return sum(Fraction(c, 2 ** oracle_distance(self.grid, u, v)) for v, c in counts.items())
-
-        self.dead = {u for u in self.grid.vertices() if u != self.t and weight(u) < 2}
+        self.dead = {
+            u for u in self.grid.vertices() if u != self.t and naive_weight(counts, u, self.grid) < 2
+        }
         w = sum(Fraction(c, 2 ** self.dist[v]) for v, c in counts.items())
         if counts.get(self.t, 0) >= self.k:
             return True
@@ -332,6 +332,17 @@ def oracle_distance(grid: GridSpec, u, v) -> int:
         d = abs(a - b)
         out += min(d, n - d) if grid.topology == TORUS else d
     return out
+
+
+def naive_weight(counts, u, grid: GridSpec | None = None) -> Fraction:
+    """W(u) = sum_v counts[v] * 2^-d(u, v), one Fraction per pile, with d
+    from oracle_distance on grid, or Manhattan distance on Z^2 when grid
+    is None: the reference for pebblekit's weight kernel."""
+
+    def dist(v) -> int:
+        return abs(u[0] - v[0]) + abs(u[1] - v[1]) if grid is None else oracle_distance(grid, u, v)
+
+    return sum((Fraction(c, 2 ** dist(v)) for v, c in counts.items()), Fraction(0))
 
 
 def reference_fractional_problem(spec: GridSpec) -> LpProblem:

@@ -376,6 +376,16 @@ def test_readme_command_lines_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def test_readme_python_blocks_run():
+    """Every python block of the README runs as written, so the documented
+    library API cannot drift."""
+    fenced = README.read_text().split("```")[1::2]
+    blocks = [block.split("\n", 1)[1] for block in fenced if block.startswith("python\n")]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     """Every command line in the README runs to exit 0, next to a dist.txt
     holding the README's own distribution-file example."""

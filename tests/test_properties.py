@@ -38,7 +38,7 @@ from pebblekit.weights import (
 )
 import pebblekit.weights as weights_module
 
-from conftest import _naive_states, naive_reachable, oracle_distance, reference_clusters
+from conftest import _naive_states, naive_reachable, naive_weight, oracle_distance, reference_clusters
 
 
 def grid_specs(max_side=5):
@@ -138,10 +138,7 @@ def reference_infinite_ceiling(d) -> Fraction:
         for dc in range(-radius, radius + 1)
         for dr in range(-radius, radius + 1)
     }
-    total_excess = Fraction(0)
-    for x, y in box:
-        w = sum(Fraction(c, 2 ** (abs(x - v.col) + abs(y - v.row))) for v, c in d.items())
-        total_excess += max(w - 1, Fraction(0))
+    total_excess = sum((max(naive_weight(d.counts, u) - 1, 0) for u in box), Fraction(0))
     return (9 * d.size - total_excess) / d.size
 
 
@@ -165,8 +162,10 @@ ALL_GRIDS = [GridSpec(w, h, t) for t in (PLANE, TORUS) for w in range(1, 6) for 
 
 
 class TestWeightKernelAgainstReference:
-    """The two-pass kernel behind every whole-grid read, against weight(d, u)
-    and _infinite_weight, the one-vertex sums over the support."""
+    """The two-pass kernel behind every weight, against naive_weight, one
+    Fraction per pile over conftest's own distances; weight and
+    _infinite_weight are the kernel on one target, so they are checked
+    here too, not used as references."""
 
     @pytest.mark.parametrize("spec", ALL_GRIDS, ids=str)
     def test_every_grid_shape(self, spec):
@@ -176,33 +175,39 @@ class TestWeightKernelAgainstReference:
         counts = {far: Fraction(5, 3)}
         counts[mid] = counts.get(mid, 0) + Fraction(1, 7)
         for d in (Distribution(spec, {(0, 0): 3}), ContinuousDistribution(spec, counts)):
-            assert grid_weights(d) == {u: weight(d, u) for u in spec.vertices()}
+            expected = {u: naive_weight(d.counts, u, spec) for u in spec.vertices()}
+            assert grid_weights(d) == expected == {u: weight(d, u) for u in spec.vertices()}
 
     @given(kernel_distributions())
     @settings(max_examples=60, deadline=None)
     def test_weight_report_field_by_field(self, d):
         rep = weight_report(d)
         verts = list(d.grid.vertices())
-        assert rep.weights == {u: weight(d, u) for u in verts}
-        assert rep.excess == {u: excess(d, u) for u in verts}
+        naive = {u: naive_weight(d.counts, u, d.grid) for u in verts}
+        assert rep.weights == naive
+        assert rep.excess == {u: max(w - 1, 0) for u, w in naive.items()} == {
+            u: excess(d, u) for u in verts
+        }
         assert rep.total_weight == sum(rep.weights.values())
         assert rep.total_excess == sum(rep.excess.values())
-        assert rep.ceiling == sum((min(weight(d, u), 1) for u in verts), Fraction(0)) / d.size
+        assert rep.ceiling == sum((min(w, 1) for w in naive.values()), Fraction(0)) / d.size
         assert rep.ceiling == covering_ratio_ceiling(d)
 
     @given(kernel_distributions())
     @settings(max_examples=60, deadline=None)
     def test_infinite_ceiling_is_region_sum(self, d):
         region = infinite_excess_region(d)
-        total = sum((max(_infinite_weight(d.counts, u) - 1, 0) for u in region), Fraction(0))
+        naive = {u: naive_weight(d.counts, u) for u in region}
+        assert naive == {u: _infinite_weight(d.counts, u) for u in region}
+        total = sum((max(w - 1, 0) for w in naive.values()), Fraction(0))
         assert ceiling_infinite(d) == (9 * d.size - total) / d.size
 
     @pytest.mark.parametrize("spec", ALL_GRIDS, ids=str)
     def test_dyadic_rows_are_shifted_distances(self, spec):
         """rows[t][i] is the one shift 2^(D - d(t, i)), D the largest distance."""
         verts = spec.index.vertices
-        top = max(spec.distance(t, v) for t in verts for v in verts)
-        expected = [tuple(1 << (top - spec.distance(t, v)) for v in verts) for t in verts]
+        top = max(oracle_distance(spec, t, v) for t in verts for v in verts)
+        expected = [tuple(1 << (top - oracle_distance(spec, t, v)) for v in verts) for t in verts]
         assert dyadic_rows(spec) == (1 << top, expected)
 
     def test_empty_and_single_vertex_edges(self):
@@ -232,10 +237,7 @@ class TestWeightKernelAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_weight_is_dyadic_sum(self, d):
         for u in d.grid.vertices():
-            expected = sum(
-                (Fraction(c, 2 ** d.grid.distance(u, v)) for v, c in d.items()), Fraction(0)
-            )
-            assert weight(d, u) == expected
+            assert weight(d, u) == naive_weight(d.counts, u, d.grid)
 
     @given(kernel_distributions())
     @settings(max_examples=40, deadline=None)
@@ -243,10 +245,12 @@ class TestWeightKernelAgainstReference:
         """On d, on d scaled so that its lightest vertex has weight exactly 1
         and on that scaled just below 1."""
         verts = list(d.grid.vertices())
-        up = 1 / min(weight(d, u) for u in verts)
+        up = 1 / min(naive_weight(d.counts, u, d.grid) for u in verts)
         for q in (1, up, up * Fraction(1023, 1024)):
             dq = ContinuousDistribution(d.grid, {v: c * q for v, c in d.items()})
-            assert fractional_solvable(dq) == all(weight(dq, u) >= 1 for u in verts)
+            assert fractional_solvable(dq) == all(
+                naive_weight(dq.counts, u, d.grid) >= 1 for u in verts
+            )
 
     @given(any_distributions())
     @settings(max_examples=40, deadline=None)
@@ -286,6 +290,20 @@ class TestEngineProperties:
             for k in (1, 2, 3):
                 found = _Search(d.grid, t, k, 10**6).run(d.counts)
                 assert found == (top.get(t, 0) >= k), (d.counts, tuple(t), k)
+
+    @given(distributions(max_side=6, max_pebbles=12))
+    @settings(max_examples=60, deadline=None)
+    def test_search_live_set_is_weight_at_least_two(self, d):
+        """The vertices _Search numbers besides t are exactly those u != t
+        of naive start weight >= 2 (the dead-end lemma), although it weighs
+        only the vertices near the piles.  k = |D| + 1 is above every
+        weight, so run refutes each target before any DFS node."""
+        verts = list(d.grid.vertices())
+        live = {u for u in verts if naive_weight(d.counts, u, d.grid) >= 2}
+        for t in verts:
+            search = _Search(d.grid, t, d.size + 1, 10**6)
+            assert not search.run(d.counts) and search.nodes == 0
+            assert set(search.region) - {t} == live - {t}, (d.counts, tuple(t))
 
     @given(
         st.integers(1, 12).flatmap(

@@ -5,6 +5,7 @@ import pytest
 from pebblekit import weights
 from pebblekit.constructions import find_density7_pattern, gen_diag7, gen_row_ones
 from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, TORUS
+from pebblekit.reach import marginal_covering_ratio
 from pebblekit.weights import (
     IFCOV_UPPER_BOUND,
     PEBBLE_TOTAL_WEIGHT,
@@ -118,12 +119,22 @@ class TestCeilings:
         assert marginal_covering_ratio_ceiling(cbase, cext) == grid_m
         assert marginal_covering_ratio_ceiling(cbase, cext, infinite=True) == inf_m
 
-    def test_marginal_ceiling_requires_domination(self):
-        spec = GridSpec(5, 5)
-        a = Distribution(spec, {(0, 0): 2})
-        b = Distribution(spec, {(1, 1): 2})
-        with pytest.raises(GridError):
-            marginal_covering_ratio_ceiling(a, b)
+    @pytest.mark.parametrize(
+        "grid, plus, message",
+        [
+            (GridSpec(5, 5), {(1, 1): 2}, "must dominate the base pointwise"),
+            (GridSpec(5, 5), {(0, 0): 2}, "must add at least one pebble"),
+            (GridSpec(5, 5, TORUS), {(0, 0): 3}, "cannot compare distributions on different grids"),
+        ],
+        ids=["not-dominating", "equal", "different-grids"],
+    )
+    def test_marginal_reads_reject_the_same_pairs(self, grid, plus, message):
+        """The marginal covering ratio and the marginal ceiling share one
+        extension check, so they raise the same GridError."""
+        base = Distribution(GridSpec(5, 5), {(0, 0): 2})
+        for marginal in (marginal_covering_ratio, marginal_covering_ratio_ceiling):
+            with pytest.raises(GridError, match=f"{message}$"):
+                marginal(base, Distribution(grid, plus))
 
 
 class TestFractional:
@@ -165,6 +176,11 @@ class TestFractional:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < 9 for v in values)
         assert 9 - single_pebble_weight_total(30) < Fraction(1, 2**20)
+        for r in range(41):
+            explicit = 1 + sum((Fraction(4 * k, 2**k) for k in range(1, r + 1)), Fraction(0))
+            assert single_pebble_weight_total(r) == explicit
+        with pytest.raises(GridError):
+            single_pebble_weight_total(-1)
 
     def test_bound_constants(self):
         assert UNIT_EXCESS_LOWER_BOUND == Fraction(12, 25)
