@@ -35,27 +35,61 @@ passes the weight test, and the lex-least test does not look at weights,
 so the walk yields exactly the lex-least vectors that pass it, in the
 same order as the unpruned walk.
 
+A vertex t that starts empty is reached only if some neighbour u of t
+has start weight W(u) >= 2 (the neighbour lemma).  The first pebble on t
+arrives by a move u -> t, which takes two pebbles from u, so just before
+it u holds 2 pebbles and has weight at least 2, its own pebbles counting
+1 each; a move never raises the weight at any vertex, so W(u) >= 2 at the
+start.  An orbit with an empty vertex whose neighbours all weigh below 2
+is therefore unsolvable, and the walk drops it at its leaf, after the
+lex-least test.  The lemma is stronger than the weight test: on a path,
+1 + 0 + 1 gives the middle vertex weight 1, but no neighbour of it weight 2.
+
+The weights are packed in fields of f + 1 bits, f the bit length of
+n * one on n vertices, one = 2^D.  A field holds at most s * one, since
+one pebble adds at most 2^D at any vertex, and no search walks a size
+s > n, since pi_opt <= n: one pebble on every vertex reaches every vertex.
+So the packed layout is built once per search, and 2^f >= 2 * one, which
+lets a second lift of 2^f - 2 * one per field mark the vertices of weight
+>= 2 by the fields' top bits.
+
+On a plane the walk's ids are relabelled border first: its id k is the
+grid's id order[k], the ids sorted by distance from the centre,
+descending, ties by id, which made the prefix weight cut bite earlier on
+every plane grid measured.  A grid vector v is walked as v'[k] =
+v[order[k]] and a symmetry p as p'[k] = pos[p[order[k]]], pos the inverse
+of order.  The image of v' under p' is then the relabelled image of v
+under p: v'[p'[k]] = v'[pos[p[order[k]]]] = v[p[order[k]]].  So the
+relabelling maps each orbit of the grid's group onto one orbit of the
+conjugated group, the walk yields one member of each of those, and mapped
+back, v[i] = v'[pos[i]], one member of each grid orbit.  The weight rows
+and the neighbour ids are relabelled the same way, so each vertex keeps
+its weight and its neighbours, and both tests keep their verdicts.  On a
+torus no vertex is on a border, and the ids stay in order.
+
 The survivors go to one reach.StateSolver held for the whole search,
 whose memo of whole-state reach sets every orbit and size shares.  The
 first size with a solvable distribution is the optimal pebbling number,
 and exhaustion of the smaller sizes, counted per size in
 OptimalResult.per_size, is the minimality certificate.  The orbits cut by
 weight are never built, so below pi_opt a row counts its orbits by
-Burnside's lemma from the cycle types of the symmetries: the weight
-refuted orbits are that count less the survivors, and every survivor is
-refuted by the solver.  The row at pi_opt counts the survivors tested, the
-witness last; the orbits of that size the walk cut by weight before the
-witness are not counted.
+Burnside's lemma from the cycle types of the symmetries, found once per
+search: the weight refuted orbits are that count less the leaves that
+pass the weight test, the neighbour refuted orbits are the leaves the
+neighbour lemma drops, and the rest are refuted by the solver.  The row at
+pi_opt counts the weight-passing leaves met, the witness last; the orbits
+of that size the walk cut by weight before the witness are not counted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import NamedTuple, Sequence
 
-from .grid import Distribution, GridError, GridSpec
+from .grid import TORUS, Distribution, GridError, GridSpec
 from .lp import fractional_optimum
 from .reach import DEFAULT_NODE_CAP, BudgetExceeded, StateSolver
 
@@ -79,14 +113,16 @@ def _stopped(spec: GridSpec, node_cap: int, lower: int, size: int | None = None)
 class SizeRow(NamedTuple):
     """The orbits of one size and how each was decided.  Below pi_opt,
     orbits is every orbit of the size (Burnside's count), each refuted by
-    the weight bound or by the state solver (engine_refuted, the orbits
-    that pass the weight bound).  At pi_opt, orbits counts the
-    weight-passing orbits tested up to and including the witness, which is
-    counted in neither refuted column, and weight_refuted is 0."""
+    the weight bound (weight_refuted), by an empty vertex with no neighbour
+    of weight >= 2 (neighbour_refuted), or by the state solver
+    (engine_refuted, the orbits that pass both tests).  At pi_opt, orbits
+    counts the weight-passing orbits met up to and including the witness,
+    which is counted in no refuted column, and weight_refuted is 0."""
 
     size: int
     orbits: int
     weight_refuted: int
+    neighbour_refuted: int
     engine_refuted: int
 
 
@@ -103,7 +139,7 @@ class OptimalResult:
     @property
     def candidates_tested(self) -> int:
         """Every orbit of the sizes below pi_opt, plus the weight-passing
-        orbits tested at pi_opt."""
+        orbits met at pi_opt."""
         return sum(row.orbits for row in self.per_size)
 
 
@@ -132,66 +168,118 @@ def _advance(vec: Sequence[int], idx: int, live: list):
     return kept
 
 
+class _Walk:
+    """The orbit walk of one search, over the vertex ids 0..n-1 in whatever
+    order perms, rows and neighbours share, for sizes up to largest.  The
+    packed weight layout depends on largest, not on the size walked, so it
+    is built once.  neighbour_refuted counts the leaves the neighbour test
+    rejected since the last walk began."""
+
+    def __init__(self, spec: GridSpec, perms, one: int, rows, neighbours, largest: int):
+        self.n = n = spec.size
+        identity = tuple(range(n))
+        self.perms = [p for p in perms if p != identity]
+        # The weights at all targets are packed in one integer, target t in
+        # the field of f + 1 bits at bit t * (f + 1).  A field never holds
+        # more than largest * one < 2^f, so adding 2^f - c * one to each
+        # (c = 1 or 2, as 2 * one <= 2^f) sets the field's top bit iff its
+        # weight is >= c * one, and never carries into the next field.
+        f = (largest * one).bit_length()
+        shifts = range(0, len(rows) * (f + 1), f + 1)
+
+        def pack(values) -> int:
+            return sum(v << b for v, b in zip(values, shifts))
+
+        self.lift, self.flags = pack([(1 << f) - one] * n), pack([1 << f] * n)
+        self.lift2 = pack([(1 << f) - 2 * one] * n)
+        # cols[i]: what one pebble on id i adds at each target; best[i]: the
+        # most one pebble on an id >= i adds there, 0 past the last id
+        self.cols = [pack(row[i] for row in rows) for i in range(n)]
+        self.best = [pack(max(row[i:]) for row in rows) for i in range(n)] + [0]
+        # near[t]: the top bits of the fields of t's neighbours
+        self.near = [sum(1 << (u * (f + 1) + f) for u in ids) for ids in neighbours]
+        self.neighbour_refuted = 0
+
+    def of_size(self, s: int):
+        """Count vectors of total size s, one per symmetry orbit (its
+        lex-least member), in ascending lexicographic order, under which
+        every vertex has weight at least 1 and, with neighbours given, every
+        empty vertex a neighbour of weight at least 2.  Each prefix carries
+        the symmetries that may still map it to a smaller vector and the
+        partial weight at every vertex, and is cut before it is completed
+        when no completion of it is lex-least, or none has weight >= one at
+        every vertex.  The neighbour test is made at the leaves, after the
+        lex-least test."""
+        n, vec = self.n, [0] * self.n
+        lift, flags, lift2 = self.lift, self.flags, self.lift2
+        cols, best, near = self.cols, self.best, self.near
+        self.neighbour_refuted = 0
+
+        def rec(idx: int, remaining: int, live: list, partial: int):
+            if remaining == 0:
+                if _canonical(vec, live):
+                    heavy = (partial + lift2) & flags
+                    if any(not (c or heavy & m) for c, m in zip(vec, near)):
+                        self.neighbour_refuted += 1
+                    else:
+                        yield tuple(vec)
+                return
+            if idx == n:
+                return
+            col, most = cols[idx], best[idx + 1]
+            # leave vertex idx empty, or put 1..remaining pebbles on it
+            for k in range(remaining + 1):
+                weights = partial + k * col
+                left = remaining - k
+                if (weights + left * most + lift) & flags != flags:
+                    continue
+                vec[idx] = k
+                kept = _advance(vec, idx, live)
+                if kept is not None:
+                    yield from rec(idx + 1, left, kept, weights)
+            vec[idx] = 0
+
+        yield from rec(0, s, [(p, 0) for p in self.perms], 0)
+
+
 def _distributions_of_size(spec: GridSpec, s: int, perms, one: int = 0, rows=()):
-    """Count vectors of total size s, one per symmetry orbit (its lex-least
-    member), in ascending lexicographic order, under which every vertex has
-    weight at least 1 (rows and one from weights.dyadic_rows).  Each prefix
-    carries the symmetries that may still map it to a smaller vector and the
-    partial weight at every vertex, and is cut before it is completed when
-    no completion of it is lex-least, or none has weight >= one at every
-    vertex.  With rows empty no prefix is cut by weight, and the walk yields
-    every orbit."""
-    n = spec.size
-    identity = tuple(range(n))
-    vec = [0] * n
-    # The weights at all targets are packed in one integer, target t in the
-    # field of f + 1 bits at bit t * (f + 1).  A field never holds more than
-    # s * one < 2^f, so adding 2^f - one to each sets the field's top bit
-    # iff its weight is >= one, and never carries into the next field.
-    f = (s * one).bit_length()
-    shifts = range(0, len(rows) * (f + 1), f + 1)
-
-    def pack(values) -> int:
-        return sum(v << b for v, b in zip(values, shifts))
-
-    lift, flags = pack([(1 << f) - one] * n), pack([1 << f] * n)
-    # cols[i]: what one pebble on id i adds at each target; best[i]: the
-    # most one pebble on an id >= i adds there, 0 past the last id
-    cols = [pack(row[i] for row in rows) for i in range(n)]
-    best = [pack(max(row[i:]) for row in rows) for i in range(n)] + [0]
-
-    def rec(idx: int, remaining: int, live: list, partial: int):
-        if remaining == 0:
-            if _canonical(vec, live):
-                yield tuple(vec)
-            return
-        if idx == n:
-            return
-        col, most = cols[idx], best[idx + 1]
-        # leave vertex idx empty, or put 1..remaining pebbles on it
-        for k in range(remaining + 1):
-            weights = partial + k * col
-            left = remaining - k
-            if (weights + left * most + lift) & flags != flags:
-                continue
-            vec[idx] = k
-            kept = _advance(vec, idx, live)
-            if kept is not None:
-                yield from rec(idx + 1, left, kept, weights)
-        vec[idx] = 0
-
-    yield from rec(0, s, [(p, 0) for p in perms if p != identity], 0)
+    """_Walk.of_size(s) over the ids of perms and rows (from
+    weights.dyadic_rows), with no neighbour test.  With rows empty no prefix
+    is cut by weight, and the walk yields every orbit."""
+    return _Walk(spec, perms, one, rows, (), max(s, spec.size)).of_size(s)
 
 
-def burnside_orbit_count(perms, s: int) -> int:
-    """Orbits of count vectors of total size s under the group perms, by
-    Burnside's lemma: (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).
-    A vector fixed by g is constant on each cycle of g, so a cycle of length
-    L holding c pebbles per vertex adds c * L to the size."""
-    total = 0
+def _border_first_walk(spec: GridSpec, perms, one: int, rows, neighbours):
+    """The _Walk of one search over the grid's ids relabelled border first:
+    its id k is the grid's id order[k], where a plane's ids are ordered by
+    distance from the centre, descending, ties by id, and a torus's, where
+    no vertex is on a border, stay in id order.  The symmetries, rows and
+    neighbours are relabelled with them.  Returns the walk and pos, the
+    inverse of order: a walked vector v is the grid's (v[pos[0]], v[pos[1]], ...)."""
+    order = list(range(spec.size))
+    if spec.topology != TORUS:
+        verts, w, h = spec.index.vertices, spec.width, spec.height
+        # twice the distance, an integer when the centre falls between vertices
+        order.sort(key=lambda i: -abs(2 * verts[i].col - w + 1) - abs(2 * verts[i].row - h + 1))
+    pos = [0] * spec.size
+    for k, i in enumerate(order):
+        pos[i] = k
+    walk = _Walk(
+        spec,
+        [tuple(pos[p[i]] for i in order) for p in perms],
+        one,
+        [[rows[t][i] for i in order] for t in order] if rows else (),
+        [[pos[u] for u in neighbours[i]] for i in order] if neighbours else (),
+        spec.size,
+    )
+    return walk, pos
+
+
+def _cycle_types(perms) -> Counter:
+    """How many of the permutations have each cycle type, the sorted lengths of their cycles."""
+    types = Counter()
     for p in perms:
-        fixed = [1] + [0] * s  # fixed[k]: vectors fixed by p of size k
-        seen = set()
+        seen, lengths = set(), []
         for start in range(len(p)):
             if start in seen:
                 continue
@@ -199,11 +287,32 @@ def burnside_orbit_count(perms, s: int) -> int:
             while v not in seen:
                 seen.add(v)
                 v, length = p[v], length + 1
+            lengths.append(length)
+        types[tuple(sorted(lengths))] += 1
+    return types
+
+
+def _orbit_count(types: Counter, s: int) -> int:
+    """Burnside's count of the orbits of size s (burnside_orbit_count) from
+    the cycle types of the group."""
+    total = 0
+    for lengths, count in types.items():
+        fixed = [1] + [0] * s  # fixed[k]: vectors of size k fixed by the type
+        for length in lengths:
             for k in range(length, s + 1):
                 fixed[k] += fixed[k - length]
-        total += fixed[s]
-    assert total % len(perms) == 0
-    return total // len(perms)
+        total += count * fixed[s]
+    order = sum(types.values())
+    assert total % order == 0
+    return total // order
+
+
+def burnside_orbit_count(perms, s: int) -> int:
+    """Orbits of count vectors of total size s under the group perms, by
+    Burnside's lemma: (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).
+    A vector fixed by g is constant on each cycle of g, so a cycle of length
+    L holding c pebbles per vertex adds c * L to the size."""
+    return _orbit_count(_cycle_types(perms), s)
 
 
 def optimal_pebbling_number(
@@ -217,13 +326,16 @@ def optimal_pebbling_number(
         # size is at least the fractional optimum
         raise _stopped(spec, node_cap, ceil(fractional_optimum(spec)))
     perms = spec.index.permutations()
+    types = _cycle_types(perms)
     solver = StateSolver(spec, node_cap)
+    walk, pos = _border_first_walk(spec, perms, solver.one, solver.rows, spec.index.neighbor_ids)
     per_size = []
     s = 0
     while True:
         s += 1
         tested = 0
-        for vec in _distributions_of_size(spec, s, perms, solver.one, solver.rows):
+        for relabelled in walk.of_size(s):
+            vec = tuple(relabelled[k] for k in pos)
             tested += 1
             try:
                 solved = solver.reach(vec) == solver.full
@@ -232,12 +344,14 @@ def optimal_pebbling_number(
                 lower = max(ceil(fractional_optimum(spec)), s)
                 raise _stopped(spec, node_cap, lower, s) from None
             if solved:
+                refuted = walk.neighbour_refuted
                 verts = spec.index.vertices
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
-                per_size.append(SizeRow(s, tested, 0, tested - 1))
+                per_size.append(SizeRow(s, refuted + tested, 0, refuted, tested - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
-        orbits = burnside_orbit_count(perms, s)
-        per_size.append(SizeRow(s, orbits, orbits - tested, tested))
+        refuted = walk.neighbour_refuted
+        orbits = _orbit_count(types, s)
+        per_size.append(SizeRow(s, orbits, orbits - refuted - tested, refuted, tested))
 
 
 def optimal_ratio_series(

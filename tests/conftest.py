@@ -6,7 +6,9 @@ vertex at a time with no symmetry used, the engine's depth-first search over
 {vertex: count} states, its dead ends weighed on their own, used to
 cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
-global seen set, used to cross-check the lex-least enumeration, and the
+global seen set, used to cross-check the lex-least enumeration, Burnside's
+orbit count with each permutation's cycles found afresh, used to
+cross-check the count from cycle types found once, and the
 fractional optimal pebbling program solved by the simplex, written out
 densely (one variable per vertex) and per axis (the path or cycle of one
 side), used to cross-check the closed-form optimum, and the weight
@@ -191,6 +193,29 @@ def reference_orbits(spec: GridSpec, s: int, perms):
             placed.pop()
 
     yield from rec(0, s, [])
+
+
+def reference_orbit_count(perms, s: int) -> int:
+    """Orbits of count vectors of total size s under the group perms, by
+    Burnside's lemma, finding the cycles of each permutation afresh: a
+    vector fixed by p is constant on each cycle, so a cycle of length L
+    holding c pebbles per vertex adds c * L to the size."""
+    total = 0
+    for p in perms:
+        fixed = [1] + [0] * s  # fixed[k]: vectors fixed by p of size k
+        seen = set()
+        for start in range(len(p)):
+            if start in seen:
+                continue
+            length, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v, length = p[v], length + 1
+            for k in range(length, s + 1):
+                fixed[k] += fixed[k - length]
+        total += fixed[s]
+    assert total % len(perms) == 0
+    return total // len(perms)
 
 
 class _FractionTableau:

@@ -217,11 +217,12 @@ class TestOptimal:
         assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 46
 
     def test_node_cap_reports_exhausted_sizes(self, capsys):
-        """Sizes 1-4 of 6x2 are exhausted before the one-entry memo overflows
-        at size 5, so the bound beats ceil(32/9) = 4 from the LP."""
+        """Sizes 1-5 of 6x2 are exhausted before the one-entry memo overflows
+        at size 6 (no size-5 orbit reaches the solver), so the bound beats
+        ceil(32/9) = 4 from the LP."""
         code, out, err = run_cli(capsys, "optimal", "--grid", "6", "2", "--node-cap", "1")
         assert code == 2 and out == ""
-        assert err.strip().endswith("known bounds: 5 <= pi_opt")
+        assert err.strip().endswith("known bounds: 6 <= pi_opt")
 
 
 class TestVerify:

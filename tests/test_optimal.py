@@ -11,7 +11,9 @@ from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SizeRow,
+    _border_first_walk,
     _distributions_of_size,
+    _Walk,
     burnside_orbit_count,
     composition_upper_bound,
     optimal_pebbling_number,
@@ -20,10 +22,16 @@ from pebblekit.optimal import (
 from pebblekit.reach import BudgetExceeded, StateSolver, coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
 
-from conftest import naive_reachable, reference_orbits
+from conftest import (
+    naive_reachable,
+    oracle_distance,
+    oracle_neighbors,
+    reference_orbit_count,
+    reference_orbits,
+)
 
 # (grid, pi_opt, orbits counted, witness): every orbit of the sizes below
-# pi_opt plus the weight-passing orbits tested at pi_opt, the witness last;
+# pi_opt plus the weight-passing orbits met at pi_opt, the witness last;
 # the search enumerates the same orbits in the same order as long as these
 # hold
 PINNED = [
@@ -33,53 +41,70 @@ PINNED = [
     pytest.param(GridSpec(4, 3), 5, 504, {(1, 1): 4, (3, 1): 1}, id="4x3"),
     pytest.param(GridSpec(6, 2, TORUS), 6, 312, {(2, 1): 2, (5, 1): 4}, id="6x2-torus"),
     pytest.param(
-        GridSpec(6, 2), 6, 1962, {(1, 0): 1, (1, 1): 2, (4, 0): 1, (4, 1): 2}, id="6x2"
+        GridSpec(6, 2), 6, 1574, {(1, 0): 1, (1, 1): 2, (4, 0): 1, (4, 1): 2}, id="6x2"
     ),
-    pytest.param(GridSpec(5, 3), 6, 4119, {(1, 1): 4, (4, 1): 2}, id="5x3"),
+    pytest.param(GridSpec(5, 3), 6, 4119, {(1, 1): 4, (3, 1): 1, (4, 1): 1}, id="5x3"),
     pytest.param(GridSpec(4, 4, TORUS), 6, 282, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
-    pytest.param(GridSpec(4, 4), 7, 9669, {(2, 1): 4, (0, 2): 2, (3, 3): 1}, id="4x4"),
+    pytest.param(GridSpec(4, 4), 7, 9647, {(1, 1): 4, (1, 3): 1, (3, 2): 2}, id="4x4"),
 ]
 
-# (grid, per_size rows as (orbits, weight_refuted, engine_refuted), sizes
-# 1, 2, ...): the rows below pi_opt are the same as when every orbit was
-# built and weighed in full; at pi_opt, orbits = engine_refuted + 1 and no
-# orbit is counted as weight refuted
+# (grid, per_size rows as (orbits, weight_refuted, neighbour_refuted,
+# engine_refuted), sizes 1, 2, ...): the rows below pi_opt split the same
+# orbits as when every orbit was built and weighed in full; at pi_opt,
+# orbits = neighbour_refuted + engine_refuted + 1 and no orbit is counted
+# as weight refuted
 PER_SIZE = [
-    pytest.param(GridSpec(2, 2), [(1, 1, 0), (3, 2, 1), (1, 0, 0)], id="2x2"),
-    pytest.param(GridSpec(3, 3), [(3, 3, 0), (11, 11, 0), (31, 31, 0), (1, 0, 0)], id="3x3"),
+    pytest.param(GridSpec(2, 2), [(1, 1, 0, 0), (3, 2, 1, 0), (1, 0, 0, 0)], id="2x2"),
     pytest.param(
-        GridSpec(3, 3, TORUS), [(1, 1, 0), (3, 3, 0), (7, 4, 3), (1, 0, 0)], id="3x3-torus"
+        GridSpec(3, 3), [(3, 3, 0, 0), (11, 11, 0, 0), (31, 31, 0, 0), (1, 0, 0, 0)], id="3x3"
+    ),
+    pytest.param(
+        GridSpec(3, 3, TORUS),
+        [(1, 1, 0, 0), (3, 3, 0, 0), (7, 4, 2, 1), (1, 0, 0, 0)],
+        id="3x3-torus",
     ),
     pytest.param(
         GridSpec(4, 3),
-        [(4, 4, 0), (26, 26, 0), (100, 100, 0), (373, 373, 0), (1, 0, 0)],
+        [(4, 4, 0, 0), (26, 26, 0, 0), (100, 100, 0, 0), (373, 373, 0, 0), (1, 0, 0, 0)],
         id="4x3",
     ),
     pytest.param(
         GridSpec(6, 2, TORUS),
-        [(1, 1, 0), (8, 8, 0), (20, 20, 0), (78, 72, 6), (204, 135, 69), (1, 0, 0)],
+        [
+            (1, 1, 0, 0), (8, 8, 0, 0), (20, 20, 0, 0), (78, 72, 6, 0), (204, 135, 68, 1),
+            (1, 0, 0, 0),
+        ],
         id="6x2-torus",
     ),
     pytest.param(
         GridSpec(6, 2),
-        [(3, 3, 0), (24, 24, 0), (91, 91, 0), (357, 357, 0), (1092, 1072, 20), (395, 0, 394)],
+        [
+            (3, 3, 0, 0), (24, 24, 0, 0), (91, 91, 0, 0), (357, 357, 0, 0),
+            (1092, 1072, 20, 0), (7, 0, 0, 6),
+        ],
         id="6x2",
     ),
     pytest.param(
         GridSpec(5, 3),
-        [(6, 6, 0), (40, 40, 0), (194, 194, 0), (832, 832, 0), (3046, 3043, 3), (1, 0, 0)],
+        [
+            (6, 6, 0, 0), (40, 40, 0, 0), (194, 194, 0, 0), (832, 832, 0, 0),
+            (3046, 3043, 3, 0), (1, 0, 0, 0),
+        ],
         id="5x3",
     ),
     pytest.param(
         GridSpec(4, 4, TORUS),
-        [(1, 1, 0), (6, 6, 0), (16, 16, 0), (67, 61, 6), (190, 132, 58), (2, 0, 1)],
+        [
+            (1, 1, 0, 0), (6, 6, 0, 0), (16, 16, 0, 0), (67, 61, 6, 0), (190, 132, 58, 0),
+            (2, 0, 0, 1),
+        ],
         id="4x4-torus",
     ),
     pytest.param(
         GridSpec(4, 4),
         [
-            (3, 3, 0), (24, 24, 0), (113, 113, 0), (528, 528, 0), (2003, 2003, 0),
-            (6968, 6725, 243), (30, 0, 29),
+            (3, 3, 0, 0), (24, 24, 0, 0), (113, 113, 0, 0), (528, 528, 0, 0),
+            (2003, 2003, 0, 0), (6968, 6725, 241, 2), (8, 0, 1, 6),
         ],
         id="4x4",
     ),
@@ -91,8 +116,10 @@ PAST_THE_CAP = [
     pytest.param(
         GridSpec(5, 4, TORUS), 7, 3464, {(4, 2): 4, (1, 3): 1, (2, 3): 2}, id="5x4-torus"
     ),
-    pytest.param(GridSpec(6, 3), 7, 34468, {(1, 1): 4, (4, 1): 1, (5, 1): 2}, id="6x3"),
-    pytest.param(GridSpec(7, 3), 8, 299997, {(1, 1): 4, (5, 1): 4}, id="7x3"),
+    pytest.param(
+        GridSpec(6, 3), 7, 34466, {(1, 1): 4, (3, 1): 1, (4, 1): 1, (5, 1): 1}, id="6x3"
+    ),
+    pytest.param(GridSpec(7, 3), 8, 299990, {(1, 1): 4, (5, 1): 4}, id="7x3"),
 ]
 
 # grids past 12 vertices for the orbit oracle, by topology
@@ -130,20 +157,24 @@ class TestOptimalNumbers:
 
     def test_5x4_past_the_vertex_cap(self, monkeypatch):
         """With the vertex cap raised, the 5x4 plane (20 vertices) has pi_opt
-        8, and its rows below 8 are those of the search that built and
-        weighed every orbit in full."""
+        8, and its rows below 8 split the orbits of the search that built
+        and weighed every orbit in full: of the 2,232 orbits of size 7 that
+        pass the weight test, the neighbour test leaves one to the solver."""
         monkeypatch.setattr(optimal, "MAX_SEARCH_VERTICES", 20)
         res = optimal_pebbling_number(GridSpec(5, 4))
         assert res.pi_opt == 8
-        assert res.witness == Distribution(GridSpec(5, 4), {(2, 1): 4, (0, 2): 2, (4, 2): 2})
-        assert res.per_size[:-1] == (
-            SizeRow(1, 6, 6, 0),
-            SizeRow(2, 62, 62, 0),
-            SizeRow(3, 398, 398, 0),
-            SizeRow(4, 2279, 2279, 0),
-            SizeRow(5, 10716, 10716, 0),
-            SizeRow(6, 44596, 44591, 5),
-            SizeRow(7, 164892, 162660, 2232),
+        witness = {(1, 1): 4, (1, 3): 1, (3, 1): 1, (4, 2): 2}
+        assert res.witness == Distribution(GridSpec(5, 4), witness)
+        assert is_solvable(res.witness)
+        assert res.per_size == (
+            SizeRow(1, 6, 6, 0, 0),
+            SizeRow(2, 62, 62, 0, 0),
+            SizeRow(3, 398, 398, 0, 0),
+            SizeRow(4, 2279, 2279, 0, 0),
+            SizeRow(5, 10716, 10716, 0, 0),
+            SizeRow(6, 44596, 44591, 5, 0),
+            SizeRow(7, 164892, 162660, 2231, 1),
+            SizeRow(8, 157, 0, 123, 33),
         )
 
     @pytest.mark.parametrize("spec, pi_opt, tested, witness", PAST_THE_CAP)
@@ -152,18 +183,19 @@ class TestOptimalNumbers:
         res = optimal_pebbling_number(spec)
         assert (res.pi_opt, res.candidates_tested) == (pi_opt, tested)
         assert res.witness == Distribution(spec, witness)
+        assert is_solvable(res.witness)
 
     @pytest.mark.parametrize(
         "spec, entries",
         [
-            pytest.param(GridSpec(6, 2), 816, id="6x2"),
-            pytest.param(GridSpec(6, 2, TORUS), 127, id="6x2-torus"),
+            pytest.param(GridSpec(6, 2), 21, id="6x2"),
+            pytest.param(GridSpec(6, 2, TORUS), 18, id="6x2-torus"),
         ],
     )
     def test_solver_memo_entries(self, spec, entries, monkeypatch):
         """The solver makes no move onto a vertex of weight below 2 in the
         current state, so after the whole search its memo holds exactly
-        these entries; making every legal move, it held 1,838 and 367."""
+        these entries; making every legal move, it held 79 and 54."""
         solvers = []
 
         class Recorded(StateSolver):
@@ -194,13 +226,15 @@ class TestOptimalNumbers:
     def test_solver_budget_fails_loudly(self):
         """A node cap too small for the solver's memo stops the search with
         the size it was at: every smaller size was exhausted, so the bound
-        is that size, above ceil(32/9) = 4 from the fractional optimum."""
+        is that size, above ceil(32/9) = 4 from the fractional optimum.  The
+        neighbour test refutes every size-5 orbit of 6x2 that passes the
+        weight test, so the solver is first asked at size 6."""
         with pytest.raises(BudgetExceeded) as e:
             optimal_pebbling_number(GridSpec(6, 2), node_cap=1)
-        assert (e.value.lower, e.value.size, e.value.node_cap) == (5, 5, 1)
+        assert (e.value.lower, e.value.size, e.value.node_cap) == (6, 6, 1)
         assert str(e.value) == (
-            "optimal search on 6x2 plane stopped at size 5: the solver memo reached the"
-            " node cap of 1 entries; known bounds: 5 <= pi_opt"
+            "optimal search on 6x2 plane stopped at size 6: the solver memo reached the"
+            " node cap of 1 entries; known bounds: 6 <= pi_opt"
         )
 
     def test_per_size_certificate(self):
@@ -210,10 +244,12 @@ class TestOptimalNumbers:
         assert [row.size for row in res.per_size] == [1, 2, 3, 4]
         assert res.candidates_tested == sum(row.orbits for row in res.per_size) == 46
         for row in res.per_size[:-1]:
-            assert row.weight_refuted == row.orbits and row.engine_refuted == 0
+            assert row.weight_refuted == row.orbits
+            assert row.neighbour_refuted == row.engine_refuted == 0
         last = res.per_size[-1]
         assert isinstance(last, SizeRow)
-        assert last.weight_refuted + last.engine_refuted == last.orbits - 1
+        assert last.weight_refuted == 0
+        assert last.neighbour_refuted + last.engine_refuted == last.orbits - 1
 
     def test_2x3(self):
         assert optimal_pebbling_number(GridSpec(2, 3)).pi_opt == 3
@@ -307,6 +343,91 @@ class TestOptimalNumbers:
         orbits = sum(len(list(_distributions_of_size(spec, s, perms))) for s in range(1, 7))
         assert orbits == 899
         assert calls == 2197 < 18563
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_burnside_counts_from_cycle_types(self, topology):
+        """Burnside's count from the cycle types, found once per group,
+        equals the count that finds each permutation's cycles afresh."""
+        for spec in grids_up_to(16, topology):
+            perms = spec.index.permutations()
+            for s in range(1, 13):
+                assert burnside_orbit_count(perms, s) == reference_orbit_count(perms, s), (spec, s)
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_neighbour_test_drops_only_unsolvable_orbits(self, topology):
+        """At every size up to pi_opt, the neighbour test drops a
+        weight-passing orbit exactly when some empty vertex has no
+        neighbour of weight >= 2, counts each one it drops, and the naive
+        BFS oracle reaches none of those vertices."""
+        dropped = 0
+        for spec in grids_up_to(12, topology):
+            verts, n = list(spec.vertices()), spec.size
+            one, rows = dyadic_rows(spec)
+            perms = spec.index.permutations()
+            walk = _Walk(spec, perms, one, rows, spec.index.neighbor_ids, spec.size)
+            for s in range(1, optimal_pebbling_number(spec).pi_opt + 1):
+                kept = list(walk.of_size(s))
+                heavy = list(_distributions_of_size(spec, s, perms, one, rows))
+                assert kept == [vec for vec in heavy if vec in kept]
+                assert walk.neighbour_refuted == len(heavy) - len(kept), (spec, s)
+                for vec in heavy:
+                    counts = {verts[i]: k for i, k in enumerate(vec) if k}
+                    # W(u) >= 2 over the denominator 2^n: every distance is < n
+                    two = {
+                        u
+                        for u in verts
+                        if sum(c << n - oracle_distance(spec, u, v) for v, c in counts.items())
+                        >= 2 << n
+                    }
+                    cut = {
+                        t
+                        for t in verts
+                        if t not in counts and two.isdisjoint(oracle_neighbors(spec, t))
+                    }
+                    assert (vec not in kept) == bool(cut), (spec, vec)
+                    if cut:
+                        dropped += 1
+                        assert not cut & naive_reachable(Distribution(spec, counts)), (spec, vec)
+        assert dropped > 0
+
+    def test_neighbour_test_refutes_6x2_size_5(self):
+        """All 20 orbits of size 5 on the 6x2 plane that pass the weight test
+        have an empty vertex with no neighbour of weight >= 2."""
+        spec = GridSpec(6, 2)
+        one, rows = dyadic_rows(spec)
+        perms = spec.index.permutations()
+        assert len(list(_distributions_of_size(spec, 5, perms, one, rows))) == 20
+        walk = _Walk(spec, perms, one, rows, spec.index.neighbor_ids, spec.size)
+        assert list(walk.of_size(5)) == []
+        assert walk.neighbour_refuted == 20
+
+    def test_border_first_walk_yields_one_vector_per_orbit(self):
+        """Relabelled border first, with conjugated symmetries, the walk with
+        no weight rows yields one vector per orbit once mapped back to grid
+        ids: Burnside's count of them, no two in one orbit, and on the
+        grids of the seen-set reference test, its orbits.  With the weight
+        rows and neighbours relabelled too, it keeps the same orbits as the
+        walk in grid order."""
+
+        def orbit(vec, perms):
+            return min(tuple(map(vec.__getitem__, p)) for p in perms)
+
+        for spec in grids_up_to(16, PLANE):
+            perms = spec.index.permutations()
+            one, rows = dyadic_rows(spec)
+            neighbours = spec.index.neighbor_ids
+            plain, pos = _border_first_walk(spec, perms, 0, (), ())
+            walk, _ = _border_first_walk(spec, perms, one, rows, neighbours)
+            ordered = _Walk(spec, perms, one, rows, neighbours, spec.size)
+            for s in range(1, 7):
+                got = [orbit(tuple(v[k] for k in pos), perms) for v in plain.of_size(s)]
+                assert len(got) == len(set(got)) == burnside_orbit_count(perms, s), (spec, s)
+                if spec.size <= 12 or spec in WIDE_ORBIT_GRIDS[PLANE]:
+                    # the reference yields the lex-least member of each orbit
+                    assert set(got) == set(reference_orbits(spec, s, perms)), (spec, s)
+                kept = {orbit(tuple(v[k] for k in pos), perms) for v in walk.of_size(s)}
+                assert kept == {orbit(v, perms) for v in ordered.of_size(s)}, (spec, s)
+                assert walk.neighbour_refuted == ordered.neighbour_refuted, (spec, s)
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_filter_drops_only_unsolvable_orbits(self, topology):

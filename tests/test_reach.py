@@ -207,9 +207,9 @@ class TestQueries:
             ),
             pytest.param(
                 lambda: optimal_pebbling_number(GridSpec(6, 2), node_cap=1),
-                ("optimal search", 1, None, 5, 5),
-                "optimal search on 6x2 plane stopped at size 5: the solver memo reached the"
-                " node cap of 1 entries; known bounds: 5 <= pi_opt",
+                ("optimal search", 1, None, 6, 6),
+                "optimal search on 6x2 plane stopped at size 6: the solver memo reached the"
+                " node cap of 1 entries; known bounds: 6 <= pi_opt",
                 id="optimal-memo",
             ),
             pytest.param(
