@@ -49,23 +49,26 @@ The weights are packed in fields of f + 1 bits, f the bit length of
 n * one on n vertices, one = 2^D.  A field holds at most s * one, since
 one pebble adds at most 2^D at any vertex, and no search walks a size
 s > n, since pi_opt <= n: one pebble on every vertex reaches every vertex.
-So the packed layout is built once per search, and 2^f >= 2 * one, which
+So the packed layout is built once per search, the walk refuses a size
+s > n, where a field could carry, and 2^f >= 2 * one, which
 lets a second lift of 2^f - 2 * one per field mark the vertices of weight
 >= 2 by the fields' top bits.
 
-On a plane the walk's ids are relabelled border first: its id k is the
+On a plane the walk relabels its ids border first: its id k is the
 grid's id order[k], the ids sorted by distance from the centre,
 descending, ties by id, which made the prefix weight cut bite earlier on
-every plane grid measured.  A grid vector v is walked as v'[k] =
-v[order[k]] and a symmetry p as p'[k] = pos[p[order[k]]], pos the inverse
-of order.  The image of v' under p' is then the relabelled image of v
-under p: v'[p'[k]] = v'[pos[p[order[k]]]] = v[p[order[k]]].  So the
-relabelling maps each orbit of the grid's group onto one orbit of the
-conjugated group, the walk yields one member of each of those, and mapped
-back, v[i] = v'[pos[i]], one member of each grid orbit.  The weight rows
-and the neighbour ids are relabelled the same way, so each vertex keeps
-its weight and its neighbours, and both tests keep their verdicts.  On a
-torus no vertex is on a border, and the ids stay in order.
+every plane grid measured.  It walks a grid vector v as v'[k] =
+v[order[k]] and conjugates a symmetry p to p'[k] = pos[p[order[k]]], pos
+the inverse of order.  The image of v' under p' is then the relabelled
+image of v under p: v'[p'[k]] = v'[pos[p[order[k]]]] = v[p[order[k]]].
+So the relabelling maps each orbit of the grid's group onto one orbit of
+the conjugated group, which has the grid group's cycle types, and the
+walk meets one member of each of those.  The weight rows and the
+neighbour ids are relabelled the same way, so each vertex keeps its
+weight and its neighbours, and both tests keep their verdicts.  The walk
+maps each vector it yields back, v[i] = v'[pos[i]]: one member of each
+grid orbit, in grid ids, so no caller sees the walk's ids.  On a torus no
+vertex is on a border, and the ids stay in order.
 
 The survivors go to one reach.StateSolver held for the whole search,
 whose memo of whole-state reach sets every orbit and size shares.  The
@@ -73,12 +76,13 @@ first size with a solvable distribution is the optimal pebbling number,
 and exhaustion of the smaller sizes, counted per size in
 OptimalResult.per_size, is the minimality certificate.  The orbits cut by
 weight are never built, so below pi_opt a row counts its orbits by
-Burnside's lemma from the cycle types of the symmetries, found once per
-search: the weight refuted orbits are that count less the leaves that
-pass the weight test, the neighbour refuted orbits are the leaves the
-neighbour lemma drops, and the rest are refuted by the solver.  The row at
-pi_opt counts the weight-passing leaves met, the witness last; the orbits
-of that size the walk cut by weight before the witness are not counted.
+Burnside's lemma from the cycle types of the walk's symmetries, found
+once per search: the weight refuted orbits are that count less the
+leaves that pass the weight test, the neighbour refuted orbits are the
+leaves the neighbour lemma drops, and the rest are refuted by the
+solver.  The row at pi_opt counts the weight-passing leaves met, the
+witness last; the orbits of that size the walk cut by weight before the
+witness are not counted.
 """
 
 from __future__ import annotations
@@ -169,22 +173,35 @@ def _advance(vec: Sequence[int], idx: int, live: list):
 
 
 class _Walk:
-    """The orbit walk of one search, over the vertex ids 0..n-1 in whatever
-    order perms, rows and neighbours share, for sizes up to largest.  The
-    packed weight layout depends on largest, not on the size walked, so it
-    is built once.  neighbour_refuted counts the leaves the neighbour test
-    rejected since the last walk began."""
+    """The orbit walk of one search, over the grid's symmetries and, if
+    given, its weight rows (from weights.dyadic_rows) and neighbour ids, all
+    in grid ids.  On a plane it walks the ids border first and yields grid ids
+    (module docstring).  With rows, the packed weight layout holds every
+    size s <= n, so it is built once.  neighbour_refuted counts the leaves
+    the neighbour test rejected since the last walk began."""
 
-    def __init__(self, spec: GridSpec, perms, one: int, rows, neighbours, largest: int):
+    def __init__(self, spec: GridSpec, one: int = 0, rows=(), neighbours=()):
         self.n = n = spec.size
+        order = list(range(n))
+        if spec.topology != TORUS:
+            verts, w, h = spec.index.vertices, spec.width, spec.height
+            # twice the distance, an integer when the centre falls between vertices
+            order.sort(key=lambda i: -abs(2 * verts[i].col - w + 1) - abs(2 * verts[i].row - h + 1))
+        # pos, the inverse of order: the walk's id of grid id i is pos[i]
+        self.pos = pos = [0] * n
+        for k, i in enumerate(order):
+            pos[i] = k
+        perms = [tuple(pos[p[i]] for i in order) for p in spec.index.permutations()]
+        # conjugation keeps cycle types, so these are the grid group's
+        self.types = _cycle_types(perms)
         identity = tuple(range(n))
         self.perms = [p for p in perms if p != identity]
         # The weights at all targets are packed in one integer, target t in
         # the field of f + 1 bits at bit t * (f + 1).  A field never holds
-        # more than largest * one < 2^f, so adding 2^f - c * one to each
+        # more than s * one <= n * one < 2^f, so adding 2^f - c * one to each
         # (c = 1 or 2, as 2 * one <= 2^f) sets the field's top bit iff its
         # weight is >= c * one, and never carries into the next field.
-        f = (largest * one).bit_length()
+        f = (n * one).bit_length()
         shifts = range(0, len(rows) * (f + 1), f + 1)
 
         def pack(values) -> int:
@@ -192,25 +209,30 @@ class _Walk:
 
         self.lift, self.flags = pack([(1 << f) - one] * n), pack([1 << f] * n)
         self.lift2 = pack([(1 << f) - 2 * one] * n)
-        # cols[i]: what one pebble on id i adds at each target; best[i]: the
-        # most one pebble on an id >= i adds there, 0 past the last id
-        self.cols = [pack(row[i] for row in rows) for i in range(n)]
-        self.best = [pack(max(row[i:]) for row in rows) for i in range(n)] + [0]
-        # near[t]: the top bits of the fields of t's neighbours
+        # cols[k]: what one pebble on id k adds at each target; best[k]: the
+        # most one pebble on an id >= k adds there, 0 past the last id
+        rows = [[rows[t][i] for i in order] for t in order] if rows else ()
+        self.cols = [pack(row[k] for row in rows) for k in range(n)]
+        self.best = [pack(max(row[k:]) for row in rows) for k in range(n)] + [0]
+        # near[k]: the top bits of the fields of the neighbours of id k
+        neighbours = [[pos[u] for u in neighbours[i]] for i in order] if neighbours else ()
         self.near = [sum(1 << (u * (f + 1) + f) for u in ids) for ids in neighbours]
         self.neighbour_refuted = 0
 
     def of_size(self, s: int):
-        """Count vectors of total size s, one per symmetry orbit (its
-        lex-least member), in ascending lexicographic order, under which
-        every vertex has weight at least 1 and, with neighbours given, every
-        empty vertex a neighbour of weight at least 2.  Each prefix carries
-        the symmetries that may still map it to a smaller vector and the
-        partial weight at every vertex, and is cut before it is completed
-        when no completion of it is lex-least, or none has weight >= one at
-        every vertex.  The neighbour test is made at the leaves, after the
-        lex-least test."""
-        n, vec = self.n, [0] * self.n
+        """Count vectors of total size s, in grid ids, one per symmetry
+        orbit, under which every vertex has weight at least 1 and, with
+        neighbours given, every empty vertex a neighbour of weight at least
+        2.  Each is the lex-least member of its orbit in the walk's ids, met
+        in ascending lexicographic order of those.  Each prefix carries the
+        symmetries that may still map it to a smaller vector and the partial
+        weight at every vertex, and is cut before it is completed when no
+        completion of it is lex-least, or none has weight >= one at every
+        vertex.  The neighbour test is made at the leaves, after the
+        lex-least test.  With rows, a size s > n raises GridError."""
+        n, vec, pos = self.n, [0] * self.n, self.pos
+        if self.flags and s > n:
+            raise GridError(f"a weighed walk holds sizes up to {n}, not {s}")
         lift, flags, lift2 = self.lift, self.flags, self.lift2
         cols, best, near = self.cols, self.best, self.near
         self.neighbour_refuted = 0
@@ -222,7 +244,7 @@ class _Walk:
                     if any(not (c or heavy & m) for c, m in zip(vec, near)):
                         self.neighbour_refuted += 1
                     else:
-                        yield tuple(vec)
+                        yield tuple(map(vec.__getitem__, pos))
                 return
             if idx == n:
                 return
@@ -239,40 +261,23 @@ class _Walk:
                     yield from rec(idx + 1, left, kept, weights)
             vec[idx] = 0
 
-        yield from rec(0, s, [(p, 0) for p in self.perms], 0)
+        return rec(0, s, [(p, 0) for p in self.perms], 0)
 
-
-def _distributions_of_size(spec: GridSpec, s: int, perms, one: int = 0, rows=()):
-    """_Walk.of_size(s) over the ids of perms and rows (from
-    weights.dyadic_rows), with no neighbour test.  With rows empty no prefix
-    is cut by weight, and the walk yields every orbit."""
-    return _Walk(spec, perms, one, rows, (), max(s, spec.size)).of_size(s)
-
-
-def _border_first_walk(spec: GridSpec, perms, one: int, rows, neighbours):
-    """The _Walk of one search over the grid's ids relabelled border first:
-    its id k is the grid's id order[k], where a plane's ids are ordered by
-    distance from the centre, descending, ties by id, and a torus's, where
-    no vertex is on a border, stay in id order.  The symmetries, rows and
-    neighbours are relabelled with them.  Returns the walk and pos, the
-    inverse of order: a walked vector v is the grid's (v[pos[0]], v[pos[1]], ...)."""
-    order = list(range(spec.size))
-    if spec.topology != TORUS:
-        verts, w, h = spec.index.vertices, spec.width, spec.height
-        # twice the distance, an integer when the centre falls between vertices
-        order.sort(key=lambda i: -abs(2 * verts[i].col - w + 1) - abs(2 * verts[i].row - h + 1))
-    pos = [0] * spec.size
-    for k, i in enumerate(order):
-        pos[i] = k
-    walk = _Walk(
-        spec,
-        [tuple(pos[p[i]] for i in order) for p in perms],
-        one,
-        [[rows[t][i] for i in order] for t in order] if rows else (),
-        [[pos[u] for u in neighbours[i]] for i in order] if neighbours else (),
-        spec.size,
-    )
-    return walk, pos
+    def orbit_count(self, s: int) -> int:
+        """The orbits of count vectors of total size s, by Burnside's lemma:
+        (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).  A vector fixed
+        by g is constant on each cycle of g, so a cycle of length L holding
+        c pebbles per vertex adds c * L to the size."""
+        total = 0
+        for lengths, count in self.types.items():
+            fixed = [1] + [0] * s  # fixed[k]: vectors of size k fixed by the type
+            for length in lengths:
+                for k in range(length, s + 1):
+                    fixed[k] += fixed[k - length]
+            total += count * fixed[s]
+        order = sum(self.types.values())
+        assert total % order == 0
+        return total // order
 
 
 def _cycle_types(perms) -> Counter:
@@ -292,29 +297,6 @@ def _cycle_types(perms) -> Counter:
     return types
 
 
-def _orbit_count(types: Counter, s: int) -> int:
-    """Burnside's count of the orbits of size s (burnside_orbit_count) from
-    the cycle types of the group."""
-    total = 0
-    for lengths, count in types.items():
-        fixed = [1] + [0] * s  # fixed[k]: vectors of size k fixed by the type
-        for length in lengths:
-            for k in range(length, s + 1):
-                fixed[k] += fixed[k - length]
-        total += count * fixed[s]
-    order = sum(types.values())
-    assert total % order == 0
-    return total // order
-
-
-def burnside_orbit_count(perms, s: int) -> int:
-    """Orbits of count vectors of total size s under the group perms, by
-    Burnside's lemma: (1/|G|) sum_g [x^s] prod_{cycles of g} 1/(1 - x^L).
-    A vector fixed by g is constant on each cycle of g, so a cycle of length
-    L holding c pebbles per vertex adds c * L to the size."""
-    return _orbit_count(_cycle_types(perms), s)
-
-
 def optimal_pebbling_number(
     spec: GridSpec, node_cap: int = DEFAULT_NODE_CAP
 ) -> OptimalResult:
@@ -325,17 +307,14 @@ def optimal_pebbling_number(
         # every vertex of a solvable distribution has weight >= 1, so its
         # size is at least the fractional optimum
         raise _stopped(spec, node_cap, ceil(fractional_optimum(spec)))
-    perms = spec.index.permutations()
-    types = _cycle_types(perms)
     solver = StateSolver(spec, node_cap)
-    walk, pos = _border_first_walk(spec, perms, solver.one, solver.rows, spec.index.neighbor_ids)
+    walk = _Walk(spec, solver.one, solver.rows, spec.index.neighbor_ids)
     per_size = []
     s = 0
     while True:
         s += 1
         tested = 0
-        for relabelled in walk.of_size(s):
-            vec = tuple(relabelled[k] for k in pos)
+        for vec in walk.of_size(s):
             tested += 1
             try:
                 solved = solver.reach(vec) == solver.full
@@ -350,7 +329,7 @@ def optimal_pebbling_number(
                 per_size.append(SizeRow(s, refuted + tested, 0, refuted, tested - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
         refuted = walk.neighbour_refuted
-        orbits = _orbit_count(types, s)
+        orbits = walk.orbit_count(s)
         per_size.append(SizeRow(s, orbits, orbits - refuted - tested, refuted, tested))
 
 

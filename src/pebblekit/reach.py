@@ -359,15 +359,11 @@ class _Engine:
                 continue
             tried = sub
             try:
-                if self._search(sub, t, k, max(self.node_cap // 20, 1000)):
+                if _Search(grid, t, k, max(self.node_cap // 20, 1000)).run(sub):
                     return True
             except BudgetExceeded:
                 pass
-        return self._search(counts, t, k, self.node_cap)
-
-    def _search(self, counts: dict, t: Vertex, k: int, node_cap: int) -> bool:
-        """The DFS stages: whether counts put k pebbles on t, by one _Search."""
-        return _Search(self.grid, t, k, node_cap).run(counts)
+        return _Search(grid, t, k, self.node_cap).run(counts)
 
     # -- queries ---------------------------------------------------------
 
@@ -410,9 +406,13 @@ class StateSolver:
     count ever exceeds the state's size, so a state holds at most 255
     pebbles; reach raises GridError for a state of the wrong length or
     counts outside that.  A query that would hold more than node_cap
-    entries raises BudgetExceeded.  An entry costs ~150 bytes (peak RSS:
-    6x4 plane 829,043 entries, 141 MB; 5x5 plane 376,505, 79 MB), so the
-    default cap allows ~1.5 GB."""
+    entries raises BudgetExceeded.  An entry costs ~150 bytes, so the
+    default cap allows ~1.5 GB: measured on the 6x4 plane pi_opt search
+    when the solver was handed every orbit that passes the weight test
+    (829,043 entries, 141 MB VmHWM).  Behind the search's neighbour test
+    the memo stays far smaller: the 5x5 plane search ends with 2,561
+    entries after 1.1 s at 16.6 MB ru_maxrss, the 6x4 plane with 42,469
+    after 2.3 s at 21.6 MB (2-core x86, Python 3.11)."""
 
     def __init__(self, grid: GridSpec, node_cap: int = DEFAULT_NODE_CAP):
         self.one, self.rows = weights.dyadic_rows(grid)

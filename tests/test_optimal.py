@@ -11,10 +11,7 @@ from pebblekit.optimal import (
     MAX_SEARCH_VERTICES,
     OptimalResult,
     SizeRow,
-    _border_first_walk,
-    _distributions_of_size,
     _Walk,
-    burnside_orbit_count,
     composition_upper_bound,
     optimal_pebbling_number,
     optimal_ratio_series,
@@ -291,39 +288,71 @@ class TestOptimalNumbers:
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_orbits_match_seen_set_reference(self, topology):
-        """The lex-least test keeps the same orbit representatives, in the same
-        order, as the first-met enumeration with a global seen set."""
-        for spec in grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]:
+        """The walk with no weight rows yields one vector per orbit, in grid
+        ids.  On a torus it keeps the grid's id order and yields the same
+        lex-least representatives, in the same order, as the first-met
+        enumeration with a global seen set.  On a plane it walks border
+        first with conjugated symmetries; on every plane grid of <= 16
+        vertices it yields Burnside's count of vectors, no two in one orbit,
+        and on the grids of the reference, the reference's orbits."""
+
+        def orbit(vec, perms):
+            return min(tuple(map(vec.__getitem__, p)) for p in perms)
+
+        referenced = grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]
+        for spec in referenced if topology == TORUS else grids_up_to(16, PLANE):
             perms = spec.index.permutations()
-            for s in range(1, 6):
-                got = list(_distributions_of_size(spec, s, perms))
-                assert got == list(reference_orbits(spec, s, perms)), (spec, s)
+            walk = _Walk(spec)
+            for s in range(1, 6 if topology == TORUS else 7):
+                got = list(walk.of_size(s))
+                if topology == TORUS:
+                    assert got == list(reference_orbits(spec, s, perms)), (spec, s)
+                    continue
+                orbits = [orbit(vec, perms) for vec in got]
+                assert len(orbits) == len(set(orbits)) == walk.orbit_count(s), (spec, s)
+                if spec in referenced:
+                    # the reference yields the lex-least member of each orbit
+                    assert set(orbits) == set(reference_orbits(spec, s, perms)), (spec, s)
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_cut_keeps_exactly_the_weight_passing_orbits(self, topology):
-        """The walk that cuts prefixes by weight yields the vectors of the
-        unpruned walk (empty rows) under which every vertex has weight >= 1,
-        in the same order."""
+        """At every size s <= n, the walk that cuts prefixes by weight yields
+        the vectors of the unpruned walk (no rows) under which every vertex
+        has weight >= 1, in the same order."""
         for spec in grids_up_to(12, topology) + WIDE_ORBIT_GRIDS[topology]:
-            perms = spec.index.permutations()
             one, rows = dyadic_rows(spec)
-            for s in range(1, 7):
+            plain, weighed = _Walk(spec), _Walk(spec, one, rows)
+            for s in range(1, min(6, spec.size) + 1):
                 heavy = [
                     vec
-                    for vec in _distributions_of_size(spec, s, perms)
+                    for vec in plain.of_size(s)
                     if all(sum(map(mul, vec, row)) >= one for row in rows)
                 ]
-                assert list(_distributions_of_size(spec, s, perms, one, rows)) == heavy, (spec, s)
+                assert list(weighed.of_size(s)) == heavy, (spec, s)
+
+    def test_weighed_walk_holds_sizes_up_to_n(self):
+        """The packed weight fields of a walk with rows hold the sizes s <= n,
+        as pi_opt <= n: at s = n + 1 a field could carry into the next, and
+        the walk raises GridError.  A walk with no rows packs no fields and
+        walks any size."""
+        for spec in (GridSpec(1, 1), GridSpec(3, 1), GridSpec(2, 2), GridSpec(3, 3, TORUS)):
+            one, rows = dyadic_rows(spec)
+            n = spec.size
+            assert list(_Walk(spec, one, rows).of_size(n)), spec
+            with pytest.raises(GridError, match=f"sizes up to {n}, not {n + 1}"):
+                _Walk(spec, one, rows).of_size(n + 1)
+            plain = _Walk(spec)
+            assert len(list(plain.of_size(n + 1))) == plain.orbit_count(n + 1), spec
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_orbit_counts_match_burnside(self, topology):
         """The enumeration yields exactly as many vectors as Burnside's lemma
         counts orbits, at sizes beyond the seen-set reference."""
         for spec in WIDE_ORBIT_GRIDS[topology]:
-            perms = spec.index.permutations()
+            walk = _Walk(spec)
             for s in range(1, 8):
-                got = sum(1 for _ in _distributions_of_size(spec, s, perms))
-                assert got == burnside_orbit_count(perms, s), (spec, s)
+                got = sum(1 for _ in walk.of_size(s))
+                assert got == walk.orbit_count(s), (spec, s)
 
     def test_pruning_cuts_leaf_tests(self, monkeypatch):
         """Prefixes no completion of which is lex-least are cut before they
@@ -338,20 +367,20 @@ class TestOptimalNumbers:
             return leaf_test(vec, live)
 
         monkeypatch.setattr(optimal, "_canonical", counted)
-        spec = GridSpec(6, 2, TORUS)
-        perms = spec.index.permutations()
-        orbits = sum(len(list(_distributions_of_size(spec, s, perms))) for s in range(1, 7))
+        walk = _Walk(GridSpec(6, 2, TORUS))
+        orbits = sum(len(list(walk.of_size(s))) for s in range(1, 7))
         assert orbits == 899
         assert calls == 2197 < 18563
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_burnside_counts_from_cycle_types(self, topology):
-        """Burnside's count from the cycle types, found once per group,
-        equals the count that finds each permutation's cycles afresh."""
+        """Burnside's count from the cycle types of the walk's symmetries,
+        conjugated on a plane and found once per walk, equals the count that
+        finds each of the grid's permutations' cycles afresh."""
         for spec in grids_up_to(16, topology):
-            perms = spec.index.permutations()
+            walk, perms = _Walk(spec), spec.index.permutations()
             for s in range(1, 13):
-                assert burnside_orbit_count(perms, s) == reference_orbit_count(perms, s), (spec, s)
+                assert walk.orbit_count(s) == reference_orbit_count(perms, s), (spec, s)
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_neighbour_test_drops_only_unsolvable_orbits(self, topology):
@@ -363,11 +392,10 @@ class TestOptimalNumbers:
         for spec in grids_up_to(12, topology):
             verts, n = list(spec.vertices()), spec.size
             one, rows = dyadic_rows(spec)
-            perms = spec.index.permutations()
-            walk = _Walk(spec, perms, one, rows, spec.index.neighbor_ids, spec.size)
+            walk, weighed = _Walk(spec, one, rows, spec.index.neighbor_ids), _Walk(spec, one, rows)
             for s in range(1, optimal_pebbling_number(spec).pi_opt + 1):
                 kept = list(walk.of_size(s))
-                heavy = list(_distributions_of_size(spec, s, perms, one, rows))
+                heavy = list(weighed.of_size(s))
                 assert kept == [vec for vec in heavy if vec in kept]
                 assert walk.neighbour_refuted == len(heavy) - len(kept), (spec, s)
                 for vec in heavy:
@@ -395,53 +423,24 @@ class TestOptimalNumbers:
         have an empty vertex with no neighbour of weight >= 2."""
         spec = GridSpec(6, 2)
         one, rows = dyadic_rows(spec)
-        perms = spec.index.permutations()
-        assert len(list(_distributions_of_size(spec, 5, perms, one, rows))) == 20
-        walk = _Walk(spec, perms, one, rows, spec.index.neighbor_ids, spec.size)
+        assert len(list(_Walk(spec, one, rows).of_size(5))) == 20
+        walk = _Walk(spec, one, rows, spec.index.neighbor_ids)
         assert list(walk.of_size(5)) == []
         assert walk.neighbour_refuted == 20
 
-    def test_border_first_walk_yields_one_vector_per_orbit(self):
-        """Relabelled border first, with conjugated symmetries, the walk with
-        no weight rows yields one vector per orbit once mapped back to grid
-        ids: Burnside's count of them, no two in one orbit, and on the
-        grids of the seen-set reference test, its orbits.  With the weight
-        rows and neighbours relabelled too, it keeps the same orbits as the
-        walk in grid order."""
-
-        def orbit(vec, perms):
-            return min(tuple(map(vec.__getitem__, p)) for p in perms)
-
-        for spec in grids_up_to(16, PLANE):
-            perms = spec.index.permutations()
-            one, rows = dyadic_rows(spec)
-            neighbours = spec.index.neighbor_ids
-            plain, pos = _border_first_walk(spec, perms, 0, (), ())
-            walk, _ = _border_first_walk(spec, perms, one, rows, neighbours)
-            ordered = _Walk(spec, perms, one, rows, neighbours, spec.size)
-            for s in range(1, 7):
-                got = [orbit(tuple(v[k] for k in pos), perms) for v in plain.of_size(s)]
-                assert len(got) == len(set(got)) == burnside_orbit_count(perms, s), (spec, s)
-                if spec.size <= 12 or spec in WIDE_ORBIT_GRIDS[PLANE]:
-                    # the reference yields the lex-least member of each orbit
-                    assert set(got) == set(reference_orbits(spec, s, perms)), (spec, s)
-                kept = {orbit(tuple(v[k] for k in pos), perms) for v in walk.of_size(s)}
-                assert kept == {orbit(v, perms) for v in ordered.of_size(s)}, (spec, s)
-                assert walk.neighbour_refuted == ordered.neighbour_refuted, (spec, s)
-
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_filter_drops_only_unsolvable_orbits(self, topology):
-        """The weight cut drops an orbit of the unpruned walk exactly when some
-        vertex has weight below 1, and the naive BFS oracle reaches none of
-        those vertices."""
+        """At every size s <= n, the weight cut drops an orbit of the unpruned
+        walk exactly when some vertex has weight below 1, and the naive BFS
+        oracle reaches none of those vertices."""
         dropped = 0
         for spec in grids_up_to(9, topology):
             verts = list(spec.vertices())
             one, rows = dyadic_rows(spec)
-            perms = spec.index.permutations()
-            for s in range(1, 7):
-                kept = set(_distributions_of_size(spec, s, perms, one, rows))
-                for vec in _distributions_of_size(spec, s, perms):
+            plain, weighed = _Walk(spec), _Walk(spec, one, rows)
+            for s in range(1, min(6, spec.size) + 1):
+                kept = set(weighed.of_size(s))
+                for vec in plain.of_size(s):
                     d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                     light = {v for v in verts if weight(d, v) < 1}
                     assert (vec not in kept) == bool(light), d
@@ -458,11 +457,11 @@ class TestOptimalNumbers:
         solver.  One solver serves them all, as in the search."""
         verts = list(spec.vertices())
         one, rows = dyadic_rows(spec)
-        perms = spec.index.permutations()
+        walk = _Walk(spec, one, rows)
         solver = StateSolver(spec)
         checked = 0
         for s in range(1, pi_opt + 1):
-            for vec in _distributions_of_size(spec, s, perms, one, rows):
+            for vec in walk.of_size(s):
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 mask = solver.reach(vec)
                 reached = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
@@ -472,18 +471,20 @@ class TestOptimalNumbers:
 
     def test_engine_matches_oracle_on_5x4_sample(self):
         """The same differential check on a fixed sample past the search's
-        vertex cap: the first 150 weight-passing orbits of sizes 7 and 8 on
-        the 5x4 plane (pi_opt 8), with one solver built directly."""
+        vertex cap: the first 160 weight-passing orbits of sizes 7 and 8 on
+        the 5x4 plane (pi_opt 8), with one solver built directly.  In the
+        walk's border-first order the 157th of size 8 is the search's
+        witness, the first solvable one."""
         spec = GridSpec(5, 4)
         assert spec.size > MAX_SEARCH_VERTICES
         verts = list(spec.vertices())
         one, rows = dyadic_rows(spec)
-        perms = spec.index.permutations()
+        walk = _Walk(spec, one, rows)
         solver = StateSolver(spec)
         solved = 0
         for s in (7, 8):
-            sample = list(islice(_distributions_of_size(spec, s, perms, one, rows), 150))
-            assert len(sample) == 150
+            sample = list(islice(walk.of_size(s), 160))
+            assert len(sample) == 160
             for vec in sample:
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
                 mask = solver.reach(vec)

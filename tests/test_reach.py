@@ -338,23 +338,24 @@ class TestClusterOrbits:
         assert len(calls) == walks
 
 
-class _CheckedEngine(_Engine):
-    """An engine whose every DFS runs a packed _Search next to a
-    ReferenceSearch, asserts that both give the same answer, node count and
-    table size, and records (nodes, table size)."""
+@pytest.fixture
+def checked_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Runs a ReferenceSearch next to every packed _Search, the DFS of every
+    engine stage, asserts that both give the same answer, node count and
+    table size, and records (nodes, table size) in the list returned."""
+    runs = []
+    run = _Search.run
 
-    def __init__(self, d: Distribution):
-        # the clusters are built in super().__init__, and their walks search
-        self.runs: list[tuple[int, int]] = []
-        super().__init__(d)
-
-    def _search(self, counts, t, k, node_cap):
-        search, ref = _Search(self.grid, t, k, node_cap), ReferenceSearch(self.grid, t, k)
-        found = search.run(counts)
-        assert found == ref.run(counts), (counts, tuple(t), k)
+    def checked(search, counts):
+        ref = ReferenceSearch(search.grid, search.t, search.k)
+        found = run(search, counts)
+        assert found == ref.run(counts), (counts, tuple(search.t), search.k)
         assert (search.nodes, len(search.failed)) == (ref.nodes, len(ref.failed))
-        self.runs.append((search.nodes, len(search.failed)))
+        runs.append((search.nodes, len(search.failed)))
         return found
+
+    monkeypatch.setattr(_Search, "run", checked)
+    return runs
 
 
 def picture(rows: list[str]) -> frozenset[Vertex]:
@@ -397,15 +398,14 @@ class TestPackedSearch:
         ],
         ids=["cascade5-base", "cascade5-plus"],
     )
-    def test_cascade5_matches_reference(self, plus, nodes, peak, reachable):
+    def test_cascade5_matches_reference(self, plus, nodes, peak, reachable, checked_runs):
         """Every DFS of the coverage of cascade_ones k=5 on 15x7 agrees with
         the dict search.  The clusters are built in rounds, and the first
         round joins every pile, so the totals are those of the walk of the
         final cluster alone."""
-        engine = _CheckedEngine(cascade5(plus))
-        assert engine.reachable_set() == picture(reachable)
-        assert sum(n for n, _ in engine.runs) == nodes
-        assert max(p for _, p in engine.runs) == peak
+        assert _Engine(cascade5(plus)).reachable_set() == picture(reachable)
+        assert sum(n for n, _ in checked_runs) == nodes
+        assert max(p for _, p in checked_runs) == peak
 
     @pytest.mark.parametrize(
         "plus, cov, nodes, peak", [(False, 35, 7619, 2144), (True, 53, 25017, 17346)], ids=["base", "plus"]
@@ -428,7 +428,7 @@ class TestPackedSearch:
         assert sum(n for n, _ in runs) == nodes
         assert max(p for _, p in runs) == peak
 
-    def test_wide_counts_refuted(self):
+    def test_wide_counts_refuted(self, checked_runs):
         """257 pebbles beside t and 1 on its other side, k = 129: the weight
         at t is exactly 129, so only moves onto t keep it, and each leaves
         the pile beside t odd; its last pebble never moves, so at most 128
@@ -437,16 +437,16 @@ class TestPackedSearch:
         d = Distribution(spec, {(0, 0): 257, (2, 0): 1})
         t = Vertex(1, 0)
         assert naive_max_at(d, t) == 128
-        engine = _CheckedEngine(d)
+        engine = _Engine(d)
         assert engine.can_move_k(t, 128)  # the single pile: 257 >> 1
-        assert engine.runs == []
+        assert checked_runs == []
         assert not engine.can_move_k(t, 129)
-        assert engine.runs == [(129, 129)]  # greedy gives 128, so the DFS decides
+        assert checked_runs == [(129, 129)]  # greedy gives 128, so the DFS decides
         search = _Search(spec, t, 129, 10**6)
         assert not search.run(d.counts)
         assert {len(key) for key in search.failed} == {3 * array("I").itemsize}
 
-    def test_wide_counts_reached(self):
+    def test_wide_counts_reached(self, checked_runs):
         """Two pebbles reach the far corner t of a 2x2 grid from the piles
         2, 1 and 2 on its other corners: (1,0)->(1,1), (0,0)->(0,1), then
         (0,1)->(1,1).  Greedy sends (0,0)'s pebble to (1,0) and delivers 1.
@@ -456,11 +456,11 @@ class TestPackedSearch:
         t = Vertex(1, 1)
         assert naive_max_at(Distribution(spec, counts), t) == 2
         d = Distribution(spec, {**counts, t: 256})
-        engine = _CheckedEngine(d)
+        engine = _Engine(d)
         assert engine.can_move_k(t, 258)
-        assert len(engine.runs) == 1
+        assert len(checked_runs) == 1
         assert not engine.can_move_k(t, 259)  # the weight at t is 258
-        assert len(engine.runs) == 1
+        assert len(checked_runs) == 1
 
     def test_deep_pile_overflows_depth(self):
         """2001 pebbles beside t and 1 on its other side, k = 1001: by the
