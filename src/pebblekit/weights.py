@@ -21,18 +21,34 @@ Two evaluation modes exist and are never mixed:
 
 Every weight of a distribution comes from one kernel, _kernel (one target
 for weight and _infinite_weight, the live set for reach._Search), or from
-its axis factors, _powers, as in dyadic_rows.  On both topologies a distance
-is a column distance plus a row distance (|dcol| + |drow| on Z^2 and the
-plane; on a torus the sum of the two cycle distances, GridIndex.cols and
-.rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the Kronecker structure of
-lp.fractional_optimal_pebbling.  With the counts scaled by the lcm L of
-their denominators, a column pass sums each support row's piles times
-2^(Ec - dcol) at each target column and a row pass sums those times
-2^(Er - drow) at each target: integer numerators over L * 2^(Ec+Er), Ec
-and Er the largest axis distances, in O(C*S + T*R) for C target columns,
-S piles, T targets and R support rows, where one sum over the piles per
-target costs O(T*S).  With one pile per row (R = S) the row pass costs
-that too, but as integer products, not a Fraction per target.
+its axis powers of two, _powers, as in dyadic_rows.  On both topologies a
+distance is a column distance plus a row distance (|dcol| + |drow| on Z^2
+and the plane; on a torus the sum of the two cycle distances,
+GridIndex.cols and .rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the
+Kronecker structure of lp.fractional_optimal_pebbling.  With the counts
+scaled by the lcm L of their denominators, every weight is an integer
+numerator over L * 2^(Ec+Er), Ec and Er the largest axis distances from a
+target to a pile, and the kernel gets them all from packed integers.
+Each of the C target columns owns a field of whole bytes in them, wide
+enough for the f = (N << (Ec+Er)).bit_length() bits of N << (Ec+Er), N
+the scaled total (1 if there are no piles).
+
+* Column pass: support column c packs 2^(Ec - dcol) into each target
+  column's field, and each support row sums k times its piles' packs:
+  S big-integer multiply-adds for S piles.
+* Row pass: target row r sums each support row's sum shifted left by
+  Er - drow(r, row): R_t * R shifts and adds, R_t target rows against R
+  support rows.  Field a of the result is then the numerator at (a, r).
+* Extraction: one to_bytes per target row and one from_bytes of a byte
+  slice per target, so linear in the row's width, where a shift and mask
+  per target would copy the row each time.
+
+That is S + R_t * R + T big-integer steps against C * S + T * R small
+products for one sum per target column and then per target.  No field
+carries into the next: every term added into a field is one pile's k
+scaled pebbles times 2^(Ec - dcol) * 2^(Er - drow), so it is >= 0 and at
+most k << (Ec+Er), and a field (and every partial sum in it) is at most
+N << (Ec+Er) < 2^f, which its whole bytes hold.
 
 Region lemma: with r = ceil(log2 |D|), a vertex farther than r from every
 pile has W <= |D| * 2^-(r+1) <= 1/2, so infinite mode weighs only
@@ -44,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .grid import AnyDistribution, ContinuousDistribution, Distribution, GridError, GridSpec, Vertex
 
@@ -80,29 +95,44 @@ class WeightReport:
 
 
 def _powers(table, targets, sources) -> tuple[int, dict]:
-    """One axis's factors: (e, p) with p[a][b] = 2^(e - dist(a, b)) for a in
-    targets and b in sources, e the largest such dist; dist(a, b) is
-    table[a][b], or |a - b| on Z when table is None."""
+    """One axis's factors as powers of two: (e, x) with each factor
+    2^(e - dist(a, b)) = 2^x[a][b] for a in targets and b in sources, e the
+    largest such dist; dist(a, b) is table[a][b], or |a - b| on Z when
+    table is None."""
     dist = {a: {b: abs(a - b) if table is None else table[a][b] for b in sources} for a in targets}
     e = max((x for row in dist.values() for x in row.values()), default=0)
-    return e, {a: {b: 1 << (e - x) for b, x in row.items()} for a, row in dist.items()}
+    return e, {a: {b: e - x for b, x in row.items()} for a, row in dist.items()}
 
 
 def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, list[int]]:
-    """The weights at targets of the piles in counts, by the two passes of
-    the module docstring on the axis distances of spec (GridIndex.cols and
-    .rows), or of Z^2 when spec is None: (den, nums) with W(targets[i]) =
-    nums[i] / den."""
+    """The weights at targets of the piles in counts, by the packed passes
+    of the module docstring on the axis distances of spec (GridIndex.cols
+    and .rows), or of Z^2 when spec is None: (den, nums) with
+    W(targets[i]) = nums[i] / den."""
     scale = math.lcm(*(c.denominator for c in counts.values()))
     by_row: dict[int, list] = {}
     for (c, r), k in counts.items():
         by_row.setdefault(r, []).append((c, k.numerator * (scale // k.denominator)))
     cols, rows = (spec.index.cols, spec.index.rows) if spec else (None, None)
-    ec, cp = _powers(cols, {u[0] for u in targets}, {v[0] for v in counts})
-    er, rp = _powers(rows, {u[1] for u in targets}, by_row)
-    part = {a: [sum(k * p[c] for c, k in row) for row in by_row.values()] for a, p in cp.items()}
-    # rp[r] holds its factors in by_row's order, as each part[c] does
-    return scale << (ec + er), [sum(map(mul, rp[r].values(), part[c])) for c, r in targets]
+    tcols = list(dict.fromkeys(u[0] for u in targets))
+    # distances are symmetric, so cx[c] lists support column c's powers in tcols order
+    ec, cx = _powers(cols, {v[0] for v in counts}, tcols)
+    er, rx = _powers(rows, {u[1] for u in targets}, by_row)
+    # a field holds at most total << (ec + er): size whole bytes hold it (one if no piles)
+    total = sum(k for row in by_row.values() for _, k in row) or 1
+    size = ((total << (ec + er)).bit_length() + 7) // 8
+    field = [(1 << x).to_bytes(size, "little") for x in range(ec + 1)]
+    colpack = {
+        c: int.from_bytes(b"".join([field[x] for x in xs.values()]), "little") for c, xs in cx.items()
+    }
+    part = {b: sum(k * colpack[c] for c, k in row) for b, row in by_row.items()}
+    packed = {}
+    for r, xs in rx.items():
+        packed[r] = sum(part[b] << x for b, x in xs.items()).to_bytes(size * len(tcols), "little")
+    slot = {a: j * size for j, a in enumerate(tcols)}
+    return scale << (ec + er), [
+        int.from_bytes(packed[r][slot[c] : slot[c] + size], "little") for c, r in targets
+    ]
 
 
 def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
@@ -110,10 +140,10 @@ def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
     largest distance: (2^D, rows) with rows[t][i] = 2^(D - d(t, i)) over
     vertex ids (GridIndex.vertices), so the weight at vertex id t under the
     count vector c is sum_i c[i] * rows[t][i] / 2^D, D = Ec + Er."""
-    ec, cp = _powers(spec.index.cols, range(spec.width), range(spec.width))
-    er, rp = _powers(spec.index.rows, range(spec.height), range(spec.height))
+    ec, cx = _powers(spec.index.cols, range(spec.width), range(spec.width))
+    er, rx = _powers(spec.index.rows, range(spec.height), range(spec.height))
     verts = spec.index.vertices
-    return 1 << (ec + er), [tuple(cp[c][i] * rp[r][j] for i, j in verts) for c, r in verts]
+    return 1 << (ec + er), [tuple(1 << (cx[c][i] + rx[r][j]) for i, j in verts) for c, r in verts]
 
 
 def weight(d: AnyDistribution, u) -> Fraction:
@@ -130,7 +160,14 @@ def excess(d: AnyDistribution, u) -> Fraction:
 def grid_weights(d: AnyDistribution) -> dict[Vertex, Fraction]:
     """The weight at every vertex of the distribution's grid."""
     den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
-    return {u: Fraction(n, den) for u, n in zip(d.grid.index.vertices, nums)}
+    frac = _fractions(den, nums)
+    return {u: frac[n] for u, n in zip(d.grid.index.vertices, nums)}
+
+
+def _fractions(den: int, nums) -> dict[int, Fraction]:
+    """Fraction(n, den) for each distinct n in nums, built once: a grid's
+    weights take few distinct values."""
+    return {n: Fraction(n, den) for n in set(nums)}
 
 
 def weight_report(d: AnyDistribution) -> WeightReport:
@@ -139,9 +176,10 @@ def weight_report(d: AnyDistribution) -> WeightReport:
     verts = d.grid.index.vertices
     den, nums = _kernel(d.counts, verts, d.grid)
     over = [max(n - den, 0) for n in nums]
+    frac = _fractions(den, nums + over)
     return WeightReport(
-        weights={u: Fraction(n, den) for u, n in zip(verts, nums)},
-        excess={u: Fraction(x, den) for u, x in zip(verts, over)},
+        weights={u: frac[n] for u, n in zip(verts, nums)},
+        excess={u: frac[x] for u, x in zip(verts, over)},
         total_weight=Fraction(sum(nums), den),
         total_excess=Fraction(sum(over), den),
         ceiling=Fraction(sum(nums) - sum(over), den) / d.size,
@@ -165,8 +203,13 @@ def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
     docstring: outside, W <= |D| * 2^-(r+1) < 1)."""
     # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
     radius = (math.ceil(d.size) - 1).bit_length()
-    diamond = GridSpec(2 * radius + 1, 2 * radius + 1).ball((radius, radius), radius)
-    return {(c0 + c - radius, r0 + r - radius) for c0, r0 in d.support for c, r in diamond}
+    # each pile's diamond is a span of columns on each row within radius of it
+    spans: dict[int, set] = {}
+    for c0, r0 in d.support:
+        for dr in range(-radius, radius + 1):
+            w = radius - abs(dr)
+            spans.setdefault(r0 + dr, set()).update(range(c0 - w, c0 + w + 1))
+    return {(c, r) for r, cols in spans.items() for c in cols}
 
 
 def ceiling_infinite(d: AnyDistribution) -> Fraction:

@@ -25,6 +25,7 @@ from pebblekit.reach import (
 )
 from pebblekit.weights import (
     _infinite_weight,
+    _kernel,
     ceiling_infinite,
     covering_ratio_ceiling,
     dyadic_rows,
@@ -162,7 +163,7 @@ ALL_GRIDS = [GridSpec(w, h, t) for t in (PLANE, TORUS) for w in range(1, 6) for 
 
 
 class TestWeightKernelAgainstReference:
-    """The two-pass kernel behind every weight, against naive_weight, one
+    """The packed kernel behind every weight, against naive_weight, one
     Fraction per pile over conftest's own distances; weight and
     _infinite_weight are the kernel on one target, so they are checked
     here too, not used as references."""
@@ -177,6 +178,30 @@ class TestWeightKernelAgainstReference:
         for d in (Distribution(spec, {(0, 0): 3}), ContinuousDistribution(spec, counts)):
             expected = {u: naive_weight(d.counts, u, spec) for u in spec.vertices()}
             assert grid_weights(d) == expected == {u: weight(d, u) for u in spec.vertices()}
+
+    @given(kernel_distributions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_on_any_target_list(self, d, data):
+        """Grid mode on the vertices shuffled and on a sample with repeats;
+        infinite mode on points of Z^2 around and beyond the grid, negative
+        coordinates included.  den is the lcm of the count denominators
+        times 2^(Ec + Er), the largest axis distances from a target to a
+        pile."""
+        verts = list(d.grid.vertices())
+        lcm = math.lcm(*(c.denominator for c in d.counts.values()))
+        shuffled = data.draw(st.permutations(verts))
+        sample = data.draw(st.lists(st.sampled_from(verts), max_size=12))
+        points = data.draw(st.lists(st.tuples(st.integers(-7, 11), st.integers(-7, 11)), max_size=12))
+        for targets, spec in ((shuffled, d.grid), (sample, d.grid), (points, None)):
+            den, nums = _kernel(d.counts, targets, spec)
+            assert [Fraction(n, den) for n in nums] == [naive_weight(d.counts, u, spec) for u in targets]
+
+            def dist(u, v):  # oracle_distance, or Manhattan on Z^2 when spec is None
+                return abs(u[0] - v[0]) + abs(u[1] - v[1]) if spec is None else oracle_distance(spec, u, v)
+
+            ec = max((dist((u[0], 0), (v[0], 0)) for u in targets for v in d.counts), default=0)
+            er = max((dist((0, u[1]), (0, v[1])) for u in targets for v in d.counts), default=0)
+            assert den == lcm << (ec + er)
 
     @given(kernel_distributions())
     @settings(max_examples=60, deadline=None)

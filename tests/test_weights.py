@@ -4,7 +4,7 @@ import pytest
 
 from pebblekit import weights
 from pebblekit.constructions import find_density7_pattern, gen_diag7, gen_row_ones
-from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, TORUS
+from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, PLANE, TORUS
 from pebblekit.reach import marginal_covering_ratio
 from pebblekit.weights import (
     IFCOV_UPPER_BOUND,
@@ -21,6 +21,8 @@ from pebblekit.weights import (
     weight,
     weight_report,
 )
+
+from conftest import naive_weight
 
 
 class TestWeight:
@@ -49,6 +51,49 @@ class TestWeight:
         assert excess(d, (3, 2)) == 1
         assert excess(d, (4, 2)) == 0  # W = 1 exactly
         assert excess(d, (0, 0)) == 0  # W < 1
+
+
+class TestKernel:
+    """weights._kernel's packed fields: each target column's weight numerator
+    sits in whole bytes wide enough for the total << (Ec + Er)."""
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    @pytest.mark.parametrize("pebbles", [1, 3, 255, 256, 1023, 1024, 2**40 - 1])
+    def test_a_field_can_hold_the_whole_total(self, topology, pebbles):
+        """All pebbles on one target: its field holds exactly total << (Ec +
+        Er), the most any field can, next to non-empty fields on both sides.
+        On the plane (Ec + Er = 6 over the whole grid) some totals fill their
+        last byte exactly (1023 << 6, and 255 on the pile alone) and some put
+        one bit in it (1024 << 6, 1 << 6)."""
+        spec = GridSpec(5, 3, topology)
+        pile = (2, 1) if topology == TORUS else (0, 0)
+        counts = {pile: pebbles}
+        for targets in (spec.index.vertices, [pile], [pile, (pile[0] + 1, pile[1]), pile]):
+            den, nums = weights._kernel(counts, targets, spec)
+            top = max(spec.distance(pile, u) for u in targets)
+            assert pebbles << top in nums
+            assert [Fraction(n, den) for n in nums] == [naive_weight(counts, u, spec) for u in targets]
+
+    @pytest.mark.parametrize("topology, den", [(PLANE, 12 << 5), (TORUS, 12 << 3), (None, 12 << 5)])
+    def test_rational_counts_scale_by_their_lcm(self, topology, den):
+        """Denominators 3, 4 and 6 scale the counts by 12, over 2^(Ec + Er):
+        Ec = 3 and Er = 2 on the plane and on Z^2, 2 and 1 on the torus."""
+        grid = GridSpec(4, 3, topology or PLANE)
+        d = ContinuousDistribution(grid, {(0, 0): Fraction(1, 3), (3, 2): Fraction(5, 4), (1, 2): Fraction(7, 6)})
+        spec = grid if topology else None
+        targets = grid.index.vertices
+        assert weights._kernel(d.counts, targets, spec) == (
+            den,
+            [naive_weight(d.counts, u, spec) * den for u in targets],
+        )
+
+    @pytest.mark.parametrize("spec", [GridSpec(3, 2), GridSpec(3, 2, TORUS), None], ids=str)
+    def test_empty_counts_and_targets(self, spec):
+        """No piles weigh 0 everywhere over 1; no targets give no numerators."""
+        targets = [(0, 0), (2, 1), (0, 0)]
+        assert weights._kernel({}, targets, spec) == (1, [0, 0, 0])
+        assert weights._kernel({(1, 1): Fraction(2, 3)}, [], spec) == (3, [])
+        assert weights._kernel({}, [], spec) == (1, [])
 
 
 class TestCeilings:
@@ -234,8 +279,8 @@ class TestFrozenAnswers:
         ]
 
     def test_whole_grid_reads_make_no_per_vertex_calls(self, frozen_instances, monkeypatch):
-        """Every whole-grid read goes through the two-pass kernel: none calls
-        the one-vertex reads weight or _infinite_weight."""
+        """Every whole-grid read takes all its weights from the packed
+        kernel: none calls the one-vertex reads weight or _infinite_weight."""
         calls = []
         for name in ("weight", "_infinite_weight"):
             one_vertex = getattr(weights, name)
@@ -249,3 +294,11 @@ class TestFrozenAnswers:
         assert calls == []
         weights.weight(frozen_instances["row_ones"], (0, 0))
         assert calls == ["weight"]
+
+    def test_diag7_report_totals(self, frozen_instances):
+        """A carry between packed fields could leave the ceiling at 7/2 and
+        still move these totals; the 1,764 weights take 8 distinct values."""
+        rep = weight_report(frozen_instances["diag7_42t"]).to_json()
+        assert rep["total_weight"] == "2493689993626167/549755813888"
+        assert rep["total_excess"] == "1523920737927735/549755813888"
+        assert len({row["w"] for row in rep["rows"]}) == 8
