@@ -57,10 +57,9 @@ Reachability is decided in three layers:
   the search drops those moves and keeps every answer.  Then each dead end
   keeps its start count, and the search numbers only t and the live
   vertices, those of W >= 2: they lie within T.bit_length() - 2 of a pile,
-  as W <= T * 2^-r.  It holds a state as a packed count vector over those
-  ids, a bytearray, or an array("I") once T reaches 256, and keys its
-  transposition table on the vectors as bytes.  Pebbles on dead ends still
-  count in the target weight.
+  as W <= T * 2^-r.  A state is one int, a field of T.bit_length() bits an
+  id, which no count overflows, and keys the transposition table itself.
+  Pebbles on dead ends still count in the target weight.
 
   Reversal lemma: after x -> y and then y -> x the state is A - e_x - e_y
   <= A, A the state before the pair.  Extra pebbles keep every move legal,
@@ -104,7 +103,6 @@ so StateSolver does not use it.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -112,11 +110,11 @@ from operator import mul
 from . import weights
 from .grid import Distribution, GridError, GridSpec, Vertex
 
-# Each DFS node adds at most one transposition-table entry.  Over n live
-# vertices and t an entry takes about n + 75 bytes (4n + 75 for an
-# array("I") state): 122-157 bytes measured at n = 24 and 36 on
-# cascade_ones k=7 on 19x7, so a search that fills the default cap holds
-# ~1.5 GB there, as does a full StateSolver memo (~150 bytes an entry).
+# Each DFS node adds at most one transposition-table entry, an int of
+# T.bit_length() bits per live vertex and t: 77-86 bytes with its set slot
+# at 24 and 36 of them on cascade_ones k=7 on 19x7 (tracemalloc), so a
+# search that fills the default cap holds ~0.8 GB there, and a full
+# StateSolver memo ~1.5 GB (~150 bytes an entry).
 DEFAULT_NODE_CAP = 10**7
 
 # Radii of the restricted DFS stages (stage 4 in the module docstring).
@@ -176,12 +174,13 @@ class _Search:
     run(counts) weighs the vertices within T.bit_length() - 2 of a pile in
     one weights._kernel call, numbers t and the live ones (the dead-end
     lemma of the module docstring) in sorted (col, row) order as region,
-    and packs the state over those ids; it makes no move onto any other
-    vertex, nor the reverse of the move just made (the reversal lemma),
-    and failed holds the refuted states as bytes.  Moves are tried toward
-    the target first, then from larger piles, then by (from, to) id, so
-    ties break as on the vertices themselves and the node counts are those
-    of a search over {vertex: count} states that drops the same moves."""
+    and packs the state into one int, count i at bit shift[i]; it makes no
+    move onto any other vertex, nor the reverse of the move just made (the
+    reversal lemma), and failed holds the refuted states.  A move adds one
+    precomputed delta to the state.  Moves are tried toward the target
+    first, then from larger piles, then by (from, to) id, so ties break as
+    on the vertices themselves and the node counts are those of a search
+    over {vertex: count} states that drops the same moves."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -189,7 +188,7 @@ class _Search:
         self.k = k
         self.node_cap = node_cap
         self.nodes = 0
-        self.failed: set[bytes] = set()
+        self.failed: set[int] = set()
 
     def run(self, counts: dict) -> bool:
         index = self.grid.index
@@ -203,24 +202,28 @@ class _Search:
         dist = index.distances(self.t, {*region, *counts})
         top = max(dist.values())
         # a pebble on id i adds gain[i] to the target weight, kept times 2^top
-        self.gain = gain = [1 << (top - dist[v]) for v in region]
+        gain = [1 << (top - dist[v]) for v in region]
         self.need = self.k << top
-        # steps[i]: (away from the target, j, gain[j]) for each neighbour j of i in the region
-        self.steps = [
-            tuple((dist[u] >= dist[v], ids[u], gain[ids[u]]) for u in index.neighbors[v] if u in ids)
-            for v in region
-        ]
         self.tid = ids[self.t]
-        state = array("I", [0]) * len(region) if total >= 256 else bytearray(len(region))
-        for v, c in counts.items():
-            if v in ids:
-                state[ids[v]] = c
+        # one field of f bits an id: no count exceeds total < 2^f, so no field carries
+        f = total.bit_length()
+        self.shift, self.mask = [i * f for i in range(len(region))], (1 << f) - 1
+        # steps[a][i]: (j, the weight change and the state delta of i -> j) for each
+        # neighbour j of i in the region, toward the target for a = 0, else a = 1;
+        # neighbors is sorted, so j ascends
+        self.steps = [[[] for _ in region], [[] for _ in region]]
+        for i, v in enumerate(region):
+            for j in (ids[u] for u in index.neighbors[v] if u in ids):
+                step = (j, gain[j] - 2 * gain[i], (1 << f * j) - (2 << f * i))
+                self.steps[dist[region[j]] >= dist[v]][i].append(step)
+        state = sum(c << f * ids[v] for v, c in counts.items() if v in ids)
+        piles = [ids[v] for v, c in counts.items() if c >= 2 and v in ids]
         # pebbles on dead vertices never move, but count toward the target weight
         w = sum(c << (top - dist[v]) for v, c in counts.items())
-        if state[self.tid] >= self.k:
+        if counts.get(self.t, 0) >= self.k:
             return True
         try:
-            return w >= self.need and self._dfs(state, bytes(state), w, None)
+            return w >= self.need and self._dfs(state, piles, w, -1, -1)
         except RecursionError:
             raise self._overflow("depth exceeded Python's recursion limit") from None
 
@@ -231,39 +234,42 @@ class _Search:
         message = f"search {what} for target {tuple(self.t)} during {stage}"
         return BudgetExceeded(message, self.node_cap, self.t, stage)
 
-    def _dfs(self, state, key: bytes, w: int, back) -> bool:
-        """Whether state, neither a hit nor refuted, puts k pebbles on t.  key
-        is state as bytes, w its target weight times 2^top, and back the move
-        (from, to) that undoes the one into state, None at the root: it is
-        not tried (the reversal lemma of the module docstring).  Each child
-        is tested here, so a call is one node."""
+    def _dfs(self, state: int, piles: list, w: int, bv: int, bu: int) -> bool:
+        """Whether state, neither a hit nor refuted, puts k pebbles on t.
+        piles lists every id holding >= 2 pebbles, and maybe bu, w is the
+        target weight times 2^top, and bv -> bu undoes the move into state
+        (-1 -> -1 at the root): it is not tried (the reversal lemma of the
+        module docstring).  Each child is tested here, so a call is one node."""
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise self._overflow(f"budget of {self.node_cap} states exceeded")
-        gain, steps, need, failed = self.gain, self.steps, self.need, self.failed
-        tid, k = self.tid, self.k
-        bv, bu = back or (-1, -1)
-        moves = []
-        for v, c in enumerate(state):
-            if c < 2:
-                continue
-            rest = w - 2 * gain[v]
-            skip = bu if v == bv else -1
-            for away, u, g in steps[v]:
-                if rest + g >= need and u != skip:
-                    moves.append((away, -c, v, u, rest + g))
-        moves.sort()
-        for _, _, v, u, nw in moves:
-            state[v] -= 2
-            state[u] += 1
-            if u == tid and state[u] >= k:
-                return True
-            child = bytes(state)
-            if child not in failed and self._dfs(state, child, nw, (u, v)):
-                return True
-            state[u] -= 1
-            state[v] += 2
-        failed.add(key)
+        shift, mask, need, tid, k = self.shift, self.mask, self.need, self.tid, self.k
+        failed = self.failed
+        # moves toward the target first, then from larger piles, then by (from, to) id
+        order, live = [], []
+        for v in piles:
+            c = state >> shift[v] & mask
+            if c >= 2:
+                order.append((-c, v))
+                live.append(v)
+        order.sort()
+        for steps in self.steps:
+            for _, v in order:
+                for u, dw, delta in steps[v]:
+                    nw = w + dw
+                    if nw < need or u == bu and v == bv:
+                        continue
+                    child = state + delta
+                    # a hit is never entered, so never refuted
+                    if child in failed:
+                        continue
+                    cu = child >> shift[u] & mask
+                    if u == tid and cu >= k:
+                        return True
+                    # u becomes a pile at 2; the child drops v if it fell below 2
+                    if self._dfs(child, live + [u] if cu == 2 else live, nw, u, v):
+                        return True
+        failed.add(state)
         return False
 
 
@@ -491,24 +497,19 @@ def is_reachable(d: Distribution, t, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     return can_move_k(d, t, 1, node_cap)
 
 
-def boundary_of(grid: GridSpec, reachable: frozenset[Vertex]) -> frozenset[Vertex]:
-    """Reachable vertices with at least one non-reachable neighbor."""
-    return frozenset(
-        v for v in reachable if any(u not in reachable for u in grid.neighbors(v))
-    )
-
-
 def coverage(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> CoverageReport:
     """Reachable set, Cov(D), exact covering ratio, and boundary vertices."""
     engine = _Engine(d, node_cap)
     if d.size < 1:
         raise GridError("coverage needs a non-empty distribution")
     reachable = engine.reachable_set()
+    # the boundary: reachable vertices with a neighbour that is not
+    boundary = frozenset(v for v in reachable if any(u not in reachable for u in d.grid.neighbors(v)))
     return CoverageReport(
         reachable=reachable,
         cov=len(reachable),
         ratio=Fraction(len(reachable), d.size),
-        boundary=boundary_of(d.grid, reachable),
+        boundary=boundary,
     )
 
 

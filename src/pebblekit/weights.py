@@ -79,14 +79,13 @@ class WeightReport:
     ceiling: Fraction
 
     def to_json(self) -> dict:
+        w, x = self.weights, self.excess
+        # weight_report shares one Fraction per distinct value: turn each object into a str once
+        text = {id(q): str(q) for q in {id(q): q for q in (*w.values(), *x.values())}.values()}
         return {
             "rows": [
-                {
-                    "vertex": [v.col, v.row],
-                    "w": str(self.weights[v]),
-                    "excess": str(self.excess[v]),
-                }
-                for v in sorted(self.weights, key=lambda v: (v.row, v.col))
+                {"vertex": [v.col, v.row], "w": text[id(w[v])], "excess": text[id(x[v])]}
+                for v in sorted(w, key=lambda v: (v.row, v.col))
             ],
             "total_weight": str(self.total_weight),
             "total_excess": str(self.total_excess),

@@ -1,4 +1,3 @@
-from array import array
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -432,7 +431,8 @@ class TestPackedSearch:
         """257 pebbles beside t and 1 on its other side, k = 129: the weight
         at t is exactly 129, so only moves onto t keep it, and each leaves
         the pile beside t odd; its last pebble never moves, so at most 128
-        reach t.  One pile exceeds 255, so the state is an array("I")."""
+        reach t.  The search holds T = 258 pebbles, so each id gets a field
+        of 9 bits."""
         spec = GridSpec(3, 1)
         d = Distribution(spec, {(0, 0): 257, (2, 0): 1})
         t = Vertex(1, 0)
@@ -444,7 +444,36 @@ class TestPackedSearch:
         assert checked_runs == [(129, 129)]  # greedy gives 128, so the DFS decides
         search = _Search(spec, t, 129, 10**6)
         assert not search.run(d.counts)
-        assert {len(key) for key in search.failed} == {3 * array("I").itemsize}
+        assert (search.shift, search.mask) == ([0, 9, 18], (1 << 9) - 1)
+        assert (search.nodes, len(search.failed)) == (129, 129)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "spec, t, singles",
+        [
+            (GridSpec(3, 1), Vertex(1, 0), ()),
+            (GridSpec(3, 1), Vertex(1, 0), (Vertex(2, 0),)),
+            (GridSpec(2, 2), Vertex(1, 1), ()),
+            (GridSpec(2, 2), Vertex(1, 1), (Vertex(1, 0), Vertex(0, 1))),
+        ],
+        ids=["path", "path+1", "square", "square+2"],
+    )
+    def test_field_boundaries(self, spec, t, singles, m, extra, checked_runs):
+        """One pile of 2^m - 1, 2^m or 2^m + 1 pebbles at (0, 0), alone or
+        with singles: alone, 2^m - 1 fills its field of m bits and 2^m
+        needs m + 1, so a field one bit short would carry into its
+        neighbour.  The dict search agrees on every answer, node count and
+        table size, at k on both sides of what the pile can deliver."""
+        c = (1 << m) + extra
+        counts = {Vertex(0, 0): c, **{v: 1 for v in singles}}
+        total = c + len(singles)
+        for k in sorted({c >> 2, (c >> 2) + 1, c >> 1, (c >> 1) + 1, (total + 1) >> 1}):
+            search = _Search(spec, t, k, 10**6)
+            search.run(counts)
+            assert search.mask == (1 << total.bit_length()) - 1
+        assert len(checked_runs) >= 4
+        assert any(nodes for nodes, _ in checked_runs)
 
     def test_wide_counts_reached(self, checked_runs):
         """Two pebbles reach the far corner t of a 2x2 grid from the piles

@@ -1,10 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from pebblekit import weights
 from pebblekit.constructions import find_density7_pattern, gen_diag7, gen_row_ones
-from pebblekit.grid import ContinuousDistribution, Distribution, GridError, GridSpec, PLANE, TORUS
+from pebblekit.grid import (
+    PLANE,
+    TORUS,
+    ContinuousDistribution,
+    Distribution,
+    GridError,
+    GridSpec,
+    Vertex,
+)
 from pebblekit.reach import marginal_covering_ratio
 from pebblekit.weights import (
     IFCOV_UPPER_BOUND,
@@ -51,6 +60,32 @@ class TestWeight:
         assert excess(d, (3, 2)) == 1
         assert excess(d, (4, 2)) == 0  # W = 1 exactly
         assert excess(d, (0, 0)) == 0  # W < 1
+
+    def test_report_json_pinned(self):
+        """The report's JSON on the 3x3 torus, byte for byte: rows in
+        (row, col) order, each Fraction as its str, equal values shared."""
+        d = Distribution(GridSpec(3, 3, TORUS), {(0, 0): 3, (2, 1): 1})
+        expected = (
+            '{"rows": [{"vertex": [0, 0], "w": "13/4", "excess": "9/4"}, '
+            '{"vertex": [1, 0], "w": "7/4", "excess": "3/4"}, {"vertex": [2, 0], "w": "2", "excess": "1"}, '
+            '{"vertex": [0, 1], "w": "2", "excess": "1"}, {"vertex": [1, 1], "w": "5/4", "excess": "1/4"}, '
+            '{"vertex": [2, 1], "w": "7/4", "excess": "3/4"}, {"vertex": [0, 2], "w": "7/4", "excess": "3/4"}, '
+            '{"vertex": [1, 2], "w": "1", "excess": "0"}, {"vertex": [2, 2], "w": "5/4", "excess": "1/4"}], '
+            '"total_weight": "16", "total_excess": "7", "ceiling": "9/4"}'
+        )
+        assert json.dumps(weight_report(d).to_json()) == expected
+
+    def test_report_json_of_unshared_values(self):
+        """Equal values held as distinct objects, and dicts out of (row, col)
+        order, give the same rows."""
+        v, u = Vertex(1, 0), Vertex(0, 1)
+        rep = weights.WeightReport(
+            {v: Fraction(3, 2), u: Fraction(3, 2)}, {v: Fraction(1, 2), u: Fraction(1, 2)}, 3, 1, 1
+        )
+        assert rep.to_json()["rows"] == [
+            {"vertex": [1, 0], "w": "3/2", "excess": "1/2"},
+            {"vertex": [0, 1], "w": "3/2", "excess": "1/2"},
+        ]
 
 
 class TestKernel:
