@@ -319,6 +319,118 @@ class TestRender:
         )
 
 
+
+def pinned(expected) -> str:
+    """The exact stdout of a JSON report holding expected."""
+    return json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+class TestPinnedJson:
+    """Whole reports, byte for byte: every exact value a "p/q" string, every
+    count an int, the same keys in the same order."""
+
+    def test_lp_unit_excess(self, capsys):
+        code, out, _ = run_cli(capsys, "lp", "unit-excess")
+        fours, twelves = ["4/25"] * 4, ["12/25"] * 4
+        assert code == 0 and out == pinned(
+            {
+                "certificate_verified": True,
+                "implied_ratio_bound": "213/25",
+                "problem": "unit-excess",
+                "schema": SCHEMA,
+                "solution": {
+                    "dual": ["0"] * 4 + fours,
+                    "objective_value": "12/25",
+                    "primal": ["0"] * 4 + twelves,
+                    "ray": [],
+                    "status": "optimal",
+                },
+            }
+        )
+
+    def test_lp_fractional_torus(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lp", "fractional", "--width", "9", "--height", "9", "--torus"
+        )
+        assert code == 0 and out == pinned(
+            {
+                "fractional_solvable": True,
+                "grid": [9, 9, "torus"],
+                "problem": "fractional-optimal",
+                "schema": SCHEMA,
+                "value": "5184/529",
+                "witness": {f"{c},{r}": "64/529" for r in range(9) for c in range(9)},
+            }
+        )
+
+    def test_analyze_integer_file(self, capsys, tmp_path):
+        path = tmp_path / "small.dist"
+        path.write_text("grid 3 2 plane\npebble 0 0 2\npebble 2 1 1\n")
+        code, out, _ = run_cli(
+            capsys, "analyze", str(path), "--coverage", "--weights", "--ceiling"
+        )
+        rows = [
+            ((0, 0), "17/8", "9/8"), ((1, 0), "5/4", "1/4"), ((2, 0), "1", "0"),
+            ((0, 1), "5/4", "1/4"), ((1, 1), "1", "0"), ((2, 1), "5/4", "1/4"),
+        ]  # fmt: skip
+        assert code == 0 and out == pinned(
+            {
+                "ceiling": "2",
+                "coverage": {
+                    "boundary": [[0, 1], [1, 0], [2, 1]],
+                    "cov": 4,
+                    "ratio": "4/3",
+                    "reachable": [[0, 0], [0, 1], [1, 0], [2, 1]],
+                },
+                "grid": [3, 2, "plane"],
+                "schema": SCHEMA,
+                "size": 3,
+                "weights": {
+                    "ceiling": "2",
+                    "rows": [{"excess": x, "vertex": list(v), "w": w} for v, w, x in rows],
+                    "total_excess": "15/8",
+                    "total_weight": "63/8",
+                },
+            }
+        )
+
+    def test_analyze_continuous_file(self, capsys, tmp_path):
+        path = tmp_path / "cont.dist"
+        path.write_text("grid 2 2 torus continuous\npebble 0 0 1/3\npebble 1 1 1/2\n")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--ceiling", "--infinite-mode")
+        assert code == 0 and out == pinned(
+            {"ceiling": "9", "grid": [2, 2, "torus"], "schema": SCHEMA, "size": "5/6"}
+        )
+
+    def test_optimal_3x3(self, capsys):
+        code, out, _ = run_cli(capsys, "optimal", "--grid", "3", "3")
+        per_size = [(1, 3, 3), (2, 11, 11), (3, 31, 31), (4, 1, 0)]
+        assert code == 0 and out == pinned(
+            {
+                "results": [
+                    {
+                        "candidates_tested": 46,
+                        "grid": [3, 3],
+                        "per_size": [
+                            {
+                                "engine_refuted": 0,
+                                "neighbour_refuted": 0,
+                                "orbits": orbits,
+                                "size": size,
+                                "weight_refuted": refuted,
+                            }
+                            for size, orbits, refuted in per_size
+                        ],
+                        "pi_opt": 4,
+                        "ratio": "4/9",
+                        "witness": {"1,1": 4},
+                    }
+                ],
+                "schema": SCHEMA,
+            }
+        )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
