@@ -10,6 +10,7 @@ suite and exits 0 iff every check passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -19,20 +20,16 @@ from . import constructions, lp, optimal, reach, weights
 from .grid import (
     PLANE,
     TORUS,
-    ContinuousDistribution,
     Distribution,
     GridError,
     GridSpec,
     Vertex,
     parse_distribution,
+    rational,
     serialize_distribution,
 )
 
 SCHEMA = "pebblekit-report/1"
-
-
-def _frac(v) -> str:
-    return str(Fraction(v))
 
 
 def _write(text: str, out_path: str | None):
@@ -44,8 +41,15 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _exact(value) -> str:
+    """json.dumps's fallback, the one way out for an exact value: a Fraction as "p/q"."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, out_path: str | None):
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=_exact) + "\n", out_path)
 
 
 def _load(path: str):
@@ -80,13 +84,13 @@ def cmd_analyze(args) -> int:
     report: dict = {
         "schema": SCHEMA,
         "grid": [dist.grid.width, dist.grid.height, dist.grid.topology],
-        "size": _frac(dist.size) if isinstance(dist, ContinuousDistribution) else dist.size,
+        "size": dist.size,
     }
     if args.coverage:
         cov = reach.coverage(dist, args.node_cap)
         report["coverage"] = {
             "cov": cov.cov,
-            "ratio": _frac(cov.ratio),
+            "ratio": cov.ratio,
             "reachable": sorted([v.col, v.row] for v in cov.reachable),
             "boundary": sorted([v.col, v.row] for v in cov.boundary),
         }
@@ -94,9 +98,9 @@ def cmd_analyze(args) -> int:
         report["weights"] = weights.weight_report(dist).to_json()
     if args.ceiling:
         if args.infinite_mode:
-            report["ceiling"] = _frac(weights.ceiling_infinite(dist))
+            report["ceiling"] = weights.ceiling_infinite(dist)
         else:
-            report["ceiling"] = _frac(weights.covering_ratio_ceiling(dist))
+            report["ceiling"] = weights.covering_ratio_ceiling(dist)
     _emit(report, args.out)
     return 0
 
@@ -129,9 +133,9 @@ def cmd_lp(args) -> int:
             {
                 "schema": SCHEMA,
                 "problem": "unit-excess",
-                "solution": sol.to_json(),
+                "solution": dataclasses.asdict(sol),
                 "certificate_verified": verified,
-                "implied_ratio_bound": _frac(weights.IFCOV_UPPER_BOUND),
+                "implied_ratio_bound": weights.IFCOV_UPPER_BOUND,
             },
             args.out,
         )
@@ -143,8 +147,8 @@ def cmd_lp(args) -> int:
             "schema": SCHEMA,
             "problem": "fractional-optimal",
             "grid": [spec.width, spec.height, spec.topology],
-            "value": _frac(value),
-            "witness": {f"{v.col},{v.row}": _frac(c) for v, c in sorted(witness.items())},
+            "value": value,
+            "witness": {f"{v.col},{v.row}": c for v, c in sorted(witness.items())},
             "fractional_solvable": weights.fractional_solvable(witness),
         },
         args.out,
@@ -157,19 +161,20 @@ def cmd_lp(args) -> int:
 
 def cmd_optimal(args) -> int:
     rows = []
+    max_n = 3 if args.max_n is None else args.max_n
     if args.grid:
         specs = [GridSpec(args.grid[0], args.grid[1])]
-    elif args.max_n < 1:
-        raise GridError(f"--max-n must be >= 1, got {args.max_n}")
+    elif max_n < 1:
+        raise GridError(f"--max-n must be >= 1, got {max_n}")
     else:
-        specs = [GridSpec(n, n) for n in range(1, args.max_n + 1)]
+        specs = [GridSpec(n, n) for n in range(1, max_n + 1)]
     for spec in specs:
         result = optimal.optimal_pebbling_number(spec, args.node_cap)
         rows.append(
             {
                 "grid": [spec.width, spec.height],
                 "pi_opt": result.pi_opt,
-                "ratio": _frac(Fraction(result.pi_opt, spec.size)),
+                "ratio": Fraction(result.pi_opt, spec.size),
                 "witness": {
                     f"{v.col},{v.row}": c for v, c in sorted(result.witness.items())
                 },
@@ -195,7 +200,7 @@ def _coverage_9x9(counts: dict) -> str:
 
 
 def _ceiling_9x9(counts: dict) -> str:
-    return _frac(weights.ceiling_infinite(Distribution(GridSpec(9, 9), counts)))
+    return str(weights.ceiling_infinite(Distribution(GridSpec(9, 9), counts)))
 
 
 def _unit_excess_check() -> str:
@@ -284,7 +289,7 @@ CHECKS = (
     ("unit-excess-lp", "minimum excess weight at a covered unit", "paper",
      "value=12/25 certified=True", _unit_excess_check),
     ("ifcov-bound-constant", "implied ratio bound 9 - 12/25", "paper",
-     "213/25", lambda: _frac(weights.IFCOV_UPPER_BOUND)),
+     "213/25", lambda: str(weights.IFCOV_UPPER_BOUND)),
     ("single-pebble-weight-total", "partial sums of one pebble's total weight approach 9",
      "paper", "within_tolerance=True",
      lambda: f"within_tolerance={9 - weights.single_pebble_weight_total(30) <= 2**-20}"),
@@ -412,10 +417,7 @@ def cmd_render(args) -> int:
 
 
 def _fraction(value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {value!r}") from None
+    return rational(value, argparse.ArgumentTypeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,8 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("optimal", help="exact optimal pebbling numbers")
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--grid", type=int, nargs=2, metavar=("W", "H"))
+    grids = p.add_mutually_exclusive_group()
+    # default 3 in cmd_optimal: argparse lets a value equal to the default pass next to --grid
+    grids.add_argument("--max-n", type=int)
+    grids.add_argument("--grid", type=int, nargs=2, metavar=("W", "H"))
     add_common(p)
     p.set_defaults(func=cmd_optimal)
 

@@ -56,6 +56,7 @@ from .grid import (
     GridError,
     GridSpec,
     Vertex,
+    rational,
 )
 from .reach import _Engine, coverage
 
@@ -261,7 +262,7 @@ def gen_banded_rows(n: int = 1, m: int = 1, augmented: bool = False) -> Distribu
 
 def gen_uniform_frac(spec: GridSpec, q) -> ContinuousDistribution:
     """The same rational amount q > 0 on every vertex."""
-    q = Fraction(q)
+    q = rational(q)
     if q <= 0:
         raise GridError("uniform amount must be positive")
     return ContinuousDistribution(spec, {v: q for v in spec.vertices()})

@@ -236,6 +236,20 @@ class GridIndex:
         return [g for g in candidates if all(counts.get(self.image(g, v)) == c for v, c in piles)]
 
 
+def rational(value, error: type[Exception] = GridError) -> Fraction:
+    """value as an exact Fraction: a Fraction as is, else an int or a string
+    Fraction reads ("3", "1/3", "0.25").  A float, a bool or anything else
+    raises error (GridError unless a caller names its own input error)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise error(f"not an exact rational: {value!r}")
+
+
 def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:
     clean = {}
     for v, c in counts.items():
@@ -244,7 +258,7 @@ def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise GridError(f"pebble count at {tuple(v)} must be an integer, got {c!r}")
         else:
-            c = Fraction(c)
+            c = rational(c)
         if c < 0:
             raise GridError(f"negative pebble count at {tuple(v)}")
         if c > 0:
@@ -388,16 +402,11 @@ def parse_distribution(text: str) -> AnyDistribution:
             raise ParseError(f"vertex {tuple(v)} out of bounds", line_no)
         if v in counts:
             raise ParseError(f"duplicate vertex {tuple(v)}", line_no)
-        if continuous:
-            try:
-                c = Fraction(parts[3])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational count {parts[3]!r}", line_no) from None
-        else:
-            try:
-                c = int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad integer count {parts[3]!r}", line_no) from None
+        try:
+            c = rational(parts[3]) if continuous else int(parts[3])
+        except ValueError:  # GridError included
+            kind = "rational" if continuous else "integer"
+            raise ParseError(f"bad {kind} count {parts[3]!r}", line_no) from None
         if c <= 0:
             raise ParseError("pebble count must be positive", line_no)
         counts[v] = c

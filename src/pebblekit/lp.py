@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .grid import TORUS, ContinuousDistribution, GridSpec, Vertex
+from .grid import TORUS, ContinuousDistribution, GridSpec, Vertex, rational
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -27,11 +27,6 @@ UNBOUNDED = "unbounded"
 
 class LpError(ValueError):
     """Malformed linear program."""
-
-
-def _fractions(values) -> tuple[Fraction, ...]:
-    """values as a tuple of Fractions; entries that already are one are kept."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,13 @@ class LpProblem:
     bounds: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _fractions(self.objective))
-        object.__setattr__(self, "constraints", tuple(map(_fractions, self.constraints)))
-        object.__setattr__(self, "bounds", _fractions(self.bounds))
+        objective, *constraints, bounds = (
+            tuple(rational(v, LpError) for v in row)
+            for row in (self.objective, *self.constraints, self.bounds)
+        )
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "bounds", bounds)
         n = len(self.objective)
         if len(self.constraints) != len(self.bounds):
             raise LpError("constraint matrix and bound vector sizes differ")
@@ -61,15 +60,6 @@ class LpSolution:
     dual: tuple[Fraction, ...] = ()
     objective_value: Fraction | None = None
     ray: tuple[Fraction, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "primal": [str(v) for v in self.primal],
-            "dual": [str(v) for v in self.dual],
-            "objective_value": None if self.objective_value is None else str(self.objective_value),
-            "ray": [str(v) for v in self.ray],
-        }
 
 
 def _lowest(row: list[int], q: int) -> tuple[list[int], int]:
@@ -239,8 +229,8 @@ def solve(p: LpProblem) -> LpSolution:
 def verify_certificate(p: LpProblem, primal, dual) -> bool:
     """True iff primal is feasible, dual is feasible, and the objective
     values agree exactly (strong duality)."""
-    primal = [Fraction(v) for v in primal]
-    dual = [Fraction(v) for v in dual]
+    primal = [rational(v, LpError) for v in primal]
+    dual = [rational(v, LpError) for v in dual]
     if len(primal) != len(p.objective) or len(dual) != len(p.constraints):
         raise LpError("certificate dimensions do not match the problem")
     if any(x < 0 for x in primal) or any(y < 0 for y in dual):

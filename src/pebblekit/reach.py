@@ -27,9 +27,11 @@ Reachability is decided in three layers:
   3. greedy: moving the farthest splittable pile one step toward the
      target delivers k (a legal sequence);
   4. restricted DFS: the search below on the piles within radius 2, 3,
-     then 5, each with a twentieth of the node cap; dropping pebbles only
-     turns answers from true to false, so a hit is a certificate, and the
-     search's weight test refutes a light sub-cluster before any node;
+     then 5, each with min(node_cap, max(node_cap // 20, 1000)) nodes (a
+     twentieth of the cap, at least 1000, at most the cap); dropping
+     pebbles only turns answers from true to false, so a hit is a
+     certificate, and the search's weight test refutes a light
+     sub-cluster before any node;
   5. full DFS: the search below on the whole cluster.
 
   The search is depth-first over distribution states with a
@@ -359,13 +361,14 @@ class _Engine:
         if _greedy_deliverable(grid, counts, t) >= k:
             return True
         tried = None
+        budget = min(self.node_cap, max(self.node_cap // 20, 1000))
         for radius in _RESTRICT_STAGES:
             sub = {v: c for v, c in counts.items() if dist[v] <= radius}
             if not sub or sub == tried or len(sub) == len(counts):
                 continue
             tried = sub
             try:
-                if _Search(grid, t, k, max(self.node_cap // 20, 1000)).run(sub):
+                if _Search(grid, t, k, budget).run(sub):
                     return True
             except BudgetExceeded:
                 pass
@@ -487,8 +490,8 @@ class StateSolver:
 def can_move_k(d: Distribution, t, k: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff some move sequence accumulates >= k pebbles on t simultaneously."""
     t = d.grid.check(t)
-    if k < 1:
-        raise GridError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise GridError(f"k must be >= 1 and an int, got {k!r}")
     return _Engine(d, node_cap).can_move_k(t, k)
 
 

@@ -283,17 +283,6 @@ class IfcovBoundReport:
     bound_constant: Fraction
     violated: bool
 
-    def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "n_squared": self.n_squared,
-            "ratio": str(self.ratio),
-            "excess_lower_bound": str(self.excess_lower_bound),
-            "actual_total_excess": str(self.actual_total_excess),
-            "bound_constant": str(self.bound_constant),
-            "violated": self.violated,
-        }
-
 
 def ifcov_bound_report(d: Distribution, n: int) -> IfcovBoundReport:
     """Bound accounting for a distribution meant to cover an n x n grid in

@@ -216,6 +216,18 @@ class TestOptimal:
         assert all(r["weight_refuted"] == r["orbits"] for r in rows[:-1])
         assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 46
 
+    @pytest.mark.parametrize("max_n", ["0", "3"])
+    def test_grid_and_max_n_exclusive(self, capsys, max_n):
+        """--max-n next to --grid is refused, not ignored, even at its default."""
+        code, out, err = run_cli(capsys, "optimal", "--grid", "2", "2", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert err == "error: argument --max-n: not allowed with argument --grid\n"
+
+    def test_default_series(self, capsys):
+        code, out, _ = run_cli(capsys, "optimal")
+        assert code == 0
+        assert [r["pi_opt"] for r in json.loads(out)["results"]] == [1, 3, 4]
+
     def test_node_cap_reports_exhausted_sizes(self, capsys):
         """Sizes 1-5 of 6x2 are exhausted before the one-entry memo overflows
         at size 6 (no size-5 orbit reaches the solver), so the bound beats

@@ -1,8 +1,11 @@
 import re
+from argparse import ArgumentTypeError
 from fractions import Fraction
 
 import pytest
 
+from pebblekit.cli import _fraction
+from pebblekit.constructions import gen_uniform_frac
 from pebblekit.grid import (
     PLANE,
     TORUS,
@@ -13,8 +16,10 @@ from pebblekit.grid import (
     ParseError,
     Vertex,
     parse_distribution,
+    rational,
     serialize_distribution,
 )
+from pebblekit.lp import LpError, LpProblem, verify_certificate
 
 from conftest import oracle_neighbors
 
@@ -207,6 +212,63 @@ class TestContinuousDistribution:
             ContinuousDistribution(GridSpec(3, 3), {(0, 0): Fraction(-1, 2)})
 
 
+#: Each entry point that takes an outside amount, as a function that gives
+#: back the amount it stored, and the input error it raises.
+AMOUNT_ENTRY_POINTS = {
+    "rational": (rational, GridError),
+    "ContinuousDistribution": (
+        lambda q: ContinuousDistribution(GridSpec(2, 1), {(0, 0): q}).get((0, 0)),
+        GridError,
+    ),
+    "gen_uniform_frac": (lambda q: gen_uniform_frac(GridSpec(2, 1), q).get((1, 0)), GridError),
+    "LpProblem": (lambda q: LpProblem((q,), ((q,),), (q,)).constraints[0][0], LpError),
+    "cli._fraction": (_fraction, ArgumentTypeError),
+}
+
+#: min x subject to x >= 1/3: primal (q,) and dual (1,) certify it iff q = 1/3.
+THIRD = LpProblem((1,), ((1,),), (Fraction(1, 3),))
+
+
+class TestRational:
+    """The one converter of outside amounts, at each entry point: an int, a
+    Fraction or a string Fraction reads gives the exact amount, a Fraction
+    kept as the same object; a float, a bool or a zero denominator raises
+    the entry point's input error."""
+
+    @pytest.mark.parametrize("entry", AMOUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, Fraction(3)), (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3))],
+    )
+    def test_exact_amounts(self, entry, value, expected):
+        got = AMOUNT_ENTRY_POINTS[entry][0](value)
+        assert type(got) is Fraction and got == expected
+        assert got is value or not isinstance(value, Fraction)
+
+    @pytest.mark.parametrize("entry", AMOUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0.1, True, "1/0"])
+    def test_inexact_amounts_refused(self, entry, value):
+        convert, error = AMOUNT_ENTRY_POINTS[entry]
+        with pytest.raises(error, match=re.escape(f"not an exact rational: {value!r}")):
+            convert(value)
+
+    @pytest.mark.parametrize(
+        "value, certified", [(3, False), (Fraction(1, 3), True), ("1/3", True)]
+    )
+    def test_verify_certificate_reads_exact_amounts(self, value, certified):
+        assert verify_certificate(THIRD, [value], [1]) is certified
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/0"])
+    def test_verify_certificate_refuses_inexact_amounts(self, value):
+        with pytest.raises(LpError, match="not an exact rational"):
+            verify_certificate(THIRD, [value], [1])
+        with pytest.raises(LpError, match="not an exact rational"):
+            verify_certificate(THIRD, [Fraction(1, 3)], [value])
+
+    def test_decimal_strings_are_exact(self):
+        assert rational("0.1") == Fraction(1, 10) and rational("-2.5e-1") == Fraction(-1, 4)
+
+
 class TestSerialization:
     def test_round_trip_integer(self):
         d = Distribution(GridSpec(4, 5, TORUS), {(0, 0): 2, (3, 4): 7})
@@ -237,6 +299,19 @@ class TestSerialization:
             parse_distribution("grid 3 3 moebius\n")
         with pytest.raises(ParseError):
             parse_distribution("grid 3 3 plane\npebble 0 0 1/2\n")
+
+    @pytest.mark.parametrize(
+        "header, count, message",
+        [
+            ("", "1/2", "line 2: bad integer count '1/2'"),
+            ("", "x", "line 2: bad integer count 'x'"),
+            (" continuous", "1/0", "line 2: bad rational count '1/0'"),
+            (" continuous", "x", "line 2: bad rational count 'x'"),
+        ],
+    )
+    def test_bad_count_names_its_kind(self, header, count, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_distribution(f"grid 3 3 plane{header}\npebble 0 0 {count}\n")
 
     def test_continuous_flag(self):
         d = parse_distribution("grid 3 3 plane continuous\npebble 0 0 1/2\n")

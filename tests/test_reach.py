@@ -228,6 +228,37 @@ class TestQueries:
         assert (e.stage, e.node_cap, e.target, e.size, e.lower) == fields
         assert str(e) == message
 
+    @pytest.mark.parametrize(
+        "node_cap, restricted",
+        [(10, 10), (500, 500), (5000, 1000), (10**5, 5000), (DEFAULT_NODE_CAP, 500_000)],
+    )
+    def test_restricted_stages_stay_within_the_cap(self, monkeypatch, node_cap, restricted):
+        """Each restricted DFS gets min(node_cap, max(node_cap // 20, 1000))
+        nodes: a twentieth of the cap, at least 1000, never more than the
+        cap.  The two piles within radius 2 and 3 of (4, 0) are searched on
+        their own first, then all three."""
+        caps = []
+        run = _Search.run
+
+        def spy(search, counts):
+            if search.k == 2:
+                caps.append((len(counts), search.node_cap))
+            return run(search, counts)
+
+        monkeypatch.setattr(_Search, "run", spy)
+        d = Distribution(GridSpec(6, 3), {(1, 0): 5, (5, 1): 5, (2, 2): 4})
+        try:
+            assert not can_move_k(d, (4, 0), 2, node_cap)
+        except BudgetExceeded:
+            assert node_cap == 10
+        assert caps == [(1, restricted), (2, restricted), (3, node_cap)]
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_k_must_be_a_positive_int(self, k):
+        d = Distribution(GridSpec(3, 3), {(0, 0): 4})
+        with pytest.raises(GridError, match="k must be >= 1"):
+            can_move_k(d, (1, 0), k)
+
     def test_interaction_engine_merges_clusters(self):
         # (1,1) needs one pebble from each pile pooled at (1,0): neither
         # pile reaches it alone

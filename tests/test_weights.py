@@ -273,8 +273,7 @@ class TestFractional:
         rep = ifcov_bound_report(d, 3)
         assert rep.ratio == 1
         assert rep.excess_lower_bound == Fraction(12, 25) * 9
-        assert not rep.violated
-        assert rep.to_json()["violated"] is False
+        assert rep.violated is False
 
 
 @pytest.fixture(scope="module")
