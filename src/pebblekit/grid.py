@@ -9,6 +9,7 @@ distributions store counts sparsely (vertices with zero pebbles are absent).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,9 +205,22 @@ class GridIndex:
         return Vertex(r, c) if g.swap else Vertex(c, r)
 
     def permutations(self) -> list[tuple[int, ...]]:
-        """The symmetries as permutations p of vertex ids, p[id(v)] = id(g(v))."""
-        ids = self.ids
-        return [tuple(ids[self.image(g, v)] for v in self.vertices) for g in self.symmetries()]
+        """The symmetries as permutations p of vertex ids, p[id(v)] = id(g(v)).
+
+        Each is built from the images of the two axes: (col, row) goes to
+        id row' * width + col', or col' * width + row' when g swaps them."""
+        w, h = self.width, self.height
+        perms = []
+        for (sc, c0), (sr, r0), swap in self.symmetries():
+            cols = [(sc * c + c0) % w for c in range(w)]
+            rows = [(sr * r + r0) % h for r in range(h)]
+            # the image's row is scaled by width; a swap needs a square grid
+            if swap:
+                cols = [c * w for c in cols]
+            else:
+                rows = [r * w for r in rows]
+            perms.append(tuple(r + c for r in rows for c in cols))
+        return perms
 
     def stabiliser(self, counts: Mapping[Vertex, int]) -> list[Symmetry]:
         """The symmetries g with counts[g(v)] == counts[v] for every v.
@@ -239,15 +253,25 @@ class GridIndex:
 def rational(value, error: type[Exception] = GridError) -> Fraction:
     """value as an exact Fraction: a Fraction as is, else an int or a string
     Fraction reads ("3", "1/3", "0.25").  A float, a bool or anything else
-    raises error (GridError unless a caller names its own input error)."""
+    raises error (GridError unless a caller names its own input error), and
+    so does an int or string whose numerator or denominator has more digits
+    than sys.get_int_max_str_digits() lets a report write back ("1e-5000")."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise error(f"not an exact rational: {value!r}")
+    try:
+        value = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"not an exact rational: {value!r}") from None
+    limit = sys.get_int_max_str_digits()
+    # a part of at most 3 * limit bits has at most limit digits (limit >= 640)
+    if limit and max(value.numerator.bit_length(), value.denominator.bit_length()) > 3 * limit:
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise error(f"not an exact rational: {value!r}")
+            str(value)
+        except ValueError:
+            raise error(f"an exact rational too long to write back: over {limit} digits") from None
+    return value
 
 
 def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:

@@ -41,9 +41,20 @@ arrives by a move u -> t, which takes two pebbles from u, so just before
 it u holds 2 pebbles and has weight at least 2, its own pebbles counting
 1 each; a move never raises the weight at any vertex, so W(u) >= 2 at the
 start.  An orbit with an empty vertex whose neighbours all weigh below 2
-is therefore unsolvable, and the walk drops it at its leaf, after the
-lex-least test.  The lemma is stronger than the weight test: on a path,
-1 + 0 + 1 gives the middle vertex weight 1, but no neighbour of it weight 2.
+is therefore unsolvable.  The lemma is stronger than the weight test: on a
+path, 1 + 0 + 1 gives the middle vertex weight 1, but no neighbour of it
+weight 2.
+
+The walk applies the lemma to prefixes too.  Let the counts at ids <= idx
+be decided, r >= 1 pebbles remain, and let t be an id <= idx holding 0.
+Every completion leaves t empty, and weighs at most P_u + r * B_u(idx + 1)
+at each u, as in the weight cut.  If that bound is below 2 at every
+neighbour u of t, no completion gives t a neighbour of weight >= 2, the
+lemma refutes every one of them, and the subtree is cut.  The leaf test
+checks every empty vertex of a complete vector with its exact weights.  So
+the cut drops only subtrees whose every leaf the leaf test rejects, the
+walk yields the same vectors in the same order, and it never builds the
+leaves it would throw away.
 
 The weights are packed in fields of f + 1 bits, f the bit length of
 n * one on n vertices, one = 2^D.  A field holds at most s * one, since
@@ -74,15 +85,13 @@ The survivors go to one reach.StateSolver held for the whole search,
 whose memo of whole-state reach sets every orbit and size shares.  The
 first size with a solvable distribution is the optimal pebbling number,
 and exhaustion of the smaller sizes, counted per size in
-OptimalResult.per_size, is the minimality certificate.  The orbits cut by
-weight are never built, so below pi_opt a row counts its orbits by
-Burnside's lemma from the cycle types of the walk's symmetries, found
-once per search: the weight refuted orbits are that count less the
-leaves that pass the weight test, the neighbour refuted orbits are the
-leaves the neighbour lemma drops, and the rest are refuted by the
-solver.  The row at pi_opt counts the weight-passing leaves met, the
-witness last; the orbits of that size the walk cut by weight before the
-witness are not counted.
+OptimalResult.per_size, is the minimality certificate.  The orbits the
+walk refutes are mostly never built, so below pi_opt a row counts its
+orbits by Burnside's lemma from the cycle types of the walk's symmetries,
+found once per search: the walk refuted orbits are that count less the
+orbits handed to the solver, which refutes the rest.  The row at pi_opt
+counts the orbits handed to the solver, the witness last; the orbits of
+that size the walk refuted before the witness are not counted.
 """
 
 from __future__ import annotations
@@ -117,16 +126,15 @@ def _stopped(spec: GridSpec, node_cap: int, lower: int, size: int | None = None)
 class SizeRow(NamedTuple):
     """The orbits of one size and how each was decided.  Below pi_opt,
     orbits is every orbit of the size (Burnside's count), each refuted by
-    the weight bound (weight_refuted), by an empty vertex with no neighbour
-    of weight >= 2 (neighbour_refuted), or by the state solver
-    (engine_refuted, the orbits that pass both tests).  At pi_opt, orbits
-    counts the weight-passing orbits met up to and including the witness,
-    which is counted in no refuted column, and weight_refuted is 0."""
+    the walk (walk_refuted: a vertex of weight below 1, or an empty vertex
+    with no neighbour of weight >= 2) or by the state solver
+    (engine_refuted, the orbits handed to it).  At pi_opt, orbits counts
+    the orbits handed to the solver up to and including the witness, which
+    is counted in no refuted column, and walk_refuted is 0."""
 
     size: int
     orbits: int
-    weight_refuted: int
-    neighbour_refuted: int
+    walk_refuted: int
     engine_refuted: int
 
 
@@ -142,8 +150,8 @@ class OptimalResult:
 
     @property
     def candidates_tested(self) -> int:
-        """Every orbit of the sizes below pi_opt, plus the weight-passing
-        orbits met at pi_opt."""
+        """Every orbit of the sizes below pi_opt, plus the orbits handed to
+        the solver at pi_opt, the witness last."""
         return sum(row.orbits for row in self.per_size)
 
 
@@ -177,8 +185,7 @@ class _Walk:
     given, its weight rows (from weights.dyadic_rows) and neighbour ids, all
     in grid ids.  On a plane it walks the ids border first and yields grid ids
     (module docstring).  With rows, the packed weight layout holds every
-    size s <= n, so it is built once.  neighbour_refuted counts the leaves
-    the neighbour test rejected since the last walk began."""
+    size s <= n, so it is built once."""
 
     def __init__(self, spec: GridSpec, one: int = 0, rows=(), neighbours=()):
         self.n = n = spec.size
@@ -217,7 +224,6 @@ class _Walk:
         # near[k]: the top bits of the fields of the neighbours of id k
         neighbours = [[pos[u] for u in neighbours[i]] for i in order] if neighbours else ()
         self.near = [sum(1 << (u * (f + 1) + f) for u in ids) for ids in neighbours]
-        self.neighbour_refuted = 0
 
     def of_size(self, s: int):
         """Count vectors of total size s, in grid ids, one per symmetry
@@ -225,43 +231,49 @@ class _Walk:
         neighbours given, every empty vertex a neighbour of weight at least
         2.  Each is the lex-least member of its orbit in the walk's ids, met
         in ascending lexicographic order of those.  Each prefix carries the
-        symmetries that may still map it to a smaller vector and the partial
-        weight at every vertex, and is cut before it is completed when no
-        completion of it is lex-least, or none has weight >= one at every
-        vertex.  The neighbour test is made at the leaves, after the
-        lex-least test.  With rows, a size s > n raises GridError."""
+        symmetries that may still map it to a smaller vector, the partial
+        weight at every vertex and, with neighbours, the decided-empty ids,
+        and is cut before it is completed when no completion of it has
+        weight >= one at every vertex, none gives every decided-empty id a
+        neighbour of weight >= 2, or none is lex-least.  A complete vector
+        passes the lex-least test first, then the neighbour test on every
+        empty vertex.  With rows, a size s > n raises GridError."""
         n, vec, pos = self.n, [0] * self.n, self.pos
         if self.flags and s > n:
             raise GridError(f"a weighed walk holds sizes up to {n}, not {s}")
         lift, flags, lift2 = self.lift, self.flags, self.lift2
         cols, best, near = self.cols, self.best, self.near
-        self.neighbour_refuted = 0
 
-        def rec(idx: int, remaining: int, live: list, partial: int):
+        def rec(idx: int, remaining: int, live: list, partial: int, empty: tuple):
+            # empty: the near masks of the ids < idx that hold no pebble
             if remaining == 0:
                 if _canonical(vec, live):
-                    heavy = (partial + lift2) & flags
-                    if any(not (c or heavy & m) for c, m in zip(vec, near)):
-                        self.neighbour_refuted += 1
-                    else:
+                    # the ids >= idx are empty too
+                    has = ((partial + lift2) & flags).__and__
+                    if all(map(has, empty)) and all(map(has, near[idx:])):
                         yield tuple(map(vec.__getitem__, pos))
                 return
             if idx == n:
                 return
             col, most = cols[idx], best[idx + 1]
+            emptier = empty + (near[idx],) if near else ()
             # leave vertex idx empty, or put 1..remaining pebbles on it
             for k in range(remaining + 1):
                 weights = partial + k * col
                 left = remaining - k
-                if (weights + left * most + lift) & flags != flags:
+                bound = weights + left * most
+                if (bound + lift) & flags != flags:
+                    continue
+                decided = empty if k else emptier
+                if left and decided and not all(map(((bound + lift2) & flags).__and__, decided)):
                     continue
                 vec[idx] = k
                 kept = _advance(vec, idx, live)
                 if kept is not None:
-                    yield from rec(idx + 1, left, kept, weights)
+                    yield from rec(idx + 1, left, kept, weights, decided)
             vec[idx] = 0
 
-        return rec(0, s, [(p, 0) for p in self.perms], 0)
+        return rec(0, s, [(p, 0) for p in self.perms], 0, ())
 
     def orbit_count(self, s: int) -> int:
         """The orbits of count vectors of total size s, by Burnside's lemma:
@@ -323,14 +335,12 @@ def optimal_pebbling_number(
                 lower = max(ceil(fractional_optimum(spec)), s)
                 raise _stopped(spec, node_cap, lower, s) from None
             if solved:
-                refuted = walk.neighbour_refuted
                 verts = spec.index.vertices
                 d = Distribution(spec, {verts[i]: k for i, k in enumerate(vec) if k})
-                per_size.append(SizeRow(s, refuted + tested, 0, refuted, tested - 1))
+                per_size.append(SizeRow(s, tested, 0, tested - 1))
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
-        refuted = walk.neighbour_refuted
         orbits = walk.orbit_count(s)
-        per_size.append(SizeRow(s, orbits, orbits - refuted - tested, refuted, tested))
+        per_size.append(SizeRow(s, orbits, orbits - tested, tested))
 
 
 def optimal_ratio_series(

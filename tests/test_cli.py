@@ -213,7 +213,7 @@ class TestOptimal:
         (result,) = json.loads(out)["results"]
         rows = result["per_size"]
         assert [r["size"] for r in rows] == [1, 2, 3, 4]
-        assert all(r["weight_refuted"] == r["orbits"] for r in rows[:-1])
+        assert all(r["walk_refuted"] == r["orbits"] for r in rows[:-1])
         assert sum(r["orbits"] for r in rows) == result["candidates_tested"] == 46
 
     @pytest.mark.parametrize("max_n", ["0", "3"])
@@ -426,10 +426,9 @@ class TestPinnedJson:
                         "per_size": [
                             {
                                 "engine_refuted": 0,
-                                "neighbour_refuted": 0,
                                 "orbits": orbits,
                                 "size": size,
-                                "weight_refuted": refuted,
+                                "walk_refuted": refuted,
                             }
                             for size, orbits, refuted in per_size
                         ],
@@ -451,6 +450,8 @@ class TestPinnedJson:
         ["optimal", "--max-n", "0"],
         ["render", "{cascade}", "--overlay", "coverage", "--node-cap", "10"],
         ["render", "{frac}", "--overlay", "coverage"],
+        ["analyze", "{huge}", "--ceiling"],
+        ["render", "{huge}", "--overlay", "weights"],
         ["gen", "block-composition", "-n", "5", "-m", "2"],
         ["gen", "uniform-frac", "--q", "abc"],
         ["gen", "uniform-frac", "--q", "1/0"],
@@ -461,6 +462,8 @@ class TestPinnedJson:
         "optimal-max-n-zero",
         "render-budget",
         "render-coverage-continuous",
+        "analyze-ceiling-too-long",
+        "render-weights-too-long",
         "gen-missing-inner",
         "gen-q-not-rational",
         "gen-q-zero-denominator",
@@ -475,7 +478,11 @@ def test_user_error_exits_2(capsys, tmp_path, argv):
     )
     frac = tmp_path / "frac.dist"
     frac.write_text(serialize_distribution(gen_uniform_frac(GridSpec(3, 3), Fraction(1, 2))))
-    code, _, err = run_cli(capsys, *(a.format(cascade=cascade, frac=frac) for a in argv))
+    # a denominator of 5,001 digits, past what str() writes by default
+    huge = tmp_path / "huge.dist"
+    huge.write_text("grid 2 2 plane continuous\npebble 0 0 1e-5000\n")
+    names = {"cascade": cascade, "frac": frac, "huge": huge}
+    code, _, err = run_cli(capsys, *(a.format(**names) for a in argv))
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err

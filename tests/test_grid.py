@@ -100,6 +100,20 @@ class TestGridSpec:
             assert i == v.row * width + v.col and index.vertices[i] == v
             assert tuple(index.vertices[j] for j in index.neighbor_ids[i]) == spec.neighbors(v)
 
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_permutations_match_vertex_images(self, topology):
+        """The permutations built from per-axis images are, in order, those
+        of one image() call per vertex per symmetry, on every grid of at most
+        16 vertices."""
+        for w in range(1, 17):
+            for h in range(1, 16 // w + 1):
+                index = GridSpec(w, h, topology).index
+                expected = [
+                    tuple(index.ids[index.image(g, v)] for v in index.vertices)
+                    for g in index.symmetries()
+                ]
+                assert index.permutations() == expected, (w, h)
+
     def test_neighbors_plane_corner(self):
         spec = GridSpec(3, 3)
         assert set(spec.neighbors((0, 0))) == {Vertex(1, 0), Vertex(0, 1)}
@@ -264,6 +278,25 @@ class TestRational:
             verify_certificate(THIRD, [value], [1])
         with pytest.raises(LpError, match="not an exact rational"):
             verify_certificate(THIRD, [Fraction(1, 3)], [value])
+
+    @pytest.mark.parametrize("entry", AMOUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param("1e-5000", id="denominator"),
+            pytest.param("-1e4300", id="numerator"),
+            pytest.param(10**4300, id="int"),
+        ],
+    )
+    def test_amounts_too_long_to_write_refused(self, entry, value):
+        """An int or string amount with a numerator or denominator of more
+        digits than str() writes under the default limit (4,300) is refused
+        where it comes in; one digit fewer is kept."""
+        convert, error = AMOUNT_ENTRY_POINTS[entry]
+        with pytest.raises(error, match="too long to write back: over 4300 digits"):
+            convert(value)
+        assert convert("1e-4299") == Fraction(1, 10**4299)
+        assert convert(10**4299) == 10**4299
 
     def test_decimal_strings_are_exact(self):
         assert rational("0.1") == Fraction(1, 10) and rational("-2.5e-1") == Fraction(-1, 4)

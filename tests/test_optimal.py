@@ -28,7 +28,7 @@ from conftest import (
 )
 
 # (grid, pi_opt, orbits counted, witness): every orbit of the sizes below
-# pi_opt plus the weight-passing orbits met at pi_opt, the witness last;
+# pi_opt plus the orbits handed to the solver at pi_opt, the witness last;
 # the search enumerates the same orbits in the same order as long as these
 # hold
 PINNED = [
@@ -42,66 +42,51 @@ PINNED = [
     ),
     pytest.param(GridSpec(5, 3), 6, 4119, {(1, 1): 4, (3, 1): 1, (4, 1): 1}, id="5x3"),
     pytest.param(GridSpec(4, 4, TORUS), 6, 282, {(1, 3): 4, (3, 2): 2}, id="4x4-torus"),
-    pytest.param(GridSpec(4, 4), 7, 9647, {(1, 1): 4, (1, 3): 1, (3, 2): 2}, id="4x4"),
+    pytest.param(GridSpec(4, 4), 7, 9646, {(1, 1): 4, (1, 3): 1, (3, 2): 2}, id="4x4"),
 ]
 
-# (grid, per_size rows as (orbits, weight_refuted, neighbour_refuted,
-# engine_refuted), sizes 1, 2, ...): the rows below pi_opt split the same
-# orbits as when every orbit was built and weighed in full; at pi_opt,
-# orbits = neighbour_refuted + engine_refuted + 1 and no orbit is counted
-# as weight refuted
+# (grid, per_size rows as (orbits, walk_refuted, engine_refuted), sizes
+# 1, 2, ...): below pi_opt the walk and the solver split Burnside's count;
+# at pi_opt, orbits = engine_refuted + 1, the witness last, and the walk
+# refutes no orbit
 PER_SIZE = [
-    pytest.param(GridSpec(2, 2), [(1, 1, 0, 0), (3, 2, 1, 0), (1, 0, 0, 0)], id="2x2"),
+    pytest.param(GridSpec(2, 2), [(1, 1, 0), (3, 3, 0), (1, 0, 0)], id="2x2"),
     pytest.param(
-        GridSpec(3, 3), [(3, 3, 0, 0), (11, 11, 0, 0), (31, 31, 0, 0), (1, 0, 0, 0)], id="3x3"
+        GridSpec(3, 3), [(3, 3, 0), (11, 11, 0), (31, 31, 0), (1, 0, 0)], id="3x3"
     ),
     pytest.param(
-        GridSpec(3, 3, TORUS),
-        [(1, 1, 0, 0), (3, 3, 0, 0), (7, 4, 2, 1), (1, 0, 0, 0)],
-        id="3x3-torus",
+        GridSpec(3, 3, TORUS), [(1, 1, 0), (3, 3, 0), (7, 6, 1), (1, 0, 0)], id="3x3-torus"
     ),
     pytest.param(
         GridSpec(4, 3),
-        [(4, 4, 0, 0), (26, 26, 0, 0), (100, 100, 0, 0), (373, 373, 0, 0), (1, 0, 0, 0)],
+        [(4, 4, 0), (26, 26, 0), (100, 100, 0), (373, 373, 0), (1, 0, 0)],
         id="4x3",
     ),
     pytest.param(
         GridSpec(6, 2, TORUS),
-        [
-            (1, 1, 0, 0), (8, 8, 0, 0), (20, 20, 0, 0), (78, 72, 6, 0), (204, 135, 68, 1),
-            (1, 0, 0, 0),
-        ],
+        [(1, 1, 0), (8, 8, 0), (20, 20, 0), (78, 78, 0), (204, 203, 1), (1, 0, 0)],
         id="6x2-torus",
     ),
     pytest.param(
         GridSpec(6, 2),
-        [
-            (3, 3, 0, 0), (24, 24, 0, 0), (91, 91, 0, 0), (357, 357, 0, 0),
-            (1092, 1072, 20, 0), (7, 0, 0, 6),
-        ],
+        [(3, 3, 0), (24, 24, 0), (91, 91, 0), (357, 357, 0), (1092, 1092, 0), (7, 0, 6)],
         id="6x2",
     ),
     pytest.param(
         GridSpec(5, 3),
-        [
-            (6, 6, 0, 0), (40, 40, 0, 0), (194, 194, 0, 0), (832, 832, 0, 0),
-            (3046, 3043, 3, 0), (1, 0, 0, 0),
-        ],
+        [(6, 6, 0), (40, 40, 0), (194, 194, 0), (832, 832, 0), (3046, 3046, 0), (1, 0, 0)],
         id="5x3",
     ),
     pytest.param(
         GridSpec(4, 4, TORUS),
-        [
-            (1, 1, 0, 0), (6, 6, 0, 0), (16, 16, 0, 0), (67, 61, 6, 0), (190, 132, 58, 0),
-            (2, 0, 0, 1),
-        ],
+        [(1, 1, 0), (6, 6, 0), (16, 16, 0), (67, 67, 0), (190, 190, 0), (2, 0, 1)],
         id="4x4-torus",
     ),
     pytest.param(
         GridSpec(4, 4),
         [
-            (3, 3, 0, 0), (24, 24, 0, 0), (113, 113, 0, 0), (528, 528, 0, 0),
-            (2003, 2003, 0, 0), (6968, 6725, 241, 2), (8, 0, 1, 6),
+            (3, 3, 0), (24, 24, 0), (113, 113, 0), (528, 528, 0), (2003, 2003, 0),
+            (6968, 6966, 2), (7, 0, 6),
         ],
         id="4x4",
     ),
@@ -117,6 +102,10 @@ PAST_THE_CAP = [
         GridSpec(6, 3), 7, 34466, {(1, 1): 4, (3, 1): 1, (4, 1): 1, (5, 1): 1}, id="6x3"
     ),
     pytest.param(GridSpec(7, 3), 8, 299990, {(1, 1): 4, (5, 1): 4}, id="7x3"),
+    pytest.param(GridSpec(6, 4, TORUS), 8, 30637, {(2, 3): 4, (5, 2): 4}, id="6x4-torus"),
+    pytest.param(
+        GridSpec(5, 5, TORUS), 8, 18239, {(1, 4): 4, (3, 2): 2, (4, 1): 2}, id="5x5-torus"
+    ),
 ]
 
 # grids past 12 vertices for the orbit oracle, by topology
@@ -154,9 +143,8 @@ class TestOptimalNumbers:
 
     def test_5x4_past_the_vertex_cap(self, monkeypatch):
         """With the vertex cap raised, the 5x4 plane (20 vertices) has pi_opt
-        8, and its rows below 8 split the orbits of the search that built
-        and weighed every orbit in full: of the 2,232 orbits of size 7 that
-        pass the weight test, the neighbour test leaves one to the solver."""
+        8: of the 164,892 orbits of size 7 the walk leaves one to the
+        solver, and at size 8 the witness is the 34th orbit it hands over."""
         monkeypatch.setattr(optimal, "MAX_SEARCH_VERTICES", 20)
         res = optimal_pebbling_number(GridSpec(5, 4))
         assert res.pi_opt == 8
@@ -164,14 +152,14 @@ class TestOptimalNumbers:
         assert res.witness == Distribution(GridSpec(5, 4), witness)
         assert is_solvable(res.witness)
         assert res.per_size == (
-            SizeRow(1, 6, 6, 0, 0),
-            SizeRow(2, 62, 62, 0, 0),
-            SizeRow(3, 398, 398, 0, 0),
-            SizeRow(4, 2279, 2279, 0, 0),
-            SizeRow(5, 10716, 10716, 0, 0),
-            SizeRow(6, 44596, 44591, 5, 0),
-            SizeRow(7, 164892, 162660, 2231, 1),
-            SizeRow(8, 157, 0, 123, 33),
+            SizeRow(1, 6, 6, 0),
+            SizeRow(2, 62, 62, 0),
+            SizeRow(3, 398, 398, 0),
+            SizeRow(4, 2279, 2279, 0),
+            SizeRow(5, 10716, 10716, 0),
+            SizeRow(6, 44596, 44596, 0),
+            SizeRow(7, 164892, 164891, 1),
+            SizeRow(8, 34, 0, 33),
         )
 
     @pytest.mark.parametrize("spec, pi_opt, tested, witness", PAST_THE_CAP)
@@ -236,17 +224,17 @@ class TestOptimalNumbers:
 
     def test_per_size_certificate(self):
         """One row per size up to pi_opt; every 3x3 orbit below 4 pebbles is
-        refuted by weight, and the last orbit of size 4 is the witness."""
+        refuted by the walk, and the last orbit of size 4 is the witness."""
         res = optimal_pebbling_number(GridSpec(3, 3))
         assert [row.size for row in res.per_size] == [1, 2, 3, 4]
         assert res.candidates_tested == sum(row.orbits for row in res.per_size) == 46
         for row in res.per_size[:-1]:
-            assert row.weight_refuted == row.orbits
-            assert row.neighbour_refuted == row.engine_refuted == 0
+            assert row.walk_refuted == row.orbits
+            assert row.engine_refuted == 0
         last = res.per_size[-1]
         assert isinstance(last, SizeRow)
-        assert last.weight_refuted == 0
-        assert last.neighbour_refuted + last.engine_refuted == last.orbits - 1
+        assert last.walk_refuted == 0
+        assert last.engine_refuted == last.orbits - 1
 
     def test_2x3(self):
         assert optimal_pebbling_number(GridSpec(2, 3)).pi_opt == 3
@@ -372,6 +360,31 @@ class TestOptimalNumbers:
         assert orbits == 899
         assert calls == 2197 < 18563
 
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            pytest.param(GridSpec(6, 2), 281, id="6x2"),
+            pytest.param(GridSpec(6, 2, TORUS), 526, id="6x2-torus"),
+        ],
+    )
+    def test_neighbour_test_cuts_prefixes(self, spec, calls, monkeypatch):
+        """The neighbour test cuts a prefix once a decided-empty vertex can
+        no longer get a neighbour of weight >= 2, before the lex-least test
+        looks at it: the whole search makes these _advance calls, where a
+        search testing the neighbours only at complete vectors made 468 and
+        1,098."""
+        made = 0
+        advance = optimal._advance
+
+        def counted(vec, idx, live):
+            nonlocal made
+            made += 1
+            return advance(vec, idx, live)
+
+        monkeypatch.setattr(optimal, "_advance", counted)
+        assert optimal_pebbling_number(spec).pi_opt == 6
+        assert made == calls
+
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_burnside_counts_from_cycle_types(self, topology):
         """Burnside's count from the cycle types of the walk's symmetries,
@@ -384,10 +397,10 @@ class TestOptimalNumbers:
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_neighbour_test_drops_only_unsolvable_orbits(self, topology):
-        """At every size up to pi_opt, the neighbour test drops a
+        """At every size up to pi_opt, the walk with neighbour ids drops a
         weight-passing orbit exactly when some empty vertex has no
-        neighbour of weight >= 2, counts each one it drops, and the naive
-        BFS oracle reaches none of those vertices."""
+        neighbour of weight >= 2, keeps the order of the rest, and the
+        naive BFS oracle reaches none of those vertices."""
         dropped = 0
         for spec in grids_up_to(12, topology):
             verts, n = list(spec.vertices()), spec.size
@@ -397,7 +410,6 @@ class TestOptimalNumbers:
                 kept = list(walk.of_size(s))
                 heavy = list(weighed.of_size(s))
                 assert kept == [vec for vec in heavy if vec in kept]
-                assert walk.neighbour_refuted == len(heavy) - len(kept), (spec, s)
                 for vec in heavy:
                     counts = {verts[i]: k for i, k in enumerate(vec) if k}
                     # W(u) >= 2 over the denominator 2^n: every distance is < n
@@ -424,9 +436,7 @@ class TestOptimalNumbers:
         spec = GridSpec(6, 2)
         one, rows = dyadic_rows(spec)
         assert len(list(_Walk(spec, one, rows).of_size(5))) == 20
-        walk = _Walk(spec, one, rows, spec.index.neighbor_ids)
-        assert list(walk.of_size(5)) == []
-        assert walk.neighbour_refuted == 20
+        assert list(_Walk(spec, one, rows, spec.index.neighbor_ids).of_size(5)) == []
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_weight_filter_drops_only_unsolvable_orbits(self, topology):
