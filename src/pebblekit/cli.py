@@ -24,6 +24,7 @@ from .grid import (
     GridError,
     GridSpec,
     Vertex,
+    exact_text,
     parse_distribution,
     rational,
     serialize_distribution,
@@ -44,7 +45,7 @@ def _write(text: str, out_path: str | None):
 def _exact(value) -> str:
     """json.dumps's fallback, the one way out for an exact value: a Fraction as "p/q"."""
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_text(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -402,7 +403,7 @@ def cmd_render(args) -> int:
     and shade the reachable set (--overlay coverage)."""
     dist = _load(args.file)
     if args.overlay == "weights":
-        labels = {v: str(w) for v, w in weights.grid_weights(dist).items()}
+        labels = {v: exact_text(w) for v, w in weights.grid_weights(dist).items()}
     else:
         labels = {v: str(dist.get(v) or "") for v in dist.grid.vertices()}
     reachable = frozenset()

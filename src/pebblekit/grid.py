@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator, Mapping, NamedTuple, Union
 
 PLANE = "plane"
@@ -101,11 +102,15 @@ class GridSpec:
 
 def _axis(n: int, wrap: bool) -> tuple[tuple[int, ...], ...]:
     """Distances between the n positions of one axis.  The only place that
-    tells a torus from a plane: a torus axis wraps, a plane axis does not."""
-    return tuple(
-        tuple(min(abs(a - b), n - abs(a - b)) if wrap else abs(a - b) for b in range(n))
-        for a in range(n)
-    )
+    tells a torus from a plane: a torus axis wraps, a plane axis does not.
+    Row a is one base row rotated by a on a cycle (the distance depends on
+    (b - a) mod n alone), and on a path the slice of n - 1, ..., 1, 0, 1,
+    ..., n - 1 that puts its 0 at b = a."""
+    if wrap:
+        base = tuple(min(k, n - k) for k in range(n))
+        return tuple(base[n - a :] + base[: n - a] for a in range(n))
+    base = tuple(range(n - 1, 0, -1)) + tuple(range(n))
+    return tuple(base[n - 1 - a : 2 * n - 1 - a] for a in range(n))
 
 
 def _axis_maps(dist) -> tuple[tuple[int, int], ...]:
@@ -158,7 +163,9 @@ class GridIndex:
     def vertices(self) -> tuple[Vertex, ...]:
         """The vertices by id, row-major (id = row * width + col): the order
         of GridSpec.vertices()."""
-        return tuple(Vertex(c, r) for r in range(self.height) for c in range(self.width))
+        w, h = self.width, self.height
+        rows = chain.from_iterable(repeat(r, w) for r in range(h))
+        return tuple(map(Vertex, list(range(w)) * h, rows))
 
     @cached_property
     def ids(self) -> dict[Vertex, int]:
@@ -255,23 +262,45 @@ def rational(value, error: type[Exception] = GridError) -> Fraction:
     Fraction reads ("3", "1/3", "0.25").  A float, a bool or anything else
     raises error (GridError unless a caller names its own input error), and
     so does an int or string whose numerator or denominator has more digits
-    than sys.get_int_max_str_digits() lets a report write back ("1e-5000")."""
+    than sys.get_int_max_str_digits() lets a report write back ("1e-5000").
+
+    A string's decimal exponent is bounded before Fraction computes its
+    power of ten: with D digits in the mantissa, a nonzero value of exponent
+    x has a part of more than |x| - D digits, so |x| > limit + len(value)
+    is refused at once (a zero mantissa with it too)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise error(f"not an exact rational: {value!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        try:
+            far = bool(e) and abs(int(exponent)) > limit + len(value)
+        except ValueError:  # not a decimal exponent: Fraction refuses the string below
+            far = False
+        if far:
+            raise error(f"an exact rational too long to write back: over {limit} digits")
     try:
         value = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise error(f"not an exact rational: {value!r}") from None
-    limit = sys.get_int_max_str_digits()
     # a part of at most 3 * limit bits has at most limit digits (limit >= 640)
     if limit and max(value.numerator.bit_length(), value.denominator.bit_length()) > 3 * limit:
-        try:
-            str(value)
-        except ValueError:
-            raise error(f"an exact rational too long to write back: over {limit} digits") from None
+        exact_text(value, error)
     return value
+
+
+def exact_text(value: int | Fraction, error: type[Exception] = GridError) -> str:
+    """str(value), or error when a part of it has more digits than
+    sys.get_int_max_str_digits() lets Python write: a value computed from
+    amounts that each passed rational, such as a sum of two of them, can be
+    too long to write although they are not."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise error(f"an exact rational too long to write back: over {limit} digits") from None
 
 
 def _validate_counts(grid: GridSpec, counts: Mapping, integral: bool) -> dict:

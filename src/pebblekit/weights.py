@@ -36,19 +36,43 @@ the scaled total (1 if there are no piles).
 * Column pass: support column c packs 2^(Ec - dcol) into each target
   column's field, and each support row sums k times its piles' packs:
   S big-integer multiply-adds for S piles.
-* Row pass: target row r sums each support row's sum shifted left by
-  Er - drow(r, row): R_t * R shifts and adds, R_t target rows against R
-  support rows.  Field a of the result is then the numerator at (a, r).
+* Row pass: target row r sums each support row b's sum shifted left by
+  Er - drow(r, b), by two geometric scans over the rows (_scan), one up
+  for the support rows with 0 <= r - b, one down for those with
+  1 <= b - r.  A scan keeps acc, and at each next row p it subtracts the
+  support rows that the gap takes past the window of Er (on a cycle of
+  height H, Er up and min(Er, ceil(H/2) - 1) down, so a tie at H/2 counts
+  once), shifts acc right by the gap, and adds a support row's sum shifted
+  left by Er: acc = (acc >> gap) + (part[p] << Er).  At a target row acc
+  holds part[b] << (Er - |r - b|) for each support row b in the window,
+  the cycle read at b and one turn back (up) or ahead (down).  Field a of
+  the two scans' sum is then the numerator at (a, r).  The windows drop
+  no term that r needs, since drow(r, b) <= Er for every pair, and on a
+  cycle a distance read up the rows is the cycle distance up to H/2, and
+  one read down it below H/2; a window shorter than H holds one copy of
+  a support row at a time.
 * Extraction: one to_bytes per target row and one from_bytes of a byte
   slice per target, so linear in the row's width, where a shift and mask
   per target would copy the row each time.
 
-That is S + R_t * R + T big-integer steps against C * S + T * R small
-products for one sum per target column and then per target.  No field
-carries into the next: every term added into a field is one pile's k
-scaled pebbles times 2^(Ec - dcol) * 2^(Er - drow), so it is >= 0 and at
-most k << (Ec+Er), and a field (and every partial sum in it) is at most
-N << (Ec+Er) < 2^f, which its whole bytes hold.
+That is S + O(R_t + R) + T big-integer steps for S piles, R_t target rows,
+R support rows and T targets: each scan visits only the rows that hold a
+pile or a target, each support row at most twice per scan, and each is
+subtracted at most once.  A shift-add per pair of target and support row
+took S + R_t * R + T, and one sum per target column and then per target
+C * S + T * R small products.
+
+No field carries into the next.  Every term added into a field is one
+pile's k scaled pebbles times 2^(Ec - dcol) * 2^(Er - drow), so it is >= 0
+and at most k << (Ec+Er), and a field (and every partial sum in it) is at
+most N << (Ec+Er) < 2^f, which its whole bytes hold; a scan's acc holds
+each pile's term at most once, so this bounds it too.  In a scan, every
+term still in acc after the subtractions is within the window, drow <=
+Er, at the next row, so its exponent Er - drow is >= 0 there: before the
+shift by the gap it was a multiple of 2^gap in its field, so the shift
+moves no bit into the field below.  A subtraction takes out a term that
+acc holds, at its exponent >= 0 at the row before, so no field borrows
+from the next.
 
 Region lemma: with r = ceil(log2 |D|), a vertex farther than r from every
 pile has W <= |D| * 2^-(r+1) <= 1/2, so infinite mode weighs only
@@ -58,10 +82,21 @@ infinite_excess_region, the vertices within r of the support.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .grid import AnyDistribution, ContinuousDistribution, Distribution, GridError, GridSpec, Vertex
+from .grid import (
+    TORUS,
+    AnyDistribution,
+    ContinuousDistribution,
+    Distribution,
+    GridError,
+    GridSpec,
+    Vertex,
+    exact_text,
+)
 
 #: Total weight contribution of one pebble to the whole unbounded grid,
 #: self-term included: 1 + sum_{k>=1} 4k * 2^-k = 9.
@@ -81,15 +116,16 @@ class WeightReport:
     def to_json(self) -> dict:
         w, x = self.weights, self.excess
         # weight_report shares one Fraction per distinct value: turn each object into a str once
-        text = {id(q): str(q) for q in {id(q): q for q in (*w.values(), *x.values())}.values()}
+        shared = {id(q): q for q in (*w.values(), *x.values())}
+        text = {i: exact_text(q) for i, q in shared.items()}
         return {
             "rows": [
                 {"vertex": [v.col, v.row], "w": text[id(w[v])], "excess": text[id(x[v])]}
                 for v in sorted(w, key=lambda v: (v.row, v.col))
             ],
-            "total_weight": str(self.total_weight),
-            "total_excess": str(self.total_excess),
-            "ceiling": str(self.ceiling),
+            "total_weight": exact_text(self.total_weight),
+            "total_excess": exact_text(self.total_excess),
+            "ceiling": exact_text(self.ceiling),
         }
 
 
@@ -112,26 +148,76 @@ def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, l
     by_row: dict[int, list] = {}
     for (c, r), k in counts.items():
         by_row.setdefault(r, []).append((c, k.numerator * (scale // k.denominator)))
-    cols, rows = (spec.index.cols, spec.index.rows) if spec else (None, None)
-    tcols = list(dict.fromkeys(u[0] for u in targets))
+    tcols = list(dict.fromkeys(map(itemgetter(0), targets)))
+    trows = sorted(set(map(itemgetter(1), targets)))
     # distances are symmetric, so cx[c] lists support column c's powers in tcols order
-    ec, cx = _powers(cols, {v[0] for v in counts}, tcols)
-    er, rx = _powers(rows, {u[1] for u in targets}, by_row)
+    ec, cx = _powers(spec.index.cols if spec else None, {v[0] for v in counts}, tcols)
+    cycle = spec.height if spec and spec.topology == TORUS else None
+    if not (by_row and trows):
+        er = 0
+    elif cycle:
+        er = max(max(map(spec.index.rows[t].__getitem__, by_row)) for t in trows)
+    else:
+        er = max(trows[-1] - min(by_row), max(by_row) - trows[0])
     # a field holds at most total << (ec + er): size whole bytes hold it (one if no piles)
     total = sum(k for row in by_row.values() for _, k in row) or 1
     size = ((total << (ec + er)).bit_length() + 7) // 8
-    field = [(1 << x).to_bytes(size, "little") for x in range(ec + 1)]
+    # one field's bytes for each power of two that a column pack uses
+    used = set().union(*map(dict.values, cx.values()))
+    field = {x: (1 << x).to_bytes(size, "little") for x in used}
     colpack = {
         c: int.from_bytes(b"".join([field[x] for x in xs.values()]), "little") for c, xs in cx.items()
     }
     part = {b: sum(k * colpack[c] for c, k in row) for b, row in by_row.items()}
-    packed = {}
-    for r, xs in rx.items():
-        packed[r] = sum(part[b] << x for b, x in xs.items()).to_bytes(size * len(tcols), "little")
+    width = size * len(tcols)
+    packed = {r: n.to_bytes(width, "little") for r, n in _row_pass(part, trows, er, cycle).items()}
     slot = {a: j * size for j, a in enumerate(tcols)}
     return scale << (ec + er), [
         int.from_bytes(packed[r][slot[c] : slot[c] + size], "little") for c, r in targets
     ]
+
+
+def _row_pass(part: dict, trows: list, e: int, cycle: int | None) -> dict[int, int]:
+    """{r: sum_b part[b] << (e - drow(r, b))} for the sorted target rows
+    trows, e their largest row distance to a support row b, drow on a
+    cycle of `cycle` rows or on Z: one scan up the rows for the support rows
+    b with 0 <= r - b <= e, one scan down for those with 1 <= b - r, each
+    b read on a cycle at b and one turn back (up) or ahead (down)."""
+    if not trows:
+        return {}
+    lo, hi = trows[0], trows[-1]
+    turns = (0,) if cycle is None else (0, cycle)
+    # down the rows a tie at cycle/2 was already counted up them
+    ahead = e if cycle is None else min(e, (cycle - 1) // 2)
+    up = [(b - s, v) for b, v in part.items() for s in turns if lo - e <= b - s <= hi]
+    down = [(-b - s, v) for b, v in part.items() for s in turns if lo <= b + s <= hi + ahead]
+    # a support row on a target row counts up the rows (distance 0), not down them
+    up += [(r, None) for r in trows]
+    down += [(-r, None) for r in trows]
+    up = _scan(sorted(up, key=lambda ev: (ev[0], ev[1] is None)), e, e)
+    down = _scan(sorted(down, key=lambda ev: (ev[0], ev[1] is not None)), ahead, e)
+    return {r: a + b for r, a, b in zip(trows, up, reversed(down))}
+
+
+def _scan(events, window: int, e: int) -> list[int]:
+    """One geometric scan over events (p, v) in order of p, v None at a
+    target: acc = (acc >> gap) + (v << e) at each pile, and at each target
+    t the sum of v << (e - (t - p)) over the piles before it with t - p <=
+    window <= e.  A pile that leaves the window is subtracted before the
+    shift, so each term left is a multiple of 2^gap in its own field."""
+    acc, at, live, out = 0, events[0][0], deque(), []
+    for p, v in events:
+        while live and p - live[0][0] > window:
+            b, w = live.popleft()
+            acc -= w << (e - (at - b))
+        acc >>= p - at
+        at = p
+        if v is None:
+            out.append(acc)
+        else:
+            acc += v << e
+            live.append((p, v))
+    return out
 
 
 def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -486,6 +487,43 @@ def test_user_error_exits_2(capsys, tmp_path, argv):
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+#: 10^10,000,000 takes Fraction seconds to build; the exponent alone refuses it
+FAR_EXPONENT = "grid 2 2 plane continuous\npebble 0 0 1e-10000000\n"
+#: two amounts of 2,501-digit denominators, each short enough to read, whose
+#: sums in the size, the weights and the ceiling are too long to write
+LONG_SUM = (
+    "grid 2 2 plane continuous\n"
+    f"pebble 0 0 1/{10**2500 + 1}\npebble 1 1 1/{10**2500 + 3}\n"
+)
+
+
+def test_far_exponent_refused_at_once(capsys, tmp_path):
+    path = tmp_path / "far.dist"
+    path.write_text(FAR_EXPONENT)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ceiling")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: line 2: bad rational count '1e-10000000'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--ceiling"], ["analyze", "--weights"], ["render", "--overlay", "weights"]],
+    ids=["analyze-ceiling", "analyze-weights", "render-weights"],
+)
+def test_reports_too_long_to_write_end_in_one_line(capsys, tmp_path, argv):
+    """A ceiling or a weight computed from amounts that each passed the
+    length check is refused where the report is written, and nothing of
+    the report is written."""
+    path = tmp_path / "pair.dist"
+    path.write_text(LONG_SUM)
+    out_file = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:], "-o", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: an exact rational too long to write back: over 4300 digits\n"
+    assert not out_file.exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,4 +1,5 @@
 import re
+import time
 from argparse import ArgumentTypeError
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from pebblekit.grid import (
 )
 from pebblekit.lp import LpError, LpProblem, verify_certificate
 
-from conftest import oracle_neighbors
+from conftest import oracle_distance, oracle_neighbors
 
 # sides of length 1 and 2 are where a torus's wrap neighbours coincide
 SMALL_GRIDS = [
@@ -89,6 +90,25 @@ class TestGridSpec:
         spec = GridSpec(width, height, topology)
         for v in spec.vertices():
             assert spec.neighbors(v) == tuple(sorted(oracle_neighbors(spec, v)))
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_axis_tables_and_vertices_on_every_grid_to_12x12(self, topology):
+        """The rotated (torus) and sliced (plane) axis rows against
+        oracle_distance, and the mapped vertex tuple against vertices()."""
+        for width in range(1, 13):
+            for height in range(1, 13):
+                spec = GridSpec(width, height, topology)
+                index = spec.index
+                assert index.cols == tuple(
+                    tuple(oracle_distance(spec, (a, 0), (b, 0)) for b in range(width))
+                    for a in range(width)
+                )
+                assert index.rows == tuple(
+                    tuple(oracle_distance(spec, (0, a), (0, b)) for b in range(height))
+                    for a in range(height)
+                )
+                assert index.vertices == tuple(spec.vertices())
+                assert all(type(v) is Vertex for v in index.vertices)
 
     @pytest.mark.parametrize("width, height, topology", SMALL_GRIDS)
     def test_vertex_ids_row_major(self, width, height, topology):
@@ -297,6 +317,25 @@ class TestRational:
             convert(value)
         assert convert("1e-4299") == Fraction(1, 10**4299)
         assert convert(10**4299) == 10**4299
+
+    @pytest.mark.parametrize("entry", AMOUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", ["1e-10000000", "2.5E+10000000", "0e-10000000"])
+    def test_far_exponent_refused_before_it_is_evaluated(self, entry, value):
+        """10^10,000,000 takes Fraction seconds to build: the exponent alone,
+        past the limit plus the string's length, refuses the string at once."""
+        convert, error = AMOUNT_ENTRY_POINTS[entry]
+        start = time.perf_counter()
+        with pytest.raises(error, match="too long to write back: over 4300 digits"):
+            convert(value)
+        assert time.perf_counter() - start < 0.5
+
+    def test_exponent_bound_keeps_every_writable_amount(self):
+        """A mantissa's digits can take back part of an exponent past the
+        limit: such a string is still read if its value can be written."""
+        assert rational("1e-4299") == Fraction(1, 10**4299)
+        assert rational("0." + "0" * 4298 + "1e0") == Fraction(1, 10**4299)
+        assert rational("1" + "0" * 100 + "e-4399") == Fraction(1, 10**4299)
+        assert rational("0.000" + "1" * 60 + "e4303") == int("1" * 60 + "0" * 4240)
 
     def test_decimal_strings_are_exact(self):
         assert rational("0.1") == Fraction(1, 10) and rational("-2.5e-1") == Fraction(-1, 4)

@@ -122,6 +122,34 @@ class TestKernel:
             [naive_weight(d.counts, u, spec) * den for u in targets],
         )
 
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_axis_length_and_pile_position(self, topology, n):
+        """The row scans, and the column pass, on every path and cycle of
+        1 to 12 vertices: one pile at each position, then piles at all of
+        them (an even cycle ties at n/2, and the far pile counts once), read
+        at the whole grid and at each row or column alone."""
+        rows, cols = GridSpec(2, n, topology), GridSpec(n, 2, topology)
+        for grid, line in ((rows, lambda p: (1, p)), (cols, lambda p: (p, 1))):
+            every = {line(p): p + 1 for p in range(n)}
+            for counts in [{line(p): 3} for p in range(n)] + [every]:
+                for targets in [grid.index.vertices] + [[line(p), line(p)] for p in range(n)]:
+                    den, nums = weights._kernel(counts, targets, grid)
+                    assert [Fraction(k, den) for k in nums] == [
+                        naive_weight(counts, u, grid) for u in targets
+                    ]
+
+    def test_rows_far_apart_on_z2(self):
+        """Rows 10^4 apart with rational counts: each field is over 2 * 10^4
+        bits wide, and the scans skip every row between the piles."""
+        far = 10**4
+        counts = {(0, 0): Fraction(1), (3, far): Fraction(2, 3), (-5, 2 * far): Fraction(5, 6)}
+        targets = [(0, 0), (1, far // 2), (3, far), (3, far + 1), (-5, 2 * far + 1), (0, -7)]
+        den, nums = weights._kernel(counts, targets)
+        # lcm 6, Ec = 8 (column 3 to -5), Er = 2 * far + 7 (row -7 to 2 * far)
+        assert den == 6 << (8 + 2 * far + 7)
+        assert [Fraction(k, den) for k in nums] == [naive_weight(counts, u) for u in targets]
+
     @pytest.mark.parametrize("spec", [GridSpec(3, 2), GridSpec(3, 2, TORUS), None], ids=str)
     def test_empty_counts_and_targets(self, spec):
         """No piles weigh 0 everywhere over 1; no targets give no numerators."""
