@@ -96,10 +96,14 @@ def cmd_analyze(args) -> int:
             "boundary": sorted([v.col, v.row] for v in cov.boundary),
         }
     if args.weights:
-        report["weights"] = weights.weight_report(dist).to_json()
+        rep = weights.weight_report(dist)
+        report["weights"] = rep.to_json()
     if args.ceiling:
         if args.infinite_mode:
             report["ceiling"] = weights.ceiling_infinite(dist)
+        elif args.weights:
+            # the report already holds the grid-mode ceiling: no second kernel call
+            report["ceiling"] = rep.ceiling
         else:
             report["ceiling"] = weights.covering_ratio_ceiling(dist)
     _emit(report, args.out)

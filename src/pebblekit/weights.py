@@ -51,16 +51,20 @@ the scaled total (1 if there are no piles).
   cycle a distance read up the rows is the cycle distance up to H/2, and
   one read down it below H/2; a window shorter than H holds one copy of
   a support row at a time.
-* Extraction: one to_bytes per target row and one from_bytes of a byte
-  slice per target, so linear in the row's width, where a shift and mask
-  per target would copy the row each time.
+* Extraction: one to_bytes per target row.  A field of at most 8 bytes
+  is padded to one 64-bit word, so the row's bytes read back as one list
+  of its numerators, a memoryview cast to unsigned 64-bit items (_words);
+  a wider field, which no item type holds, is read by one from_bytes of a
+  byte slice per target.  Either read is linear in the row's width, where
+  a shift and mask per target would copy the row each time.
 
-That is S + O(R_t + R) + T big-integer steps for S piles, R_t target rows,
-R support rows and T targets: each scan visits only the rows that hold a
-pile or a target, each support row at most twice per scan, and each is
-subtracted at most once.  A shift-add per pair of target and support row
-took S + R_t * R + T, and one sum per target column and then per target
-C * S + T * R small products.
+That is S + O(R_t + R) + R_t big-integer steps for S piles, R_t target
+rows and R support rows when the fields fit a word, and S + O(R_t + R) +
+T for T targets when they do not: each scan visits only the rows that
+hold a pile or a target, each support row at most twice per scan, and
+each is subtracted at most once.  A shift-add per pair of target and
+support row took S + R_t * R + T, and one sum per target column and then
+per target C * S + T * R small products.
 
 No field carries into the next.  Every term added into a field is one
 pile's k scaled pebbles times 2^(Ec - dcol) * 2^(Er - drow), so it is >= 0
@@ -82,9 +86,11 @@ infinite_excess_region, the vertices within r of the support.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .grid import (
@@ -101,6 +107,9 @@ from .grid import (
 #: Total weight contribution of one pebble to the whole unbounded grid,
 #: self-term included: 1 + sum_{k>=1} 4k * 2^-k = 9.
 PEBBLE_TOTAL_WEIGHT = Fraction(9)
+
+#: Bytes of one "Q" item, a C unsigned long long: 8 on every CPython platform.
+_WORD = 8
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ class WeightReport:
         return {
             "rows": [
                 {"vertex": [v.col, v.row], "w": text[id(w[v])], "excess": text[id(x[v])]}
-                for v in sorted(w, key=lambda v: (v.row, v.col))
+                for v in sorted(w, key=itemgetter(1, 0))
             ],
             "total_weight": exact_text(self.total_weight),
             "total_excess": exact_text(self.total_excess),
@@ -129,14 +138,17 @@ class WeightReport:
         }
 
 
-def _powers(table, targets, sources) -> tuple[int, dict]:
+def _powers(table, sources, targets) -> tuple[int, list[list[int]]]:
     """One axis's factors as powers of two: (e, x) with each factor
-    2^(e - dist(a, b)) = 2^x[a][b] for a in targets and b in sources, e the
-    largest such dist; dist(a, b) is table[a][b], or |a - b| on Z when
-    table is None."""
-    dist = {a: {b: abs(a - b) if table is None else table[a][b] for b in sources} for a in targets}
-    e = max((x for row in dist.values() for x in row.values()), default=0)
-    return e, {a: {b: e - x for b, x in row.items()} for a, row in dist.items()}
+    2^(e - dist(a, b)) = 2^x[i][j] for the i-th a in sources and the j-th b
+    in targets, e the largest such dist; dist(a, b) is table[a][b], or
+    |a - b| on Z when table is None."""
+    if table is None:
+        dist = [[abs(a - b) for b in targets] for a in sources]
+    else:
+        dist = [list(map(table[a].__getitem__, targets)) for a in sources]
+    e = max(chain.from_iterable(dist), default=0)
+    return e, [[e - x for x in row] for row in dist]
 
 
 def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, list[int]]:
@@ -150,8 +162,8 @@ def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, l
         by_row.setdefault(r, []).append((c, k.numerator * (scale // k.denominator)))
     tcols = list(dict.fromkeys(map(itemgetter(0), targets)))
     trows = sorted(set(map(itemgetter(1), targets)))
-    # distances are symmetric, so cx[c] lists support column c's powers in tcols order
-    ec, cx = _powers(spec.index.cols if spec else None, {v[0] for v in counts}, tcols)
+    scols = list({v[0] for v in counts})
+    ec, cx = _powers(spec.index.cols if spec else None, scols, tcols)
     cycle = spec.height if spec and spec.topology == TORUS else None
     if not (by_row and trows):
         er = 0
@@ -159,22 +171,35 @@ def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, l
         er = max(max(map(spec.index.rows[t].__getitem__, by_row)) for t in trows)
     else:
         er = max(trows[-1] - min(by_row), max(by_row) - trows[0])
-    # a field holds at most total << (ec + er): size whole bytes hold it (one if no piles)
+    # a field holds at most total << (ec + er): size whole bytes hold it, and
+    # a field of at most one word is padded to it, so a row reads as one list of words
     total = sum(k for row in by_row.values() for _, k in row) or 1
-    size = ((total << (ec + er)).bit_length() + 7) // 8
+    size = max(((total << (ec + er)).bit_length() + 7) // 8, _WORD)
     # one field's bytes for each power of two that a column pack uses
-    used = set().union(*map(dict.values, cx.values()))
-    field = {x: (1 << x).to_bytes(size, "little") for x in used}
+    field = {x: (1 << x).to_bytes(size, "little") for x in set().union(*cx)}
     colpack = {
-        c: int.from_bytes(b"".join([field[x] for x in xs.values()]), "little") for c, xs in cx.items()
+        c: int.from_bytes(b"".join(map(field.__getitem__, xs)), "little")
+        for c, xs in zip(scols, cx)
     }
     part = {b: sum(k * colpack[c] for c, k in row) for b, row in by_row.items()}
-    width = size * len(tcols)
-    packed = {r: n.to_bytes(width, "little") for r, n in _row_pass(part, trows, er, cycle).items()}
+    den, width = scale << (ec + er), size * len(tcols)
+    rows = _row_pass(part, trows, er, cycle)
+    if size == _WORD:
+        packed = {r: _words(n, width) for r, n in rows.items()}
+        slot = {a: j for j, a in enumerate(tcols)}
+        return den, [packed[r][slot[c]] for c, r in targets]
+    # a field wider than a word fits no "Q" item: one slice per target
+    packed = {r: n.to_bytes(width, "little") for r, n in rows.items()}
     slot = {a: j * size for j, a in enumerate(tcols)}
-    return scale << (ec + er), [
-        int.from_bytes(packed[r][slot[c] : slot[c] + size], "little") for c, r in targets
-    ]
+    return den, [int.from_bytes(packed[r][slot[c] : slot[c] + size], "little") for c, r in targets]
+
+
+def _words(n: int, width: int) -> list[int]:
+    """The fields of _WORD bytes of n, width bytes wide, lowest first: n
+    written in the host's byte order and read back as "Q" items, which on a
+    big-endian host come highest first."""
+    words = memoryview(n.to_bytes(width, sys.byteorder)).cast("Q").tolist()
+    return words if sys.byteorder == "little" else words[::-1]
 
 
 def _row_pass(part: dict, trows: list, e: int, cycle: int | None) -> dict[int, int]:
@@ -282,10 +307,10 @@ def _infinite_weight(counts: dict, u: tuple) -> Fraction:
     return Fraction(num, den)
 
 
-def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
+def infinite_excess_region(d: AnyDistribution) -> list[tuple]:
     """Vertices of the unbounded grid where W can exceed 1: within distance
     r = ceil(log2 |D|) of the support (the region lemma of the module
-    docstring: outside, W <= |D| * 2^-(r+1) < 1)."""
+    docstring: outside, W <= |D| * 2^-(r+1) < 1), each once, row by row."""
     # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
     radius = (math.ceil(d.size) - 1).bit_length()
     # each pile's diamond is a span of columns on each row within radius of it
@@ -294,7 +319,10 @@ def infinite_excess_region(d: AnyDistribution) -> set[tuple]:
         for dr in range(-radius, radius + 1):
             w = radius - abs(dr)
             spans.setdefault(r0 + dr, set()).update(range(c0 - w, c0 + w + 1))
-    return {(c, r) for r, cols in spans.items() for c in cols}
+    region = []
+    for r in sorted(spans):
+        region += zip(sorted(spans[r]), repeat(r))
+    return region
 
 
 def ceiling_infinite(d: AnyDistribution) -> Fraction:
@@ -314,7 +342,7 @@ def _ceiling_numerator(d: AnyDistribution, infinite: bool = False) -> Fraction:
     on plane distances."""
     _nonempty(d)
     if infinite:
-        den, nums = _kernel(d.counts, list(infinite_excess_region(d)))
+        den, nums = _kernel(d.counts, infinite_excess_region(d))
         return PEBBLE_TOTAL_WEIGHT * d.size - Fraction(sum(n - den for n in nums if n > den), den)
     den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
     return Fraction(sum(min(n, den) for n in nums), den)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pebblekit import cli
+from pebblekit import cli, weights
 from pebblekit.cli import SCHEMA, build_parser, main
 from pebblekit.constructions import gen_cascade_ones, gen_row_ones, gen_uniform_frac
 from pebblekit.grid import (
@@ -117,11 +117,22 @@ class TestAnalyze:
         assert report["coverage"]["cov"] == 5
         assert report["coverage"]["ratio"] == "5/2"
 
-    def test_weights_and_ceiling(self, capsys, dist_file):
+    def test_weights_and_ceiling(self, capsys, dist_file, monkeypatch):
+        """The ceiling comes from the weight report: one whole-grid kernel
+        call, and the value of the grid-mode ceiling."""
+        calls, kernel = [], weights._kernel
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(weights, "_kernel", counting)
         code, out, _ = run_cli(capsys, "analyze", dist_file, "--weights", "--ceiling")
-        assert code == 0
+        assert code == 0 and len(calls) == 1
         report = json.loads(out)
-        assert report["ceiling"]
+        d = parse_distribution(Path(dist_file).read_text())
+        ceiling = str(weights.covering_ratio_ceiling(d))
+        assert report["ceiling"] == report["weights"]["ceiling"] == ceiling
         assert any(row["w"] == "2" for row in report["weights"]["rows"])
 
     def test_infinite_ceiling(self, capsys, dist_file):

@@ -93,13 +93,19 @@ class TestKernel:
     sits in whole bytes wide enough for the total << (Ec + Er)."""
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
-    @pytest.mark.parametrize("pebbles", [1, 3, 255, 256, 1023, 1024, 2**40 - 1])
+    @pytest.mark.parametrize(
+        "pebbles", [1, 3, 255, 256, 1023, 1024, 2**40 - 1, 2**58 - 1, 2**58, 2**61 - 1, 2**61]
+    )
     def test_a_field_can_hold_the_whole_total(self, topology, pebbles):
         """All pebbles on one target: its field holds exactly total << (Ec +
         Er), the most any field can, next to non-empty fields on both sides.
-        On the plane (Ec + Er = 6 over the whole grid) some totals fill their
-        last byte exactly (1023 << 6, and 255 on the pile alone) and some put
-        one bit in it (1024 << 6, 1 << 6)."""
+        On the plane (Ec + Er = 6 over the whole grid) some totals fill the
+        last byte they need exactly (1023 << 6, and 255 on the pile alone)
+        and some put one bit in it (1024 << 6, 1 << 6).  At the edge of the
+        two row reads, (2^58 - 1) << 6 on the plane and (2^61 - 1) << 3 on
+        the torus (Ec + Er = 3) fill one 64-bit word, read with the row as
+        one list of words, and 2^58 << 6 and 2^61 << 3 spill into a 9th
+        byte, read as one slice per target."""
         spec = GridSpec(5, 3, topology)
         pile = (2, 1) if topology == TORUS else (0, 0)
         counts = {pile: pebbles}
