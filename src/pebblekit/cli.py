@@ -81,6 +81,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.infinite_mode and not args.ceiling:
+        raise GridError("--infinite-mode needs --ceiling: it sets the mode of the ceiling only")
     dist = _load(args.file)
     report: dict = {
         "schema": SCHEMA,

@@ -174,8 +174,15 @@ class GridIndex:
 
     @cached_property
     def neighbors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        """Each vertex's neighbours in sorted order: the rest of its radius-1 ball."""
-        return {v: tuple(sorted(self.ball(v, 1) - {v})) for v in self.vertices}
+        """Each vertex's neighbours in sorted order: one step along one axis,
+        to each b with table[a][b] == 1 in that axis's table."""
+        # sc[a] and sr[a]: the positions one step from a on the column and the row axis
+        sc = [[b for b, x in enumerate(a) if x == 1] for a in self.cols]
+        sr = [[b for b, x in enumerate(a) if x == 1] for a in self.rows]
+        near = (
+            [Vertex(b, r) for b in sc[c]] + [Vertex(c, b) for b in sr[r]] for c, r in self.vertices
+        )
+        return dict(zip(self.vertices, map(tuple, map(sorted, near))))
 
     @cached_property
     def neighbor_ids(self) -> tuple[tuple[int, ...], ...]:

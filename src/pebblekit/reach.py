@@ -107,6 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 from . import weights
@@ -173,16 +174,18 @@ def apply_move(d: Distribution, frm, to) -> Distribution:
 class _Search:
     """DFS over distribution states for one (target, k) query.
 
-    run(counts) weighs the vertices within T.bit_length() - 2 of a pile in
-    one weights._kernel call, numbers t and the live ones (the dead-end
-    lemma of the module docstring) in sorted (col, row) order as region,
-    and packs the state into one int, count i at bit shift[i]; it makes no
-    move onto any other vertex, nor the reverse of the move just made (the
-    reversal lemma), and failed holds the refuted states.  A move adds one
-    precomputed delta to the state.  Moves are tried toward the target
-    first, then from larger piles, then by (from, to) id, so ties break as
-    on the vertices themselves and the node counts are those of a search
-    over {vertex: count} states that drops the same moves."""
+    run(counts) weighs the window of the columns and rows within
+    T.bit_length() - 2 of a pile's in one weights._kernel call (a vertex
+    farther than that from every pile has W < 2), numbers t and the live
+    ones (the dead-end lemma of the module docstring) in sorted (col, row)
+    order as region, and packs the state into one int, count i at bit
+    shift[i]; it makes no move onto any other vertex, nor the reverse of
+    the move just made (the reversal lemma), and failed holds the refuted
+    states.  A move adds one precomputed delta to the state.  Moves are
+    tried toward the target first, then from larger piles, then by (from,
+    to) id, so ties break as on the vertices themselves and the node counts
+    are those of a search over {vertex: count} states that drops the same
+    moves."""
 
     def __init__(self, grid: GridSpec, t: Vertex, k: int, node_cap: int):
         self.grid = grid
@@ -195,10 +198,12 @@ class _Search:
     def run(self, counts: dict) -> bool:
         index = self.grid.index
         total = sum(counts.values())
-        # live vertices have start weight >= 2, so lie within T.bit_length() - 2 of a pile
-        near = list(set().union(*(index.ball(v, total.bit_length() - 2) for v in counts)))
-        den, nums = weights._kernel(counts, near, self.grid)
-        live = [u for u, n in zip(near, nums) if n >= 2 * den]
+        # live vertices have start weight >= 2, so lie within T.bit_length() - 2 of a pile,
+        # in the window of the columns and rows that near a pile's
+        cols = weights._window(index.cols, [v[0] for v in counts], total.bit_length() - 2)
+        rows = weights._window(index.rows, [v[1] for v in counts], total.bit_length() - 2)
+        den, nums = weights._kernel(counts, cols, rows, self.grid)
+        live = [Vertex(c, r) for (r, c), n in zip(product(rows, cols), nums) if n >= 2 * den]
         self.region = region = sorted({self.t, *live})
         ids = {v: i for i, v in enumerate(region)}
         dist = index.distances(self.t, {*region, *counts})

@@ -19,59 +19,64 @@ Two evaluation modes exist and are never mixed:
   numerator is 9|D| minus the total excess over the finite region where
   W can exceed 1.
 
-Every weight of a distribution comes from one kernel, _kernel (one target
-for weight and _infinite_weight, the live set for reach._Search), or from
-its axis powers of two, _powers, as in dyadic_rows.  On both topologies a
-distance is a column distance plus a row distance (|dcol| + |drow| on Z^2
-and the plane; on a torus the sum of the two cycle distances,
-GridIndex.cols and .rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the
-Kronecker structure of lp.fractional_optimal_pebbling.  With the counts
-scaled by the lcm L of their denominators, every weight is an integer
-numerator over L * 2^(Ec+Er), Ec and Er the largest axis distances from a
-target to a pile, and the kernel gets them all from packed integers.
-Each of the C target columns owns a field of whole bytes in them, wide
-enough for the f = (N << (Ec+Er)).bit_length() bits of N << (Ec+Er), N
-the scaled total (1 if there are no piles).
+Every weight of a distribution comes from one kernel, _kernel, on a
+window: C distinct target columns, in any order, times R_t distinct target
+rows, ascending (the whole grid for the grid-mode reads, one vertex for
+weight and _infinite_weight, the columns and rows near a pile's, _window,
+for infinite mode and reach._Search's live set), or from its axis powers
+of two, _powers, as in dyadic_rows.  On both topologies a distance is a
+column distance plus a row distance (|dcol| + |drow| on Z^2 and the
+plane; on a torus the sum of the two cycle distances, GridIndex.cols and
+.rows), so 2^-d(u,v) = 2^-dcol * 2^-drow, the Kronecker structure of
+lp.fractional_optimal_pebbling.  With the counts scaled by the lcm L of
+their denominators, every weight is an integer numerator over
+L * 2^(Ec+Er), Ec and Er the largest axis distances from a window vertex
+to a pile, and the kernel gets them all from packed integers.  Each of
+the C window columns owns a field of whole bytes in them, wide enough for
+the f = (N << (Ec+Er)).bit_length() bits of N << (Ec+Er), N the scaled
+total (1 if there are no piles).
 
-* Column pass: support column c packs 2^(Ec - dcol) into each target
+* Column pass: support column c packs 2^(Ec - dcol) into each window
   column's field, and each support row sums k times its piles' packs:
   S big-integer multiply-adds for S piles.
 * Row pass: target row r sums each support row b's sum shifted left by
   Er - drow(r, b), by two geometric scans over the rows (_scan), one up
   for the support rows with 0 <= r - b, one down for those with
   1 <= b - r.  A scan keeps acc, and at each next row p it subtracts the
-  support rows that the gap takes past the window of Er (on a cycle of
+  support rows that the gap takes past the span of Er (on a cycle of
   height H, Er up and min(Er, ceil(H/2) - 1) down, so a tie at H/2 counts
   once), shifts acc right by the gap, and adds a support row's sum shifted
   left by Er: acc = (acc >> gap) + (part[p] << Er).  At a target row acc
-  holds part[b] << (Er - |r - b|) for each support row b in the window,
+  holds part[b] << (Er - |r - b|) for each support row b in the span,
   the cycle read at b and one turn back (up) or ahead (down).  Field a of
-  the two scans' sum is then the numerator at (a, r).  The windows drop
+  the two scans' sum is then the numerator at (a, r).  The spans drop
   no term that r needs, since drow(r, b) <= Er for every pair, and on a
   cycle a distance read up the rows is the cycle distance up to H/2, and
-  one read down it below H/2; a window shorter than H holds one copy of
+  one read down it below H/2; a span shorter than H holds one copy of
   a support row at a time.
-* Extraction: one to_bytes per target row.  A field of at most 8 bytes
-  is padded to one 64-bit word, so the row's bytes read back as one list
-  of its numerators, a memoryview cast to unsigned 64-bit items (_words);
-  a wider field, which no item type holds, is read by one from_bytes of a
-  byte slice per target.  Either read is linear in the row's width, where
-  a shift and mask per target would copy the row each time.
+* Extraction: one to_bytes per target row, read out whole, row by row,
+  so the numerators come in window order with no lookup per vertex.  A
+  field of at most 8 bytes is padded to one 64-bit word, so the row's
+  bytes read back as one list of its numerators, a memoryview cast to
+  unsigned 64-bit items (_words); a wider field, which no item type holds,
+  is read by one from_bytes of a byte slice per field.  Either read is
+  linear in the row's width, where a shift and mask per field would copy
+  the row each time.
 
 That is S + O(R_t + R) + R_t big-integer steps for S piles, R_t target
 rows and R support rows when the fields fit a word, and S + O(R_t + R) +
-T for T targets when they do not: each scan visits only the rows that
-hold a pile or a target, each support row at most twice per scan, and
-each is subtracted at most once.  A shift-add per pair of target and
-support row took S + R_t * R + T, and one sum per target column and then
-per target C * S + T * R small products.
+C * R_t when they do not, one slice per field of the window: each scan
+visits only the rows that hold a pile or a target, each support row at
+most twice per scan, and each is subtracted at most once.  A shift-add per
+pair of target and support row took S + R_t * R + C * R_t, and one sum per
+target column and then per target C * S + C * R_t * R small products.
 
 No field carries into the next.  Every term added into a field is one
 pile's k scaled pebbles times 2^(Ec - dcol) * 2^(Er - drow), so it is >= 0
 and at most k << (Ec+Er), and a field (and every partial sum in it) is at
 most N << (Ec+Er) < 2^f, which its whole bytes hold; a scan's acc holds
 each pile's term at most once, so this bounds it too.  In a scan, every
-term still in acc after the subtractions is within the window, drow <=
+term still in acc after the subtractions is within the span, drow <=
 Er, at the next row, so its exponent Er - drow is >= 0 there: before the
 shift by the gap it was a multiple of 2^gap in its field, so the shift
 moves no bit into the field below.  A subtraction takes out a term that
@@ -79,8 +84,11 @@ acc holds, at its exponent >= 0 at the row before, so no field borrows
 from the next.
 
 Region lemma: with r = ceil(log2 |D|), a vertex farther than r from every
-pile has W <= |D| * 2^-(r+1) <= 1/2, so infinite mode weighs only
-infinite_excess_region, the vertices within r of the support.
+pile has W <= |D| * 2^-(r+1) <= 1/2, so no excess.  Infinite mode weighs
+the window of the columns within r of a pile's column by the rows within
+r of a pile's row.  It holds every vertex within r of a pile, since such a
+vertex's column and row are each within r of that pile's, and the rest of
+the window adds no excess.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .grid import (
@@ -151,21 +159,31 @@ def _powers(table, sources, targets) -> tuple[int, list[list[int]]]:
     return e, [[e - x for x in row] for row in dist]
 
 
-def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, list[int]]:
-    """The weights at targets of the piles in counts, by the packed passes
-    of the module docstring on the axis distances of spec (GridIndex.cols
-    and .rows), or of Z^2 when spec is None: (den, nums) with
-    W(targets[i]) = nums[i] / den."""
+def _window(table, centres, radius: int) -> list[int]:
+    """The positions of one axis within radius of some centre, ascending: b
+    with table[a][b] <= radius for a centre a, or |a - b| <= radius on Z
+    when table is None."""
+    if table is None:
+        return sorted({b for a in set(centres) for b in range(a - radius, a + radius + 1)})
+    return sorted({b for a in set(centres) for b, x in enumerate(table[a]) if x <= radius})
+
+
+def _kernel(counts: dict, tcols, trows, spec: GridSpec | None = None) -> tuple[int, list[int]]:
+    """The weights of the piles in counts on the window tcols x trows
+    (distinct columns in any order, distinct rows ascending), by the packed
+    passes of the module docstring on the axis distances of spec
+    (GridIndex.cols and .rows), or of Z^2 when spec is None: (den, nums)
+    row by row, W(tcols[j], trows[i]) = nums[i * len(tcols) + j] / den."""
     scale = math.lcm(*(c.denominator for c in counts.values()))
+    if not (tcols and trows):
+        return scale, []
     by_row: dict[int, list] = {}
     for (c, r), k in counts.items():
         by_row.setdefault(r, []).append((c, k.numerator * (scale // k.denominator)))
-    tcols = list(dict.fromkeys(map(itemgetter(0), targets)))
-    trows = sorted(set(map(itemgetter(1), targets)))
     scols = list({v[0] for v in counts})
     ec, cx = _powers(spec.index.cols if spec else None, scols, tcols)
     cycle = spec.height if spec and spec.topology == TORUS else None
-    if not (by_row and trows):
+    if not by_row:
         er = 0
     elif cycle:
         er = max(max(map(spec.index.rows[t].__getitem__, by_row)) for t in trows)
@@ -185,13 +203,10 @@ def _kernel(counts: dict, targets, spec: GridSpec | None = None) -> tuple[int, l
     den, width = scale << (ec + er), size * len(tcols)
     rows = _row_pass(part, trows, er, cycle)
     if size == _WORD:
-        packed = {r: _words(n, width) for r, n in rows.items()}
-        slot = {a: j for j, a in enumerate(tcols)}
-        return den, [packed[r][slot[c]] for c, r in targets]
-    # a field wider than a word fits no "Q" item: one slice per target
-    packed = {r: n.to_bytes(width, "little") for r, n in rows.items()}
-    slot = {a: j * size for j, a in enumerate(tcols)}
-    return den, [int.from_bytes(packed[r][slot[c] : slot[c] + size], "little") for c, r in targets]
+        return den, [w for n in rows for w in _words(n, width)]
+    # a field wider than a word fits no "Q" item: one slice per field, row by row
+    data = b"".join(n.to_bytes(width, "little") for n in rows)
+    return den, [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _words(n: int, width: int) -> list[int]:
@@ -202,14 +217,13 @@ def _words(n: int, width: int) -> list[int]:
     return words if sys.byteorder == "little" else words[::-1]
 
 
-def _row_pass(part: dict, trows: list, e: int, cycle: int | None) -> dict[int, int]:
-    """{r: sum_b part[b] << (e - drow(r, b))} for the sorted target rows
-    trows, e their largest row distance to a support row b, drow on a
-    cycle of `cycle` rows or on Z: one scan up the rows for the support rows
-    b with 0 <= r - b <= e, one scan down for those with 1 <= b - r, each
-    b read on a cycle at b and one turn back (up) or ahead (down)."""
-    if not trows:
-        return {}
+def _row_pass(part: dict, trows, e: int, cycle: int | None) -> list[int]:
+    """sum_b part[b] << (e - drow(r, b)) for each r of the ascending,
+    non-empty target rows trows, e their largest row distance to a support
+    row b, drow on a cycle of `cycle` rows or on Z: one scan up the rows for
+    the support rows b with 0 <= r - b <= e, one scan down for those with
+    1 <= b - r, each b read on a cycle at b and one turn back (up) or ahead
+    (down)."""
     lo, hi = trows[0], trows[-1]
     turns = (0,) if cycle is None else (0, cycle)
     # down the rows a tie at cycle/2 was already counted up them
@@ -221,18 +235,18 @@ def _row_pass(part: dict, trows: list, e: int, cycle: int | None) -> dict[int, i
     down += [(-r, None) for r in trows]
     up = _scan(sorted(up, key=lambda ev: (ev[0], ev[1] is None)), e, e)
     down = _scan(sorted(down, key=lambda ev: (ev[0], ev[1] is not None)), ahead, e)
-    return {r: a + b for r, a, b in zip(trows, up, reversed(down))}
+    return [a + b for a, b in zip(up, reversed(down))]
 
 
-def _scan(events, window: int, e: int) -> list[int]:
+def _scan(events, span: int, e: int) -> list[int]:
     """One geometric scan over events (p, v) in order of p, v None at a
     target: acc = (acc >> gap) + (v << e) at each pile, and at each target
     t the sum of v << (e - (t - p)) over the piles before it with t - p <=
-    window <= e.  A pile that leaves the window is subtracted before the
+    span <= e.  A pile that leaves the span is subtracted before the
     shift, so each term left is a multiple of 2^gap in its own field."""
     acc, at, live, out = 0, events[0][0], deque(), []
     for p, v in events:
-        while live and p - live[0][0] > window:
+        while live and p - live[0][0] > span:
             b, w = live.popleft()
             acc -= w << (e - (at - b))
         acc >>= p - at
@@ -257,8 +271,10 @@ def dyadic_rows(spec: GridSpec) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def weight(d: AnyDistribution, u) -> Fraction:
-    """sum_v D(v) * 2^-d(u,v) on the distribution's grid: the kernel on one target."""
-    den, (num,) = _kernel(d.counts, [d.grid.check(u)], d.grid)
+    """sum_v D(v) * 2^-d(u,v) on the distribution's grid: the kernel on the
+    window of u's column by u's row."""
+    c, r = d.grid.check(u)
+    den, (num,) = _kernel(d.counts, [c], [r], d.grid)
     return Fraction(num, den)
 
 
@@ -269,7 +285,7 @@ def excess(d: AnyDistribution, u) -> Fraction:
 
 def grid_weights(d: AnyDistribution) -> dict[Vertex, Fraction]:
     """The weight at every vertex of the distribution's grid."""
-    den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
+    den, nums = _kernel(d.counts, range(d.grid.width), range(d.grid.height), d.grid)
     frac = _fractions(den, nums)
     return {u: frac[n] for u, n in zip(d.grid.index.vertices, nums)}
 
@@ -284,7 +300,7 @@ def weight_report(d: AnyDistribution) -> WeightReport:
     """Weights and excess at every grid vertex, with ceiling aggregates."""
     _nonempty(d)
     verts = d.grid.index.vertices
-    den, nums = _kernel(d.counts, verts, d.grid)
+    den, nums = _kernel(d.counts, range(d.grid.width), range(d.grid.height), d.grid)
     over = [max(n - den, 0) for n in nums]
     frac = _fractions(den, nums + over)
     return WeightReport(
@@ -302,27 +318,10 @@ def covering_ratio_ceiling(d: AnyDistribution) -> Fraction:
 
 
 def _infinite_weight(counts: dict, u: tuple) -> Fraction:
-    """W(u) on the unbounded grid: infinite mode's one-vertex read."""
-    den, (num,) = _kernel(counts, [u])
+    """W(u) on the unbounded grid: infinite mode's one-vertex read, the
+    kernel on the window of u's column by u's row."""
+    den, (num,) = _kernel(counts, [u[0]], [u[1]])
     return Fraction(num, den)
-
-
-def infinite_excess_region(d: AnyDistribution) -> list[tuple]:
-    """Vertices of the unbounded grid where W can exceed 1: within distance
-    r = ceil(log2 |D|) of the support (the region lemma of the module
-    docstring: outside, W <= |D| * 2^-(r+1) < 1), each once, row by row."""
-    # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
-    radius = (math.ceil(d.size) - 1).bit_length()
-    # each pile's diamond is a span of columns on each row within radius of it
-    spans: dict[int, set] = {}
-    for c0, r0 in d.support:
-        for dr in range(-radius, radius + 1):
-            w = radius - abs(dr)
-            spans.setdefault(r0 + dr, set()).update(range(c0 - w, c0 + w + 1))
-    region = []
-    for r in sorted(spans):
-        region += zip(sorted(spans[r]), repeat(r))
-    return region
 
 
 def ceiling_infinite(d: AnyDistribution) -> Fraction:
@@ -338,13 +337,16 @@ def _nonempty(d: AnyDistribution):
 
 def _ceiling_numerator(d: AnyDistribution, infinite: bool = False) -> Fraction:
     """sum_v min(W(v), 1), the numerator of every ceiling.  In infinite mode
-    it is 9|D| minus the total excess over infinite_excess_region, weighed
-    on plane distances."""
+    it is 9|D| minus the total excess over the window of the columns and
+    rows within r = ceil(log2 |D|) of a pile's (the region lemma of the
+    module docstring), weighed on Z^2."""
     _nonempty(d)
     if infinite:
-        den, nums = _kernel(d.counts, infinite_excess_region(d))
+        # 2^r >= |D| iff 2^r >= ceil(|D|), so this is ceil(log2 |D|), 0 for |D| <= 1
+        r = (math.ceil(d.size) - 1).bit_length()
+        den, nums = _kernel(d.counts, *(_window(None, axis, r) for axis in zip(*d.counts)))
         return PEBBLE_TOTAL_WEIGHT * d.size - Fraction(sum(n - den for n in nums if n > den), den)
-    den, nums = _kernel(d.counts, d.grid.index.vertices, d.grid)
+    den, nums = _kernel(d.counts, range(d.grid.width), range(d.grid.height), d.grid)
     return Fraction(sum(min(n, den) for n in nums), den)
 
 
@@ -360,7 +362,7 @@ def marginal_covering_ratio_ceiling(
 def fractional_solvable(dc: ContinuousDistribution | Distribution) -> bool:
     """True iff every vertex has weight at least 1 (exact comparison of the
     kernel's integers)."""
-    den, nums = _kernel(dc.counts, dc.grid.index.vertices, dc.grid)
+    den, nums = _kernel(dc.counts, range(dc.grid.width), range(dc.grid.height), dc.grid)
     return min(nums) >= den
 
 

@@ -370,6 +370,12 @@ def naive_weight(counts, u, grid: GridSpec | None = None) -> Fraction:
     return sum((Fraction(c, 2 ** dist(v)) for v, c in counts.items()), Fraction(0))
 
 
+def window_vertices(tcols, trows) -> list[tuple[int, int]]:
+    """The vertices of the window tcols x trows in the order of the weight
+    kernel's numerators: row by row, each row in the order of tcols."""
+    return [(c, r) for r in trows for c in tcols]
+
+
 def reference_fractional_problem(spec: GridSpec) -> LpProblem:
     """The fractional optimal pebbling program of the grid as one dense LP:
     a variable and a row per vertex, entries 2^-d(u, v), |V|^2 of them."""

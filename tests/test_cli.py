@@ -142,6 +142,16 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["ceiling"] == "17/2"
 
+    @pytest.mark.parametrize(
+        "flags", [["--weights"], [], ["--coverage"], ["--coverage", "--weights"]], ids=str
+    )
+    def test_infinite_mode_without_ceiling_exits_2(self, capsys, dist_file, flags):
+        """--infinite-mode sets the mode of the ceiling only: without
+        --ceiling it is refused, not ignored in favour of grid-mode weights."""
+        code, out, err = run_cli(capsys, "analyze", dist_file, *flags, "--infinite-mode")
+        assert (code, out) == (2, "")
+        assert err == "error: --infinite-mode needs --ceiling: it sets the mode of the ceiling only\n"
+
     def test_budget_exit_2(self, capsys, tmp_path):
         d = Distribution(GridSpec(4, 4), {(0, 0): 3, (0, 2): 3, (2, 0): 3})
         path = tmp_path / "b.dist"

@@ -1,8 +1,9 @@
+import contextlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pebblekit.grid import (
     ContinuousDistribution,
@@ -15,6 +16,7 @@ from pebblekit.grid import (
     serialize_distribution,
 )
 from pebblekit.reach import (
+    BudgetExceeded,
     StateSolver,
     _Engine,
     _Search,
@@ -32,14 +34,20 @@ from pebblekit.weights import (
     excess,
     fractional_solvable,
     grid_weights,
-    infinite_excess_region,
     marginal_covering_ratio_ceiling,
     weight,
     weight_report,
 )
 import pebblekit.weights as weights_module
 
-from conftest import _naive_states, naive_reachable, naive_weight, oracle_distance, reference_clusters
+from conftest import (
+    _naive_states,
+    naive_reachable,
+    naive_weight,
+    oracle_distance,
+    reference_clusters,
+    window_vertices,
+)
 
 
 def grid_specs(max_side=5):
@@ -154,6 +162,20 @@ def extensions(draw, base):
     return Distribution(base.grid, counts)
 
 
+@st.composite
+def edge_distributions(draw):
+    """1 to 12 pebbles on a plane or torus of sides 1 to 6, each on the
+    first or last column (and row) of the grid half the time: a torus wraps
+    there."""
+    spec = draw(grid_specs(6))
+    counts: dict = {}
+    for _ in range(draw(st.integers(1, 12))):
+        c = draw(st.sampled_from([0, spec.width - 1]) | st.integers(0, spec.width - 1))
+        r = draw(st.sampled_from([0, spec.height - 1]) | st.integers(0, spec.height - 1))
+        counts[c, r] = counts.get((c, r), 0) + 1
+    return Distribution(spec, counts)
+
+
 def kernel_distributions():
     """Integer or rational counts on grids of sides 1..5, both topologies."""
     return st.one_of(distributions(max_side=5), continuous_distributions(max_side=5))
@@ -181,19 +203,28 @@ class TestWeightKernelAgainstReference:
 
     @given(kernel_distributions(), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_kernel_on_any_target_list(self, d, data):
-        """Grid mode on the vertices shuffled and on a sample with repeats;
-        infinite mode on points of Z^2 around and beyond the grid, negative
-        coordinates included.  den is the lcm of the count denominators
-        times 2^(Ec + Er), the largest axis distances from a target to a
-        pile."""
-        verts = list(d.grid.vertices())
+    def test_kernel_on_any_window(self, d, data):
+        """Grid mode on every column shuffled by every row, and on a subset
+        of the columns in any order by an ascending subset of the rows;
+        infinite mode on such subsets of -7..11, around and beyond the
+        grid, negative coordinates included.  Either subset may be empty.
+        den is the lcm of the count denominators times 2^(Ec + Er), the
+        largest axis distances from a window vertex to a pile."""
+        w, h = d.grid.width, d.grid.height
         lcm = math.lcm(*(c.denominator for c in d.counts.values()))
-        shuffled = data.draw(st.permutations(verts))
-        sample = data.draw(st.lists(st.sampled_from(verts), max_size=12))
-        points = data.draw(st.lists(st.tuples(st.integers(-7, 11), st.integers(-7, 11)), max_size=12))
-        for targets, spec in ((shuffled, d.grid), (sample, d.grid), (points, None)):
-            den, nums = _kernel(d.counts, targets, spec)
+
+        def window(cols, rows):  # a subset of each: the columns in drawn order, the rows ascending
+            tcols = data.draw(st.lists(st.sampled_from(cols), unique=True, max_size=8))
+            return tcols, sorted(data.draw(st.sets(st.sampled_from(rows), max_size=8)))
+
+        windows = [
+            ((data.draw(st.permutations(range(w))), range(h)), d.grid),
+            (window(range(w), range(h)), d.grid),
+            (window(range(-7, 12), range(-7, 12)), None),
+        ]
+        for (tcols, trows), spec in windows:
+            den, nums = _kernel(d.counts, tcols, trows, spec)
+            targets = window_vertices(tcols, trows)
             assert [Fraction(n, den) for n in nums] == [naive_weight(d.counts, u, spec) for u in targets]
 
             def dist(u, v):  # oracle_distance, or Manhattan on Z^2 when spec is None
@@ -221,7 +252,15 @@ class TestWeightKernelAgainstReference:
     @given(kernel_distributions())
     @settings(max_examples=60, deadline=None)
     def test_infinite_ceiling_is_region_sum(self, d):
-        region = infinite_excess_region(d)
+        """The ceiling sums the excess over the vertices of Z^2 within
+        r = ceil(log2 |D|) of a pile, the region lemma's."""
+        r = (math.ceil(d.size) - 1).bit_length()
+        region = {
+            (v.col + dc, v.row + dr)
+            for v in d.support
+            for dc in range(-r, r + 1)
+            for dr in range(abs(dc) - r, r - abs(dc) + 1)
+        }
         naive = {u: naive_weight(d.counts, u) for u in region}
         assert naive == {u: _infinite_weight(d.counts, u) for u in region}
         total = sum((max(w - 1, 0) for w in naive.values()), Fraction(0))
@@ -244,19 +283,21 @@ class TestWeightKernelAgainstReference:
         assert weight_report(single).weights == {(0, 0): 1}
 
     def test_far_apart_piles_weigh_only_the_region(self, monkeypatch):
-        """Infinite mode hands the kernel the region's vertices and no
-        others, however far apart the piles are."""
+        """Infinite mode hands the kernel the columns and rows within r = 2
+        of a pile's, 10 of each, not the 404 x 404 box around the piles,
+        however far apart they are."""
         d = Distribution(GridSpec(400, 400), {(0, 0): 1, (399, 399): 1, (0, 399): 2})
         seen = []
         kernel = weights_module._kernel
 
-        def counting(counts, targets, spec=None):
-            seen.append(len(targets))
-            return kernel(counts, targets, spec)
+        def counting(counts, tcols, trows, spec=None):
+            seen.append((list(tcols), list(trows)))
+            return kernel(counts, tcols, trows, spec)
 
         monkeypatch.setattr(weights_module, "_kernel", counting)
         ceiling_infinite(d)
-        assert seen == [len(infinite_excess_region(d))] == [3 * 13]
+        near = [*range(-2, 3), *range(397, 402)]
+        assert seen == [(near, near)]
 
     @given(any_distributions())
     @settings(max_examples=60, deadline=None)
@@ -316,19 +357,31 @@ class TestEngineProperties:
                 found = _Search(d.grid, t, k, 10**6).run(d.counts)
                 assert found == (top.get(t, 0) >= k), (d.counts, tuple(t), k)
 
-    @given(distributions(max_side=6, max_pebbles=12))
+    @given(edge_distributions(), st.integers(1, 13))
+    @example(Distribution(GridSpec(1, 1), {(0, 0): 1}), 1)
+    @example(Distribution(GridSpec(4, 3), {(3, 2): 1}), 1)
+    @example(Distribution(GridSpec(5, 4, TORUS), {(2, 0): 1}), 1)
+    @example(Distribution(GridSpec(5, 4), {(0, 0): 3, (4, 3): 5, (0, 3): 2}), 2)
+    @example(Distribution(GridSpec(5, 4, TORUS), {(0, 0): 3, (4, 3): 5, (0, 3): 2}), 2)
+    @example(Distribution(GridSpec(6, 6, TORUS), {(5, 0): 9, (0, 5): 3}), 1)
+    @example(Distribution(GridSpec(9, 8, TORUS), {(0, 0): 8}), 3)
     @settings(max_examples=60, deadline=None)
-    def test_search_live_set_is_weight_at_least_two(self, d):
-        """The vertices _Search numbers besides t are exactly those u != t
-        of naive start weight >= 2 (the dead-end lemma), although it weighs
-        only the vertices near the piles.  k = |D| + 1 is above every
-        weight, so run refutes each target before any DFS node."""
-        verts = list(d.grid.vertices())
-        live = {u for u in verts if naive_weight(d.counts, u, d.grid) >= 2}
-        for t in verts:
-            search = _Search(d.grid, t, d.size + 1, 10**6)
-            assert not search.run(d.counts) and search.nodes == 0
-            assert set(search.region) - {t} == live - {t}, (d.counts, tuple(t))
+    def test_search_live_set_is_weight_at_least_two(self, d, k):
+        """After run, region is sorted({t} | {u : naive W(u) >= 2}) for
+        every target t, list for list (the dead-end lemma), although run
+        weighs only the window near the piles: on planes and tori with
+        piles on the wrap edges and with a single pebble (live radius -1:
+        region is [t]).  The region is numbered before the first node, so a
+        search out of its small budget still has it.  k = |D| + 1 is above
+        every weight, so run refutes each target before any DFS node."""
+        live = {u for u in d.grid.vertices() if naive_weight(d.counts, u, d.grid) >= 2}
+        for t in d.grid.vertices():
+            search = _Search(d.grid, t, k, 50)
+            with contextlib.suppress(BudgetExceeded):
+                search.run(d.counts)
+            assert search.region == sorted({t} | live), (d.counts, tuple(t), k)
+            heavy = _Search(d.grid, t, d.size + 1, 10**6)
+            assert not heavy.run(d.counts) and heavy.nodes == 0
 
     @given(
         st.integers(1, 12).flatmap(

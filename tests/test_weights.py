@@ -24,14 +24,13 @@ from pebblekit.weights import (
     excess,
     fractional_solvable,
     ifcov_bound_report,
-    infinite_excess_region,
     marginal_covering_ratio_ceiling,
     single_pebble_weight_total,
     weight,
     weight_report,
 )
 
-from conftest import naive_weight
+from conftest import naive_weight, window_vertices
 
 
 class TestWeight:
@@ -89,28 +88,30 @@ class TestWeight:
 
 
 class TestKernel:
-    """weights._kernel's packed fields: each target column's weight numerator
-    sits in whole bytes wide enough for the total << (Ec + Er)."""
+    """weights._kernel's packed fields: each window column's weight
+    numerator sits in whole bytes wide enough for the total << (Ec + Er),
+    and each row of the window is read out whole."""
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     @pytest.mark.parametrize(
         "pebbles", [1, 3, 255, 256, 1023, 1024, 2**40 - 1, 2**58 - 1, 2**58, 2**61 - 1, 2**61]
     )
     def test_a_field_can_hold_the_whole_total(self, topology, pebbles):
-        """All pebbles on one target: its field holds exactly total << (Ec +
-        Er), the most any field can, next to non-empty fields on both sides.
-        On the plane (Ec + Er = 6 over the whole grid) some totals fill the
-        last byte they need exactly (1023 << 6, and 255 on the pile alone)
-        and some put one bit in it (1024 << 6, 1 << 6).  At the edge of the
-        two row reads, (2^58 - 1) << 6 on the plane and (2^61 - 1) << 3 on
-        the torus (Ec + Er = 3) fill one 64-bit word, read with the row as
-        one list of words, and 2^58 << 6 and 2^61 << 3 spill into a 9th
-        byte, read as one slice per target."""
+        """All pebbles on one vertex of the window: its field holds exactly
+        total << (Ec + Er), the most any field can, next to non-empty
+        fields on both sides.  On the plane (Ec + Er = 6 over the whole
+        grid) some totals fill the last byte they need exactly (1023 << 6,
+        and 255 on the pile alone) and some put one bit in it (1024 << 6,
+        1 << 6).  At the edge of the two row reads, (2^58 - 1) << 6 on the
+        plane and (2^61 - 1) << 3 on the torus (Ec + Er = 3) fill one
+        64-bit word, read with the row as one list of words, and 2^58 << 6
+        and 2^61 << 3 spill into a 9th byte, read as one slice per field."""
         spec = GridSpec(5, 3, topology)
-        pile = (2, 1) if topology == TORUS else (0, 0)
+        c, r = pile = (2, 1) if topology == TORUS else (0, 0)
         counts = {pile: pebbles}
-        for targets in (spec.index.vertices, [pile], [pile, (pile[0] + 1, pile[1]), pile]):
-            den, nums = weights._kernel(counts, targets, spec)
+        for tcols, trows in ((range(5), range(3)), ([c], [r]), ([c + 1, c], [r])):
+            den, nums = weights._kernel(counts, tcols, trows, spec)
+            targets = window_vertices(tcols, trows)
             top = max(spec.distance(pile, u) for u in targets)
             assert pebbles << top in nums
             assert [Fraction(n, den) for n in nums] == [naive_weight(counts, u, spec) for u in targets]
@@ -118,14 +119,14 @@ class TestKernel:
     @pytest.mark.parametrize("topology, den", [(PLANE, 12 << 5), (TORUS, 12 << 3), (None, 12 << 5)])
     def test_rational_counts_scale_by_their_lcm(self, topology, den):
         """Denominators 3, 4 and 6 scale the counts by 12, over 2^(Ec + Er):
-        Ec = 3 and Er = 2 on the plane and on Z^2, 2 and 1 on the torus."""
+        Ec = 3 and Er = 2 on the plane and on Z^2, 2 and 1 on the torus.
+        The whole grid's window is in vertex-id order."""
         grid = GridSpec(4, 3, topology or PLANE)
         d = ContinuousDistribution(grid, {(0, 0): Fraction(1, 3), (3, 2): Fraction(5, 4), (1, 2): Fraction(7, 6)})
         spec = grid if topology else None
-        targets = grid.index.vertices
-        assert weights._kernel(d.counts, targets, spec) == (
+        assert weights._kernel(d.counts, range(4), range(3), spec) == (
             den,
-            [naive_weight(d.counts, u, spec) * den for u in targets],
+            [naive_weight(d.counts, u, spec) * den for u in grid.index.vertices],
         )
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
@@ -134,15 +135,17 @@ class TestKernel:
         """The row scans, and the column pass, on every path and cycle of
         1 to 12 vertices: one pile at each position, then piles at all of
         them (an even cycle ties at n/2, and the far pile counts once), read
-        at the whole grid and at each row or column alone."""
+        on the whole grid and on each vertex of the line alone."""
         rows, cols = GridSpec(2, n, topology), GridSpec(n, 2, topology)
         for grid, line in ((rows, lambda p: (1, p)), (cols, lambda p: (p, 1))):
             every = {line(p): p + 1 for p in range(n)}
+            windows = [(range(grid.width), range(grid.height))]
+            windows += [([line(p)[0]], [line(p)[1]]) for p in range(n)]
             for counts in [{line(p): 3} for p in range(n)] + [every]:
-                for targets in [grid.index.vertices] + [[line(p), line(p)] for p in range(n)]:
-                    den, nums = weights._kernel(counts, targets, grid)
+                for tcols, trows in windows:
+                    den, nums = weights._kernel(counts, tcols, trows, grid)
                     assert [Fraction(k, den) for k in nums] == [
-                        naive_weight(counts, u, grid) for u in targets
+                        naive_weight(counts, u, grid) for u in window_vertices(tcols, trows)
                     ]
 
     def test_rows_far_apart_on_z2(self):
@@ -150,19 +153,34 @@ class TestKernel:
         bits wide, and the scans skip every row between the piles."""
         far = 10**4
         counts = {(0, 0): Fraction(1), (3, far): Fraction(2, 3), (-5, 2 * far): Fraction(5, 6)}
-        targets = [(0, 0), (1, far // 2), (3, far), (3, far + 1), (-5, 2 * far + 1), (0, -7)]
-        den, nums = weights._kernel(counts, targets)
+        tcols, trows = [3, -5, 1, 0], [-7, 0, far // 2, far, far + 1, 2 * far + 1]
+        den, nums = weights._kernel(counts, tcols, trows)
         # lcm 6, Ec = 8 (column 3 to -5), Er = 2 * far + 7 (row -7 to 2 * far)
         assert den == 6 << (8 + 2 * far + 7)
+        targets = window_vertices(tcols, trows)
         assert [Fraction(k, den) for k in nums] == [naive_weight(counts, u) for u in targets]
 
     @pytest.mark.parametrize("spec", [GridSpec(3, 2), GridSpec(3, 2, TORUS), None], ids=str)
-    def test_empty_counts_and_targets(self, spec):
-        """No piles weigh 0 everywhere over 1; no targets give no numerators."""
-        targets = [(0, 0), (2, 1), (0, 0)]
-        assert weights._kernel({}, targets, spec) == (1, [0, 0, 0])
-        assert weights._kernel({(1, 1): Fraction(2, 3)}, [], spec) == (3, [])
-        assert weights._kernel({}, [], spec) == (1, [])
+    def test_empty_counts_and_window(self, spec):
+        """No piles weigh 0 everywhere over 1; an empty window, with no
+        columns, no rows or neither, gives no numerators over the lcm."""
+        assert weights._kernel({}, [2, 0], [0, 1], spec) == (1, [0, 0, 0, 0])
+        for tcols, trows in (([], [0, 1]), ([0, 2], []), ([], [])):
+            assert weights._kernel({(1, 1): Fraction(2, 3)}, tcols, trows, spec) == (3, [])
+            assert weights._kernel({}, tcols, trows, spec) == (1, [])
+
+    def test_window_on_z_and_on_axis_tables(self):
+        """_window: the positions within radius of a centre, ascending and
+        each once; on Z it runs past any grid's edge, on a cycle it wraps,
+        and a radius of -1 gives none."""
+        assert weights._window(None, [5, 0, 5], 1) == [-1, 0, 1, 4, 5, 6]
+        assert weights._window(None, [0, 1], 0) == [0, 1]
+        assert weights._window(None, [3], -1) == []
+        cycle, path = GridSpec(6, 1, TORUS).index.cols, GridSpec(6, 1).index.cols
+        assert weights._window(cycle, [0], 1) == [0, 1, 5]
+        assert weights._window(cycle, [0, 3], 3) == list(range(6))
+        assert weights._window(path, [0], 1) == [0, 1]
+        assert weights._window(path, [2, 5], -1) == []
 
 
 class TestCeilings:
@@ -186,14 +204,6 @@ class TestCeilings:
         a = Distribution(GridSpec(3, 3), {(0, 0): 2})
         b = Distribution(GridSpec(9, 9), {(4, 4): 2})
         assert ceiling_infinite(a) == ceiling_infinite(b) == Fraction(17, 2)
-
-    def test_infinite_excess_region_covers_weight_above_one(self):
-        d = Distribution(GridSpec(5, 5), {(1, 1): 3, (3, 3): 3})
-        region = infinite_excess_region(d)
-        # outside the region W <= |D| * 2^-d <= 1 by construction; inside,
-        # every support point is present
-        for v in d.support:
-            assert (v.col, v.row) in region
 
     def test_ceiling_empty_distribution_rejected(self):
         empty = Distribution(GridSpec(3, 3), {})
