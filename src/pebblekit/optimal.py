@@ -19,6 +19,31 @@ lex-least; a larger one drops p from the subtree, since it can never
 refute a completion.  A complete vector, 0 past its last pebble, is tested
 by the same walk run to the last position (Read's orderly generation).
 
+The live pairs are filed by wake position.  A pair (p, j) says that the
+image under p, whose position j holds vec[p[j]], equals vec before
+position j, and its next comparison, vec[p[j]] against vec[j], is decided
+once both are placed: at its wake w = max(j, p[j]).  A pair stops only
+while one of j, p[j] is undecided, so once position idx - 1 is done every
+live pair has w >= idx, and the pairs that compare at idx are exactly
+those with w = idx: read in one whole list, every other pair was read
+only to be copied.  In fact w = p[j]: every m < j was compared, so
+p[m] <= idx - 1; if j < idx, w >= idx forces p[j] >= idx > j, and if
+j = idx, p maps 0..idx - 1 onto itself, so p[j] >= idx = j.  So each size
+keeps one bucket of pairs per position, wake[w], made afresh.  Placing a
+count at idx reads wake[idx] alone and appends each pair that neither
+cuts nor is dropped to the bucket of its new wake p[j] > idx;
+backtracking pops those appends, and a cut pops them before it returns.
+So at a prefix ending at idx the buckets from idx on hold exactly its
+live pairs, and those below hold stale entries that no node below it
+reads.  A pair whose image matches vec at every position wakes at n,
+where nothing reads it, as it can refute nothing.  Each pair read at idx
+makes the comparisons it made when the whole list was read at every
+position.  Only which pairs are read before a cut depends on the order,
+not whether some pair cuts, so the walk cuts the same prefixes, drops
+the same pairs and yields the same vectors in the same order.  The leaf
+test reads the live pairs of every bucket from idx on, as it read the
+whole list.
+
 An orbit with some vertex of dyadic weight below 1 is refuted without
 a reachability search: a move never raises the weight at any vertex, so
 that vertex can never be reached.  The weights are integer sums over one
@@ -99,6 +124,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil
 from typing import NamedTuple, Sequence
 
@@ -155,29 +181,43 @@ class OptimalResult:
         return sum(row.orbits for row in self.per_size)
 
 
-def _canonical(vec: Sequence[int], live) -> bool:
-    """Whether the complete vector vec is lex-least: _advance's prefix walk to its end."""
-    return _advance(vec, len(vec) - 1, live) is not None
+def _canonical(vec: Sequence[int], live: list) -> bool:
+    """Whether the complete vector vec is lex-least: _advance at the last
+    position, where every comparison of the live pairs is decided."""
+    n = len(vec)
+    return _advance(vec, n - 1, {n - 1: live, n: []}) is not None
 
 
-def _advance(vec: Sequence[int], idx: int, live: list):
-    """The live pairs after a count is placed at position idx, or None when
-    no completion of vec can be lex-least.  A pair (p, j) says that the
-    image of vec under p, whose position j holds vec[p[j]], equals vec
-    before position j; j moves on while both j and p[j] are decided.  A
-    smaller image cuts the subtree, a larger one drops p for good."""
-    kept = []
-    for p, j in live:
-        while j <= idx and p[j] <= idx:
-            image, own = vec[p[j]], vec[j]
-            if image < own:
-                return None
-            if image > own:
-                break
+def _advance(vec: Sequence[int], idx: int, wake):
+    """Compare the live pairs that wake at position idx, wake[idx] (wake
+    maps each position to its bucket), once a count is placed there, and
+    append each survivor to the bucket of its next wake.  Returns the
+    buckets appended to, one entry per append, for the caller to pop on
+    backtrack, or None (having appended nothing) when no completion of vec
+    can be lex-least.  A pair (p, j)
+    says that the image of vec under p, whose position j holds vec[p[j]],
+    equals vec before position j; it wakes at p[j] (module docstring).  A
+    smaller image cuts the subtree, a larger one drops p for good, and a
+    pair whose image equals vec up to the end wakes at p[n] = n, where no
+    position reads it."""
+    woken = []
+    for p, j in wake[idx]:
+        image, own = vec[p[j]], vec[j]
+        while image == own:
             j += 1
+            i = p[j]
+            if i > idx:
+                bucket = wake[i]
+                bucket.append((p, j))
+                woken.append(bucket)
+                break
+            image, own = vec[i], vec[j]
         else:
-            kept.append((p, j))
-    return kept
+            if image < own:
+                for bucket in woken:
+                    bucket.pop()
+                return None
+    return woken
 
 
 class _Walk:
@@ -202,7 +242,8 @@ class _Walk:
         # conjugation keeps cycle types, so these are the grid group's
         self.types = _cycle_types(perms)
         identity = tuple(range(n))
-        self.perms = [p for p in perms if p != identity]
+        # each carries p[n] = n, where _advance parks a pair that has matched every position
+        self.perms = [p + (n,) for p in perms if p != identity]
         # The weights at all targets are packed in one integer, target t in
         # the field of f + 1 bits at bit t * (f + 1).  A field never holds
         # more than s * one <= n * one < 2^f, so adding 2^f - c * one to each
@@ -243,11 +284,16 @@ class _Walk:
             raise GridError(f"a weighed walk holds sizes up to {n}, not {s}")
         lift, flags, lift2 = self.lift, self.flags, self.lift2
         cols, best, near = self.cols, self.best, self.near
+        # wake[w]: the live pairs (p, j) of _advance that wake at w = p[j];
+        # those of the prefix at idx are in wake[idx:], and those below are stale
+        wake = [[] for _ in range(n + 1)]
+        for p in self.perms:
+            wake[p[0]].append((p, 0))
 
-        def rec(idx: int, remaining: int, live: list, partial: int, empty: tuple):
+        def rec(idx: int, remaining: int, partial: int, empty: tuple):
             # empty: the near masks of the ids < idx that hold no pebble
             if remaining == 0:
-                if _canonical(vec, live):
+                if _canonical(vec, [*chain.from_iterable(wake[idx:n])]):
                     # the ids >= idx are empty too
                     has = ((partial + lift2) & flags).__and__
                     if all(map(has, empty)) and all(map(has, near[idx:])):
@@ -268,12 +314,14 @@ class _Walk:
                 if left and decided and not all(map(((bound + lift2) & flags).__and__, decided)):
                     continue
                 vec[idx] = k
-                kept = _advance(vec, idx, live)
-                if kept is not None:
-                    yield from rec(idx + 1, left, kept, weights, decided)
+                woken = _advance(vec, idx, wake)
+                if woken is not None:
+                    yield from rec(idx + 1, left, weights, decided)
+                    for bucket in woken:
+                        bucket.pop()
             vec[idx] = 0
 
-        return rec(0, s, [(p, 0) for p in self.perms], 0, ())
+        return rec(0, s, 0, ())
 
     def orbit_count(self, s: int) -> int:
         """The orbits of count vectors of total size s, by Burnside's lemma:

@@ -30,8 +30,8 @@ Reachability is decided in three layers:
      then 5, each with min(node_cap, max(node_cap // 20, 1000)) nodes (a
      twentieth of the cap, at least 1000, at most the cap); dropping
      pebbles only turns answers from true to false, so a hit is a
-     certificate, and the search's weight test refutes a light
-     sub-cluster before any node;
+     certificate, and a sub-cluster that weighs below k at the target is
+     skipped, as the search's weight test refutes it before any node;
   5. full DFS: the search below on the whole cluster.
 
   The search is depth-first over distribution states with a
@@ -215,18 +215,21 @@ class _Search:
         # one field of f bits an id: no count exceeds total < 2^f, so no field carries
         f = total.bit_length()
         self.shift, self.mask = [i * f for i in range(len(region))], (1 << f) - 1
+        # pebbles on dead vertices never move, but count toward the target weight
+        w = sum(c << (top - dist[v]) for v, c in counts.items())
         # steps[a][i]: (j, the weight change and the state delta of i -> j) for each
         # neighbour j of i in the region, toward the target for a = 0, else a = 1;
-        # neighbors is sorted, so j ascends
+        # neighbors is sorted, so j ascends.  The weight never rises, so a step
+        # that takes it below need from the root's w does so at every node: it is left out
         self.steps = [[[] for _ in region], [[] for _ in region]]
         for i, v in enumerate(region):
             for j in (ids[u] for u in index.neighbors[v] if u in ids):
-                step = (j, gain[j] - 2 * gain[i], (1 << f * j) - (2 << f * i))
-                self.steps[dist[region[j]] >= dist[v]][i].append(step)
+                dw = gain[j] - 2 * gain[i]
+                if w + dw >= self.need:
+                    step = (j, dw, (1 << f * j) - (2 << f * i))
+                    self.steps[dist[region[j]] >= dist[v]][i].append(step)
         state = sum(c << f * ids[v] for v, c in counts.items() if v in ids)
         piles = [ids[v] for v, c in counts.items() if c >= 2 and v in ids]
-        # pebbles on dead vertices never move, but count toward the target weight
-        w = sum(c << (top - dist[v]) for v, c in counts.items())
         if counts.get(self.t, 0) >= self.k:
             return True
         try:
@@ -372,6 +375,9 @@ class _Engine:
             if not sub or sub == tried or len(sub) == len(counts):
                 continue
             tried = sub
+            # a sub-cluster that weighs below k at t is refuted by the search's own weight test
+            if sum(c << (top - dist[v]) for v, c in sub.items()) < k << top:
+                continue
             try:
                 if _Search(grid, t, k, budget).run(sub):
                     return True
@@ -425,8 +431,8 @@ class StateSolver:
     when the solver was handed every orbit that passes the weight test
     (829,043 entries, 141 MB VmHWM).  Behind the search's neighbour test
     the memo stays far smaller: the 5x5 plane search ends with 2,561
-    entries after 1.1 s at 16.6 MB ru_maxrss, the 6x4 plane with 42,469
-    after 2.3 s at 21.6 MB (2-core x86, Python 3.11)."""
+    entries after 0.4-0.7 s at 16.8 MB ru_maxrss, the 6x4 plane with
+    42,469 after 1.6-2.3 s at 21.8 MB (2-core x86, Python 3.11)."""
 
     def __init__(self, grid: GridSpec, node_cap: int = DEFAULT_NODE_CAP):
         self.one, self.rows = weights.dyadic_rows(grid)

@@ -8,7 +8,9 @@ cross-check the packed one, a reference simplex over Fraction used to
 cross-check the integer one, a reference orbit enumerator with a
 global seen set, used to cross-check the lex-least enumeration, Burnside's
 orbit count with each permutation's cycles found afresh, used to
-cross-check the count from cycle types found once, and the
+cross-check the count from cycle types found once, the orbit walk
+with one list of live pairs read whole at every position, used to
+cross-check the walk that reads only the pairs that wake there, and the
 fractional optimal pebbling program solved by the simplex, written out
 densely (one variable per vertex) and per axis (the path or cycle of one
 side), used to cross-check the closed-form optimum, and the weight
@@ -193,6 +195,61 @@ def reference_orbits(spec: GridSpec, s: int, perms):
             placed.pop()
 
     yield from rec(0, s, [])
+
+
+def reference_advance(vec, idx: int, live: list):
+    """The pairs-list prefix step of the orbit walk: every live pair is read
+    at every position, and the survivors are copied into a new list."""
+    kept = []
+    for p, j in live:
+        while j <= idx and p[j] <= idx:
+            image, own = vec[p[j]], vec[j]
+            if image < own:
+                return None
+            if image > own:
+                break
+            j += 1
+        else:
+            kept.append((p, j))
+    return kept
+
+
+def reference_walk(walk, s: int):
+    """optimal._Walk.of_size with one list of live pairs per prefix, read
+    whole by reference_advance at each position: the same cuts, tests and
+    order, written as the walk was before its pairs were bucketed by wake
+    position."""
+    n, vec, pos = walk.n, [0] * walk.n, walk.pos
+    lift, flags, lift2 = walk.lift, walk.flags, walk.lift2
+    cols, best, near = walk.cols, walk.best, walk.near
+
+    def rec(idx: int, remaining: int, live: list, partial: int, empty: tuple):
+        if remaining == 0:
+            if reference_advance(vec, n - 1, live) is not None:
+                has = ((partial + lift2) & flags).__and__
+                if all(map(has, empty)) and all(map(has, near[idx:])):
+                    yield tuple(map(vec.__getitem__, pos))
+            return
+        if idx == n:
+            return
+        col, most = cols[idx], best[idx + 1]
+        emptier = empty + (near[idx],) if near else ()
+        for k in range(remaining + 1):
+            weights = partial + k * col
+            left = remaining - k
+            bound = weights + left * most
+            if (bound + lift) & flags != flags:
+                continue
+            decided = empty if k else emptier
+            if left and decided and not all(map(((bound + lift2) & flags).__and__, decided)):
+                continue
+            vec[idx] = k
+            kept = reference_advance(vec, idx, live)
+            if kept is not None:
+                yield from rec(idx + 1, left, kept, weights, decided)
+        vec[idx] = 0
+
+    return rec(0, s, [(p, 0) for p in walk.perms], 0, ())
 
 
 def reference_orbit_count(perms, s: int) -> int:

@@ -25,6 +25,7 @@ from conftest import (
     oracle_neighbors,
     reference_orbit_count,
     reference_orbits,
+    reference_walk,
 )
 
 # (grid, pi_opt, orbits counted, witness): every orbit of the sizes below
@@ -384,6 +385,47 @@ class TestOptimalNumbers:
         monkeypatch.setattr(optimal, "_advance", counted)
         assert optimal_pebbling_number(spec).pi_opt == 6
         assert made == calls
+
+    @pytest.mark.parametrize(
+        "spec, pairs",
+        [
+            pytest.param(GridSpec(6, 2), 274, id="6x2"),
+            pytest.param(GridSpec(6, 2, TORUS), 2021, id="6x2-torus"),
+        ],
+    )
+    def test_advance_reads_only_waking_pairs(self, spec, pairs, monkeypatch):
+        """_advance reads only the live pairs that wake at the position it
+        places, wake[idx], or at a leaf every live pair: over the whole
+        search these pairs, where reading every live pair at every position
+        read 557 and 9,206 in as many calls."""
+        read = 0
+        advance = optimal._advance
+
+        def counted(vec, idx, wake):
+            nonlocal read
+            read += len(wake[idx])
+            return advance(vec, idx, wake)
+
+        monkeypatch.setattr(optimal, "_advance", counted)
+        assert optimal_pebbling_number(spec).pi_opt == 6
+        assert read == pairs
+
+    @pytest.mark.parametrize("topology", [PLANE, TORUS])
+    def test_wake_buckets_match_the_pairs_list_walk(self, topology):
+        """The walk that reads only the pairs waking at each position yields
+        the vectors of reference_walk, which reads its whole list of live
+        pairs at every position, in the same order: on every grid of <= 16
+        vertices (W >= H) at every size s <= 6, with no rows and with rows
+        and neighbour ids (s <= n then), and on the 5x4 and 6x4 tori at
+        s <= 5."""
+        specs = [spec for spec in grids_up_to(16, topology) if spec.width >= spec.height]
+        wide = [GridSpec(5, 4, TORUS), GridSpec(6, 4, TORUS)] if topology == TORUS else []
+        for spec in specs + wide:
+            one, rows = dyadic_rows(spec)
+            top = 6 if spec in specs else 5
+            for walk in (_Walk(spec), _Walk(spec, one, rows, spec.index.neighbor_ids)):
+                for s in range(1, (min(top, spec.size) if walk.flags else top) + 1):
+                    assert list(walk.of_size(s)) == list(reference_walk(walk, s)), (spec, s)
 
     @pytest.mark.parametrize("topology", [PLANE, TORUS])
     def test_burnside_counts_from_cycle_types(self, topology):

@@ -235,8 +235,9 @@ class TestQueries:
     def test_restricted_stages_stay_within_the_cap(self, monkeypatch, node_cap, restricted):
         """Each restricted DFS gets min(node_cap, max(node_cap // 20, 1000))
         nodes: a twentieth of the cap, at least 1000, never more than the
-        cap.  The two piles within radius 2 and 3 of (4, 0) are searched on
-        their own first, then all three."""
+        cap.  The two piles within radius 2 of (4, 0), then the three within
+        radius 3, each set weighing >= 2 there, are searched on their own
+        first, then all four."""
         caps = []
         run = _Search.run
 
@@ -246,12 +247,30 @@ class TestQueries:
             return run(search, counts)
 
         monkeypatch.setattr(_Search, "run", spy)
-        d = Distribution(GridSpec(6, 3), {(1, 0): 5, (5, 1): 5, (2, 2): 4})
+        d = Distribution(GridSpec(6, 3), {(2, 1): 2, (2, 2): 1, (4, 2): 1, (5, 1): 7})
         try:
             assert not can_move_k(d, (4, 0), 2, node_cap)
         except BudgetExceeded:
             assert node_cap == 10
-        assert caps == [(1, restricted), (2, restricted), (3, node_cap)]
+        assert caps == [(2, restricted), (3, restricted), (4, node_cap)]
+
+    def test_light_restricted_stages_are_skipped(self, monkeypatch):
+        """A restricted stage whose piles weigh below k at the target builds
+        no search: the pile within radius 2 of (4, 0) weighs 5/4 there, the
+        two within radius 3 weigh 15/8, and only the whole cluster, 17/8,
+        is searched."""
+        sizes = []
+        run = _Search.run
+
+        def spy(search, counts):
+            if search.k == 2:
+                sizes.append(len(counts))
+            return run(search, counts)
+
+        monkeypatch.setattr(_Search, "run", spy)
+        d = Distribution(GridSpec(6, 3), {(1, 0): 5, (5, 1): 5, (2, 2): 4})
+        assert not can_move_k(d, (4, 0), 2)
+        assert sizes == [3]
 
     @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
     def test_k_must_be_a_positive_int(self, k):
