@@ -126,9 +126,11 @@ def _axis_maps(dist) -> tuple[tuple[int, int], ...]:
 
 
 class Symmetry(NamedTuple):
-    """A grid automorphism: (col, row) goes to (sc * col + c0 mod width,
-    sr * row + r0 mod height), with the two coordinates exchanged after
-    that when swap, where col = (sc, c0) and row = (sr, r0)."""
+    """An isometry of Z^2 or of a torus: (col, row) goes to (sc * col + c0,
+    sr * row + r0), each mod its side on a torus, with the two coordinates
+    exchanged after that when swap, where col = (sc, c0) and row = (sr,
+    r0).  A grid automorphism of a plane needs no reduction: its shifts
+    are 0 or the side less one."""
 
     col: tuple[int, int]
     row: tuple[int, int]
@@ -147,7 +149,7 @@ class GridIndex:
     these tables."""
 
     def __init__(self, spec: GridSpec):
-        wrap = spec.topology == TORUS
+        self.wrap = wrap = spec.topology == TORUS
         self.width, self.height = spec.width, spec.height
         self.cols, self.rows = _axis(spec.width, wrap), _axis(spec.height, wrap)
         self.col_maps, self.row_maps = _axis_maps(self.cols), _axis_maps(self.rows)
@@ -212,11 +214,16 @@ class GridIndex:
                 for swap in self.swaps:
                     yield Symmetry(col, row, swap)
 
-    def image(self, g: Symmetry, v) -> Vertex:
-        """g(v), from the coordinates of v."""
+    def image(self, g: Symmetry, v) -> Vertex | None:
+        """g(v), from the coordinates of v, or None when g, an isometry of
+        Z^2 on a plane, sends v off the grid."""
         (sc, c0), (sr, r0) = g.col, g.row
-        c, r = (sc * v[0] + c0) % self.width, (sr * v[1] + r0) % self.height
-        return Vertex(r, c) if g.swap else Vertex(c, r)
+        c, r = sc * v[0] + c0, sr * v[1] + r0
+        if g.swap:
+            c, r = r, c
+        if self.wrap:
+            return Vertex(c % self.width, r % self.height)
+        return Vertex(c, r) if 0 <= c < self.width and 0 <= r < self.height else None
 
     def permutations(self) -> list[tuple[int, ...]]:
         """The symmetries as permutations p of vertex ids, p[id(v)] = id(g(v)).
@@ -237,30 +244,53 @@ class GridIndex:
         return perms
 
     def stabiliser(self, counts: Mapping[Vertex, int]) -> list[Symmetry]:
-        """The symmetries g with counts[g(v)] == counts[v] for every v.
+        """The maps g with counts[g(v)] == counts[v] for every v: on a torus
+        the grid automorphisms, and on a plane the isometries of Z^2, one of
+        the 8 dihedral maps and a shift, which may send other vertices off
+        the grid (image gives None there; reach keeps the maps that send no
+        live vertex off).
 
-        Only the maps that send one anchor pile, of the rarest count, onto
-        a pile of the same count are tried: given the signs of the axis maps
-        and the swap, that pile fixes the shifts.  Each is tested against
-        the piles, stopping at the first mismatch."""
-        tally = Counter(counts.values())
-        ac, ar = anchor = min(counts, key=lambda v: tally[counts[v]])
-        col_maps, row_maps = set(self.col_maps), set(self.row_maps)
-
-        def sending(maps, n, a, b):
-            # the maps of an axis that send a to b: each sign fixes the shift
-            return [m for m in ((1, (b - a) % n), (-1, (b + a) % n)) if m in maps]
-
-        candidates = (
-            Symmetry(col, row, swap)
-            for (bc, br), c in counts.items()
-            if c == counts[anchor]
-            for swap in self.swaps
-            # g(anchor) is (col map(ac), row map(ar)), exchanged when swap
-            for col in sending(col_maps, self.width, ac, br if swap else bc)
-            for row in sending(row_maps, self.height, ar, bc if swap else br)
-        )
+        Each candidate is tested against the piles, stopping at the first
+        mismatch.  On a torus the candidates are the maps that send one
+        anchor pile, of the rarest count, onto a pile of the same count:
+        given the signs of the axis maps and the swap, that pile fixes the
+        shifts mod the sides.  On a plane g keeps the piles' bounding box,
+        so it is one of the at most 8 maps of the box onto itself: each
+        axis map sends the span of its axis onto the span of the axis it
+        becomes, end to end or reversed."""
         piles = counts.items()
+        if self.wrap:
+            tally = Counter(counts.values())
+            ac, ar = anchor = min(counts, key=lambda v: tally[counts[v]])
+            col_maps, row_maps = set(self.col_maps), set(self.row_maps)
+
+            def sending(maps, n, a, b):
+                # the maps of an axis that send a to b: each sign fixes the shift
+                return [m for m in ((1, (b - a) % n), (-1, (b + a) % n)) if m in maps]
+
+            candidates = (
+                Symmetry(col, row, swap)
+                for (bc, br), c in piles
+                if c == counts[anchor]
+                for swap in self.swaps
+                # g(anchor) is (col map(ac), row map(ar)), exchanged when swap
+                for col in sending(col_maps, self.width, ac, br if swap else bc)
+                for row in sending(row_maps, self.height, ar, bc if swap else br)
+            )
+        else:
+            cols, rows = [v[0] for v in counts], [v[1] for v in counts]
+            spans = (min(cols), max(cols)), (min(rows), max(rows))
+
+            def onto(a, b):
+                # the maps x -> s * x + shift that send span a onto span b
+                return ((1, b[0] - a[0]), (-1, b[1] + a[0])) if a[1] - a[0] == b[1] - b[0] else ()
+
+            candidates = (
+                Symmetry(col, row, swap)
+                for swap in (False, True)
+                for col in onto(spans[0], spans[swap])
+                for row in onto(spans[1], spans[not swap])
+            )
         return [g for g in candidates if all(counts.get(self.image(g, v)) == c for v, c in piles)]
 
 

@@ -12,12 +12,26 @@ Reachability is decided in three layers:
   finest partition with disjoint coverages: a target has at most one cluster.
 
 * Orbits.  A cluster's coverage walks the region of the region lemma
-  below in (distance to the nearest pile, vertex) order.  A grid symmetry
-  g that maps each pile onto a pile of the same count maps move sequences
-  to move sequences, so t is reachable iff g(t) is: the answer for the
-  first target of an orbit of the cluster's stabiliser
-  (GridIndex.stabiliser) is recorded for the whole orbit, and no orbit
-  mate is queried.  An asymmetric cluster has a stabiliser of one element.
+  below in (distance to the nearest pile, vertex) order.  The answer for
+  the first target of an orbit of the maps below is recorded for the
+  whole orbit, and no orbit mate is queried; an image off the grid is no
+  orbit mate.  An asymmetric cluster has only the identity.
+
+  Orbit lemma: let g map each pile onto a pile of the same count (the
+  cluster's stabiliser, GridIndex.stabiliser), on a torus a grid
+  automorphism, on a plane an isometry of Z^2 that sends every live
+  vertex (start weight W >= 2) into the grid.  Then for t and g(t) on
+  the grid, k pebbles reach t iff they reach g(t).  On a torus g maps move
+  sequences to move sequences.  On a plane, distances are those of Z^2
+  and g permutes the piles with their counts, so W(g(u)) = W(u) for u and
+  g(u) on the grid: g maps the live set L into L, hence onto it, L being
+  finite, and maps a vertex holding c pebbles to one holding c.  By the
+  dead-end lemma below, some winning sequence makes no move onto a vertex
+  outside L + {t}, and no move leaves one (a dead end never holds two),
+  so the answer is that of the same game on the subgraph induced on
+  L + {t}.  g maps that subgraph and its counts isomorphically onto the
+  one on L + {g(t)}, t to g(t), so the answers agree.  These maps form a
+  group, so the orbits on the grid partition the region.
 
 * Per-target stages.  Each (target, k) query is decided on its own, by
   the first of these stages that settles it:
@@ -138,10 +152,12 @@ class BudgetExceeded(RuntimeError):
 
     The clusters are built in rounds, so the target named is one of the
     first cluster whose walk overflows: the first target of that walk,
-    nearest first and one per orbit of the cluster's stabiliser, whose
-    search overflows.  Reusing an answer for the rest of an orbit can make
-    an overflow disappear (an orbit mate's search might have overflowed
-    where the queried target's did not), never make one appear."""
+    nearest first and one per orbit (the Orbits bullet of the module
+    docstring: grid automorphisms on a torus, on a plane isometries of Z^2
+    that keep the live set on the grid), whose search overflows.  Reusing
+    an answer for the rest of an orbit can make an overflow disappear (an
+    orbit mate's search might have overflowed where the queried target's
+    did not), never make one appear."""
 
     def __init__(self, message: str, node_cap: int, target=None, stage=None, size=None, lower=None):
         super().__init__(message)
@@ -171,14 +187,27 @@ def apply_move(d: Distribution, frm, to) -> Distribution:
     return d.with_pebbles(frm, -2).with_pebbles(to, 1)
 
 
+def _live(grid: GridSpec, counts: dict) -> list[Vertex]:
+    """The live vertices of counts, those of start weight W >= 2 (the
+    dead-end lemma of the module docstring), from one weights._kernel call
+    over the window of the columns and rows within T.bit_length() - 2 of a
+    pile's: a vertex farther than that from every pile has W < 2."""
+    index = grid.index
+    radius = sum(counts.values()).bit_length() - 2
+    cols = weights._window(index.cols, [v[0] for v in counts], radius)
+    rows = weights._window(index.rows, [v[1] for v in counts], radius)
+    den, nums = weights._kernel(counts, cols, rows, grid)
+    return [Vertex(c, r) for (r, c), n in zip(product(rows, cols), nums) if n >= 2 * den]
+
+
 class _Search:
     """DFS over distribution states for one (target, k) query.
 
-    run(counts) weighs the window of the columns and rows within
-    T.bit_length() - 2 of a pile's in one weights._kernel call (a vertex
-    farther than that from every pile has W < 2), numbers t and the live
-    ones (the dead-end lemma of the module docstring) in sorted (col, row)
-    order as region, and packs the state into one int, count i at bit
+    run(counts, live) numbers t and the live vertices of counts (the
+    dead-end lemma of the module docstring), live as _live weighs them: an
+    engine weighs each cluster's once for all its full searches, and run
+    weighs them itself when live is None.  It numbers them in sorted (col,
+    row) order as region, and packs the state into one int, count i at bit
     shift[i]; it makes no move onto any other vertex, nor the reverse of
     the move just made (the reversal lemma), and failed holds the refuted
     states.  A move adds one precomputed delta to the state.  Moves are
@@ -195,15 +224,11 @@ class _Search:
         self.nodes = 0
         self.failed: set[int] = set()
 
-    def run(self, counts: dict) -> bool:
+    def run(self, counts: dict, live=None) -> bool:
         index = self.grid.index
         total = sum(counts.values())
-        # live vertices have start weight >= 2, so lie within T.bit_length() - 2 of a pile,
-        # in the window of the columns and rows that near a pile's
-        cols = weights._window(index.cols, [v[0] for v in counts], total.bit_length() - 2)
-        rows = weights._window(index.rows, [v[1] for v in counts], total.bit_length() - 2)
-        den, nums = weights._kernel(counts, cols, rows, self.grid)
-        live = [Vertex(c, r) for (r, c), n in zip(product(rows, cols), nums) if n >= 2 * den]
+        if live is None:
+            live = _live(self.grid, counts)
         self.region = region = sorted({self.t, *live})
         ids = {v: i for i, v in enumerate(region)}
         dist = index.distances(self.t, {*region, *counts})
@@ -312,6 +337,7 @@ class _Engine:
         self.d = d
         self.grid = d.grid
         self.node_cap = node_cap
+        self._lives: dict[frozenset, list[Vertex]] = {}
         self._build_clusters()
 
     # -- clustering ------------------------------------------------------
@@ -341,15 +367,33 @@ class _Engine:
         index = self.grid.index
         radius = sum(counts.values()).bit_length() - 1
         region = set().union(*(index.ball(v, radius) for v in counts))
-        # a symmetry that keeps the counts maps move sequences to move
-        # sequences, so one answer decides the target's whole orbit
+        # a map that keeps the counts, and on a plane keeps the live set on
+        # the grid, keeps every answer (the Orbits bullet of the module
+        # docstring), so one answer decides the target's whole orbit
         stabiliser = index.stabiliser(counts)
+        if not index.wrap:
+
+            def on_grid(g, vs) -> bool:
+                return all(index.image(g, v) is not None for v in vs)
+
+            # a map that keeps both corners is a grid automorphism; another
+            # that sends off a neighbour of a pile of c >= 4 (W >= 2 there)
+            # is refused before the live set is weighed
+            corners = (0, 0), (self.grid.width - 1, self.grid.height - 1)
+            sure = [u for v, c in counts.items() if c >= 4 for u in index.neighbors[v]]
+            stabiliser = [
+                g
+                for g in stabiliser
+                if on_grid(g, corners) or on_grid(g, sure) and on_grid(g, self._live_set(counts))
+            ]
         reachable, decided = set(counts), set(counts)
         # nearest first: a budget overflow names the nearest target that overflows
         for t in sorted(region, key=lambda t: (min(index.distances(t, counts).values()), t)):
             if t in decided:
                 continue
+            # on a plane an image off the grid (None) is no orbit mate
             orbit = {index.image(g, t) for g in stabiliser}
+            orbit.discard(None)
             decided |= orbit
             if self._cluster_can_k(counts, t, 1):
                 reachable |= orbit
@@ -357,8 +401,17 @@ class _Engine:
 
     # -- per-cluster search ---------------------------------------------
 
+    def _live_set(self, counts: dict) -> list[Vertex]:
+        """_live of a cluster, weighed on first use and kept for the
+        engine's life: its walk and each of its full searches read it."""
+        key = frozenset(counts.items())
+        if key not in self._lives:
+            self._lives[key] = _live(self.grid, counts)
+        return self._lives[key]
+
     def _cluster_can_k(self, counts: dict, t: Vertex, k: int) -> bool:
-        """Whether the cluster puts k pebbles on t, by the stages of the module docstring."""
+        """Whether the cluster puts k pebbles on t, by the stages of the
+        module docstring.  The restricted stages weigh their own piles."""
         grid = self.grid
         dist = grid.index.distances(t, counts)
         if any(c >> dist[v] >= k for v, c in counts.items()):
@@ -383,7 +436,7 @@ class _Engine:
                     return True
             except BudgetExceeded:
                 pass
-        return _Search(grid, t, k, self.node_cap).run(counts)
+        return _Search(grid, t, k, self.node_cap).run(counts, self._live_set(counts))
 
     # -- queries ---------------------------------------------------------
 

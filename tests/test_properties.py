@@ -1,5 +1,6 @@
 import contextlib
 import math
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from pebblekit.grid import (
     GridSpec,
     PLANE,
     TORUS,
+    Symmetry,
     Vertex,
     parse_distribution,
     serialize_distribution,
@@ -45,6 +47,7 @@ from conftest import (
     naive_reachable,
     naive_weight,
     oracle_distance,
+    per_target_coverage,
     reference_clusters,
     window_vertices,
 )
@@ -474,6 +477,74 @@ class TestSymmetricInputs:
         image = d.grid.index.image
         assert coverage(transported(h, d)).reachable == {image(h, v) for v in reachable}
         assert {image(g, v) for v in reachable} == reachable
+
+
+def z2_image(g: Symmetry, v) -> Vertex:
+    """g(v) in Z^2, on or off any grid."""
+    (sc, c0), (sr, r0) = g.col, g.row
+    c, r = sc * v[0] + c0, sr * v[1] + r0
+    return Vertex(r, c) if g.swap else Vertex(c, r)
+
+
+# the 7 dihedral maps of Z^2 other than the identity, as (sc, sr, swap)
+DIHEDRAL = [m for m in product((1, -1), (1, -1), (False, True)) if m != (1, 1, False)]
+
+
+@st.composite
+def plane_isometry_distributions(draw, max_pebbles=9):
+    """(g, d): g one of the 7 dihedral maps of Z^2 other than the identity,
+    about a drawn point p = (a/2, b/2) near a plane grid, mostly off its
+    centre, and d the sum over a few drawn vertices v of a count on each
+    of v, g(v), g^2(v), ... that lies on the grid: the orbit of v is
+    clipped to the grid, so d keeps the pile symmetry of g only where no
+    image falls off."""
+    spec = draw(st.sampled_from([s for s in SYMMETRY_GRIDS if s.topology == PLANE and s.size > 1]))
+    sc, sr, swap = draw(st.sampled_from(DIHEDRAL))
+    a, b = draw(st.integers(-2, 2 * spec.width)), draw(st.integers(-2, 2 * spec.height))
+    # g(v) = L v + s fixes p for s = p - L p, an integer vector when a = b mod 2 under a swap
+    if swap and (a - b) % 2:
+        b += 1
+    la, lb = (sr * b, sc * a) if swap else (sc * a, sr * b)
+    s = ((a - la) // 2, (b - lb) // 2)
+    g = Symmetry((sc, s[1] if swap else s[0]), (sr, s[0] if swap else s[1]), swap)
+    counts: dict = {}
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.sampled_from(list(spec.vertices())))
+        # g has order 2 or 4, so the orbit closes within 4 steps in Z^2
+        orbit, u = [], v
+        for _ in range(4):
+            orbit.append(u)
+            u = z2_image(g, u)
+            if u == v:
+                break
+        on_grid = [u for u in orbit if spec.contains(u)]
+        room = (max_pebbles - sum(counts.values())) // len(on_grid)
+        if not room:
+            break
+        c = draw(st.integers(1, room))
+        for u in on_grid:
+            counts[u] = counts.get(u, 0) + c
+    return g, Distribution(spec, counts)
+
+
+class TestPlaneIsometries:
+    @given(plane_isometry_distributions())
+    @settings(max_examples=100, deadline=None)
+    def test_coverage_matches_naive_and_per_target_walk(self, gd):
+        """On a plane a cluster reuses one answer across an orbit of the
+        isometries of Z^2 that keep its piles and its live set on the grid
+        (the Orbits bullet of the reach docstring).  On distributions
+        symmetric under a drawn map about an off-centre point, clipped to
+        the grid, the coverage is the oracle's, and each cluster's is its
+        region queried vertex by vertex.  Where no image fell off, g keeps
+        the piles and GridIndex.stabiliser lists it."""
+        g, d = gd
+        if {z2_image(g, v): c for v, c in d.items()} == d.counts:
+            assert g in d.grid.index.stabiliser(d.counts)
+        engine = _Engine(d)
+        assert engine.reachable_set() == naive_reachable(d)
+        for counts, cov in engine._clusters:
+            assert cov == per_target_coverage(engine, counts), counts
 
 
 class TestClusterProperties:

@@ -20,6 +20,7 @@ from pebblekit.reach import (
     BudgetExceeded,
     _Engine,
     _Search,
+    _live,
     apply_move,
     boundary_vertices,
     can_move_k,
@@ -241,10 +242,10 @@ class TestQueries:
         caps = []
         run = _Search.run
 
-        def spy(search, counts):
+        def spy(search, counts, live=None):
             if search.k == 2:
                 caps.append((len(counts), search.node_cap))
-            return run(search, counts)
+            return run(search, counts, live)
 
         monkeypatch.setattr(_Search, "run", spy)
         d = Distribution(GridSpec(6, 3), {(2, 1): 2, (2, 2): 1, (4, 2): 1, (5, 1): 7})
@@ -262,10 +263,10 @@ class TestQueries:
         sizes = []
         run = _Search.run
 
-        def spy(search, counts):
+        def spy(search, counts, live=None):
             if search.k == 2:
                 sizes.append(len(counts))
-            return run(search, counts)
+            return run(search, counts, live)
 
         monkeypatch.setattr(_Search, "run", spy)
         d = Distribution(GridSpec(6, 3), {(1, 0): 5, (5, 1): 5, (2, 2): 4})
@@ -293,8 +294,19 @@ class TestClusterOrbits:
     @pytest.mark.parametrize(
         "d, expected",
         [
-            # the row reflection only: the piles sit on the middle row, off centre
-            (cascade5(False), {IDENTITY, Symmetry((1, 0), (-1, 6), False)}),
+            # the piles sit on the middle row, centred on column 6 of 0..14:
+            # the row reflection, and as maps of Z^2 the column reflection
+            # about column 6 and the half turn about (6, 3)
+            (
+                cascade5(False),
+                {
+                    IDENTITY,
+                    Symmetry((1, 0), (-1, 6), False),
+                    Symmetry((-1, 12), (1, 0), False),
+                    Symmetry((-1, 12), (-1, 6), False),
+                },
+            ),
+            # the trigger unit at (3, 3) has no mirror pile at (9, 3)
             (cascade5(True), {IDENTITY, Symmetry((1, 0), (-1, 6), False)}),
             # the test_budget_exceeded instance: the axis swap only
             (
@@ -308,6 +320,46 @@ class TestClusterOrbits:
     def test_stabiliser(self, d, expected):
         got = d.grid.index.stabiliser(d.counts)
         assert len(got) == len(expected) and set(got) == expected
+
+    @pytest.mark.parametrize(
+        "spec, piles, off, queried",
+        [
+            # the exact live set refuses it: no pile holds 4
+            (GridSpec(5, 3), {(0, 1): 3, (1, 1): 3}, [(2, 1)], 2),
+            # (3, 1) is next to a pile of 4: refused before any weighing
+            (GridSpec(6, 3), {(0, 1): 4, (2, 1): 4}, [(3, 1)], 2),
+            (GridSpec(7, 3), {(2, 1): 3, (3, 1): 3}, [], 1),
+        ],
+        ids=["live-vertex-off-the-grid", "pile-neighbour-off-the-grid", "live-set-on-the-grid"],
+    )
+    def test_a_map_that_sends_a_live_vertex_off_the_grid_is_refused(
+        self, monkeypatch, spec, piles, off, queried
+    ):
+        """Two equal piles on row 1 are mirror images about the column
+        between them, a map of Z^2 that keeps them.  Piles of 3 at (0, 1)
+        and (1, 1) on 5x3 make (2, 1) live (W = 3/2 + 3/4), and the mirror
+        would send it to (-1, 1), off the grid: the map is refused, so both
+        (0, 0) and (1, 0) are queried; likewise for piles
+        of 4 at (0, 1) and (2, 1) and the live (3, 1).  Two columns to the
+        right on 7x3 the live set stays on the grid, and one target of the
+        pair (2, 0), (3, 0) answers for both.  The coverage is the
+        oracle's throughout."""
+        d = Distribution(spec, piles)
+        (a, _), (b, _) = piles
+        mirror = Symmetry((-1, a + b), (1, 0), False)
+        assert mirror in spec.index.stabiliser(d.counts)
+        assert [v for v in _live(spec, d.counts) if spec.index.image(mirror, v) is None] == off
+        targets = []
+        query = _Engine._cluster_can_k
+
+        def spy(engine, counts, t, k):
+            targets.append(t)
+            return query(engine, counts, t, k)
+
+        monkeypatch.setattr(_Engine, "_cluster_can_k", spy)
+        assert coverage(d).reachable == naive_reachable(d)
+        pair = {(a, 0), (b, 0)}
+        assert len(pair & set(targets)) == queried
 
     def test_stabiliser_matches_brute_force(self):
         """diag7 on the 14x14 torus: the stabiliser has as many elements as
@@ -336,7 +388,7 @@ class TestClusterOrbits:
         for counts, cov in clusters:
             assert cov == per_target_coverage(engine, counts), counts
 
-    @pytest.mark.parametrize("plus, queries", [(False, 38), (True, 47)], ids=["base", "plus"])
+    @pytest.mark.parametrize("plus, queries", [(False, 21), (True, 47)], ids=["base", "plus"])
     def test_walk_covers_the_lemma_region_in_order(self, monkeypatch, plus, queries):
         """The coverage of cascade_ones k=5 on 15x7 queries only targets
         within T.bit_length() - 1 of a pile of their cluster, T its pebbles
@@ -395,9 +447,9 @@ def checked_runs(monkeypatch) -> list[tuple[int, int]]:
     runs = []
     run = _Search.run
 
-    def checked(search, counts):
+    def checked(search, counts, live=None):
         ref = ReferenceSearch(search.grid, search.t, search.k)
-        found = run(search, counts)
+        found = run(search, counts, live)
         assert found == ref.run(counts), (counts, tuple(search.t), search.k)
         assert (search.nodes, len(search.failed)) == (ref.nodes, len(ref.failed))
         runs.append((search.nodes, len(search.failed)))
@@ -418,8 +470,8 @@ class TestPackedSearch:
         [
             (
                 False,
-                858,
-                300,
+                544,
+                266,
                 [
                     "...............",
                     "...............",
@@ -457,7 +509,7 @@ class TestPackedSearch:
         assert max(p for _, p in checked_runs) == peak
 
     @pytest.mark.parametrize(
-        "plus, cov, nodes, peak", [(False, 35, 7619, 2144), (True, 53, 25017, 17346)], ids=["base", "plus"]
+        "plus, cov, nodes, peak", [(False, 35, 3513, 1784), (True, 53, 25017, 17346)], ids=["base", "plus"]
     )
     def test_cascade6_node_totals(self, monkeypatch, plus, cov, nodes, peak):
         """A regression pin of the DFS work in the coverage of cascade_ones
@@ -465,9 +517,9 @@ class TestPackedSearch:
         runs = []
         run = _Search.run
 
-        def spy(search, counts):
+        def spy(search, counts, live=None):
             try:
-                return run(search, counts)
+                return run(search, counts, live)
             finally:
                 runs.append((search.nodes, len(search.failed)))
 
