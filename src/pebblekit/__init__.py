@@ -19,13 +19,9 @@ from .reach import (
     BudgetExceeded,
     CoverageReport,
     apply_move,
-    boundary_vertices,
     can_move_k,
     coverage,
-    interaction_vertices,
-    is_reachable,
     is_solvable,
-    lonely_units,
     marginal_covering_ratio,
 )
 from .weights import (
@@ -53,7 +49,6 @@ from .lp import (
 from .constructions import (
     PatternSpec,
     banded_rows_augmentation,
-    banded_rows_augmentation_sequence,
     find_density7_pattern,
     gen_banded_rows,
     gen_block_composition,
@@ -66,7 +61,6 @@ from .optimal import (
     OptimalResult,
     composition_upper_bound,
     optimal_pebbling_number,
-    optimal_ratio_series,
 )
 
 __version__ = "1.0.0"

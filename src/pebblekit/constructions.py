@@ -97,11 +97,6 @@ def gen_diag7(spec: GridSpec) -> Distribution:
     return Distribution(spec, counts)
 
 
-def diag7_border_pebbles(d: Distribution) -> int:
-    """Number of single-pebble border fillers in a plane diag7 instance."""
-    return sum(1 for c in d.counts.values() if c == 1)
-
-
 # -- row_ones and cascade_ones -------------------------------------------
 
 
@@ -228,22 +223,6 @@ def banded_rows_augmentation(n: int, m: int) -> tuple:
     if certified is None:
         raise GridError(f"no augmentation of banded_rows n={n}, m={m} is certified solvable")
     return certified
-
-
-def banded_rows_augmentation_sequence(n: int, m: int) -> tuple:
-    """The augmentation units ordered middle rows outward (ties broken by
-    (row, col)).  Units near the central pebbled rows unlock the most new
-    vertices; the ceiling falls at every step of this order (the ceiling
-    numerator is already saturated), and on the square-ish instances
-    (m = 1, and n = m = 2) the covering ratio also climbs at every step."""
-    units = banded_rows_augmentation(n, m)
-    rows = [5 * j for j in range(m + 1)]
-
-    def key(v: Vertex) -> tuple:
-        j = min(rows, key=lambda r: abs(v.row - r))
-        return (abs(2 * j - 5 * m), v.row, v.col)
-
-    return tuple(sorted(units, key=key))
 
 
 def gen_banded_rows(n: int = 1, m: int = 1, augmented: bool = False) -> Distribution:

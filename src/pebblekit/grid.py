@@ -423,11 +423,6 @@ class Distribution(_Pebbles):
             del counts[v]
         return Distribution(self.grid, counts)
 
-    def without_unit(self, v) -> "Distribution":
-        v = self.grid.check(v)
-        counts = {u: c for u, c in self.counts.items() if u != v}
-        return Distribution(self.grid, counts)
-
     def combined(self, other: "Distribution") -> "Distribution":
         if self.grid != other.grid:
             raise GridError("cannot combine distributions on different grids")

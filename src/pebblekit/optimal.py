@@ -123,7 +123,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import ceil
 from typing import NamedTuple, Sequence
@@ -389,19 +388,6 @@ def optimal_pebbling_number(
                 return OptimalResult(spec=spec, pi_opt=s, witness=d, per_size=tuple(per_size))
         orbits = walk.orbit_count(s)
         per_size.append(SizeRow(s, orbits, orbits - tested, tested))
-
-
-def optimal_ratio_series(
-    max_n: int, node_cap: int = DEFAULT_NODE_CAP
-) -> list[tuple[int, int, Fraction]]:
-    """(n, pi_opt(n x n), pi_opt / n^2) for n = 1..max_n on plane grids."""
-    if max_n < 1:
-        raise GridError("max_n must be >= 1")
-    out = []
-    for n in range(1, max_n + 1):
-        result = optimal_pebbling_number(GridSpec(n, n), node_cap)
-        out.append((n, result.pi_opt, Fraction(result.pi_opt, n * n)))
-    return out
 
 
 def composition_upper_bound(n: int, m: int, pi_m: int) -> int:

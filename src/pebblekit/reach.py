@@ -559,11 +559,6 @@ def can_move_k(d: Distribution, t, k: int, node_cap: int = DEFAULT_NODE_CAP) -> 
     return _Engine(d, node_cap).can_move_k(t, k)
 
 
-def is_reachable(d: Distribution, t, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """True iff t holds a pebble or some move sequence places one on it."""
-    return can_move_k(d, t, 1, node_cap)
-
-
 def coverage(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> CoverageReport:
     """Reachable set, Cov(D), exact covering ratio, and boundary vertices."""
     engine = _Engine(d, node_cap)
@@ -584,31 +579,6 @@ def is_solvable(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff every grid vertex is reachable."""
     engine = _Engine(d, node_cap)
     return d.size >= 1 and len(engine.reachable_set()) == d.grid.size
-
-
-def boundary_vertices(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Vertex]:
-    return coverage(d, node_cap).boundary
-
-
-def interaction_vertices(
-    d1: Distribution, d2: Distribution, node_cap: int = DEFAULT_NODE_CAP
-) -> frozenset[Vertex]:
-    """Vertices reachable under both distributions."""
-    if d1.grid != d2.grid:
-        raise GridError("distributions live on different grids")
-    return _Engine(d1, node_cap).reachable_set() & _Engine(d2, node_cap).reachable_set()
-
-
-def lonely_units(d: Distribution, node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Vertex]:
-    """Units whose singleton coverage is disjoint from the rest's coverage."""
-    out = set()
-    for v in d.support:
-        alone = Distribution(d.grid, {v: d.counts[v]})
-        rest = d.without_unit(v)
-        rest_cov = _Engine(rest, node_cap).reachable_set() if rest.counts else frozenset()
-        if not (_Engine(alone, node_cap).reachable_set() & rest_cov):
-            out.add(v)
-    return frozenset(out)
 
 
 def marginal_covering_ratio(

@@ -385,35 +385,3 @@ UNIT_EXCESS_LOWER_BOUND = Fraction(12, 25)
 
 #: Implied upper bound on n^2 / |D|: 9 - 12/25.
 IFCOV_UPPER_BOUND = PEBBLE_TOTAL_WEIGHT - UNIT_EXCESS_LOWER_BOUND
-
-
-@dataclass(frozen=True)
-class IfcovBoundReport:
-    """Accounting for the bound 9|D| >= n^2 + (12/25)|D|."""
-
-    size: int
-    n_squared: int
-    ratio: Fraction
-    excess_lower_bound: Fraction
-    actual_total_excess: Fraction
-    bound_constant: Fraction
-    violated: bool
-
-
-def ifcov_bound_report(d: Distribution, n: int) -> IfcovBoundReport:
-    """Bound accounting for a distribution meant to cover an n x n grid in
-    the fractional sense.  A violation (actual excess below the per-unit
-    lower bound) would falsify the implementation, not the bound."""
-    if d.size < 1:
-        raise GridError("bound report needs a non-empty distribution")
-    lower = UNIT_EXCESS_LOWER_BOUND * d.size
-    actual = weight_report(d).total_excess
-    return IfcovBoundReport(
-        size=d.size,
-        n_squared=n * n,
-        ratio=Fraction(n * n, d.size),
-        excess_lower_bound=lower,
-        actual_total_excess=actual,
-        bound_constant=IFCOV_UPPER_BOUND,
-        violated=actual < lower,
-    )

@@ -1,20 +1,21 @@
 """Shared helpers: a naive full-state-space reachability oracle used to
 cross-check the production engine on small instances, the grid adjacency
 written out for it, the interaction clusters joined one pair at a time
-with the oracle's coverages, a cluster's coverage decided one region
-vertex at a time with no symmetry used, the engine's depth-first search over
-{vertex: count} states, its dead ends weighed on their own, used to
-cross-check the packed one, a reference simplex over Fraction used to
-cross-check the integer one, a reference orbit enumerator with a
-global seen set, used to cross-check the lex-least enumeration, Burnside's
-orbit count with each permutation's cycles found afresh, used to
-cross-check the count from cycle types found once, the orbit walk
-with one list of live pairs read whole at every position, used to
-cross-check the walk that reads only the pairs that wake there, and the
-fractional optimal pebbling program solved by the simplex, written out
-densely (one variable per vertex) and per axis (the path or cycle of one
-side), used to cross-check the closed-form optimum, and the weight
-W(u) summed one Fraction per pile, used to cross-check the weight kernel."""
+with the oracle's coverages, the lonely units (piles whose coverage misses
+the rest's) read off the oracle alone, a cluster's coverage decided one
+region vertex at a time with no symmetry used, the engine's depth-first
+search over {vertex: count} states, its dead ends weighed on their own,
+used to cross-check the packed one, a reference simplex over Fraction used
+to cross-check the integer one, a reference orbit enumerator with a global
+seen set, used to cross-check the lex-least enumeration, Burnside's orbit
+count with each permutation's cycles found afresh, used to cross-check the
+count from cycle types found once, the orbit walk with one list of live
+pairs read whole at every position, used to cross-check the walk that
+reads only the pairs that wake there, and the fractional optimal pebbling
+program solved by the simplex, written out densely (one variable per
+vertex) and per axis (the path or cycle of one side), used to cross-check
+the closed-form optimum, and the weight W(u) summed one Fraction per pile,
+used to cross-check the weight kernel."""
 
 from __future__ import annotations
 
@@ -92,6 +93,18 @@ def reference_clusters(d: Distribution) -> list[tuple[dict, frozenset[Vertex]]]:
         counts = {**clusters[i][0], **clusters[j][0]}
         del clusters[j], clusters[i]
         clusters.append(cluster(counts))
+
+
+def reference_lonely_units(d: Distribution) -> frozenset[Vertex]:
+    """The piles whose own naive_reachable set misses that of the rest of
+    d, or that have no rest: by naive_reachable alone, with no clusters."""
+    out = set()
+    for v, c in d.items():
+        rest = {u: k for u, k in d.items() if u != v}
+        alone = naive_reachable(Distribution(d.grid, {v: c}))
+        if not rest or alone.isdisjoint(naive_reachable(Distribution(d.grid, rest))):
+            out.add(v)
+    return frozenset(out)
 
 
 def per_target_coverage(engine, counts: dict) -> frozenset[Vertex]:

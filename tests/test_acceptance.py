@@ -22,7 +22,6 @@ from pebblekit.grid import (
 )
 from pebblekit.constructions import (
     banded_rows_augmentation,
-    banded_rows_augmentation_sequence,
     density7_class_profile,
     density7_class_weights,
     find_density7_pattern,
@@ -238,7 +237,15 @@ class TestAugmentationMonotonicity:
         ratio = coverage(d).ratio
         ceiling = covering_ratio_ceiling(d)
         steps = 0
-        for v in banded_rows_augmentation_sequence(n, m):
+        # middle pebbled rows outward, ties by (row, col): units near the
+        # central rows unlock the most new vertices
+        rows = range(0, 5 * m + 1, 5)
+
+        def middle_out(v):
+            nearest = min(rows, key=lambda r: abs(v.row - r))
+            return abs(2 * nearest - 5 * m), v.row, v.col
+
+        for v in sorted(banded_rows_augmentation(n, m), key=middle_out):
             d = d.with_pebbles(v, 2)
             new_ratio = coverage(d).ratio
             new_ceiling = covering_ratio_ceiling(d)

@@ -1,11 +1,14 @@
 import json
+import re
 import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import pebblekit
 from pebblekit import cli, weights
 from pebblekit.cli import SCHEMA, build_parser, main
 from pebblekit.constructions import gen_cascade_ones, gen_row_ones, gen_uniform_frac
@@ -575,6 +578,21 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_names_every_export():
+    """Every public name of the package appears in backquotes in the README
+    prose, so an export either has a documented user path or goes."""
+    prose = "".join(README.read_text().split("```")[0::2])
+    spans = re.findall(r"`([^`]+)`", prose)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    exports = {
+        name
+        for name, value in vars(pebblekit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(exports) >= 40
+    assert sorted(exports - named) == []
 
 
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):

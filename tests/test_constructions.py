@@ -23,7 +23,6 @@ from pebblekit.constructions import (
     banded_rows_augmentation,
     density7_class_profile,
     density7_class_weights,
-    diag7_border_pebbles,
     find_density7_pattern,
     gen_banded_rows,
     gen_block_composition,
@@ -57,7 +56,8 @@ class TestDiag7:
     def test_plane_adds_border_fillers(self):
         d = gen_diag7(GridSpec(10, 10, PLANE))
         assert is_solvable(d)
-        assert diag7_border_pebbles(d) > 0
+        # single-pebble fillers cover what the size-4 units leave out
+        assert any(c == 1 for c in d.counts.values())
         # the ratio of the bordered instance sits below the torus ratio
         assert coverage(d).ratio < Fraction(7, 2)
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import islice
 from operator import mul
 
@@ -14,7 +13,6 @@ from pebblekit.optimal import (
     _Walk,
     composition_upper_bound,
     optimal_pebbling_number,
-    optimal_ratio_series,
 )
 from pebblekit.reach import BudgetExceeded, StateSolver, coverage, is_solvable
 from pebblekit.weights import dyadic_rows, weight
@@ -558,15 +556,6 @@ class TestOptimalNumbers:
 
 
 class TestSeriesAndBounds:
-    def test_ratio_series(self):
-        series = optimal_ratio_series(3)
-        assert [(n, p) for n, p, _ in series] == [(1, 1), (2, 3), (3, 4)]
-        assert series[2][2] == Fraction(4, 9)
-
-    def test_ratio_series_guard(self):
-        with pytest.raises(GridError):
-            optimal_ratio_series(0)
-
     def test_composition_upper_bound(self):
         # n = km + r tiling bound: k^2 pi_m + r^2 + 2rkm
         assert composition_upper_bound(4, 2, 3) == 12

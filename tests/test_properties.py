@@ -25,7 +25,6 @@ from pebblekit.reach import (
     apply_move,
     can_move_k,
     coverage,
-    lonely_units,
 )
 from pebblekit.weights import (
     _infinite_weight,
@@ -49,6 +48,7 @@ from conftest import (
     oracle_distance,
     per_target_coverage,
     reference_clusters,
+    reference_lonely_units,
     window_vertices,
 )
 
@@ -553,13 +553,13 @@ class TestClusterProperties:
     def test_clusters_match_pair_at_a_time_reference(self, d):
         """Joining whole groups per round reaches the clusters of the
         pair-at-a-time fixed point, each with the oracle's coverage, and a
-        pile is a cluster of its own iff it is a lonely unit."""
+        pile is a cluster of its own iff the oracle finds it a lonely unit."""
         got = {frozenset(counts): cov for counts, cov in _Engine(d)._clusters}
         expected = {frozenset(counts): cov for counts, cov in reference_clusters(d)}
         assert set(got) == set(expected)
         for piles, cov in got.items():
             assert cov == expected[piles], piles
-        assert {v for piles in got if len(piles) == 1 for v in piles} == lonely_units(d)
+        assert {v for piles in got if len(piles) == 1 for v in piles} == reference_lonely_units(d)
 
 
 @st.composite

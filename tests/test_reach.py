@@ -22,13 +22,9 @@ from pebblekit.reach import (
     _Search,
     _live,
     apply_move,
-    boundary_vertices,
     can_move_k,
     coverage,
-    interaction_vertices,
-    is_reachable,
     is_solvable,
-    lonely_units,
     marginal_covering_ratio,
 )
 
@@ -77,8 +73,8 @@ class TestFixtures:
 
     def test_four_pebbles_reach_distance_two(self):
         d = Distribution(GridSpec(7, 7), {(3, 3): 4})
-        assert is_reachable(d, (5, 3))
-        assert not is_reachable(d, (6, 3))
+        assert can_move_k(d, (5, 3), 1)
+        assert not can_move_k(d, (6, 3), 1)
         assert can_move_k(d, (4, 3), 2)
         assert not can_move_k(d, (4, 3), 3)
 
@@ -130,8 +126,8 @@ class TestQueries:
 
     @pytest.mark.parametrize(
         "query",
-        [is_solvable, coverage, lambda d: can_move_k(d, (1, 1), 2), lambda d: is_reachable(d, (1, 1))],
-        ids=["is_solvable", "coverage", "can_move_k", "is_reachable"],
+        [is_solvable, coverage, lambda d: can_move_k(d, (1, 1), 2)],
+        ids=["is_solvable", "coverage", "can_move_k"],
     )
     def test_continuous_distribution_rejected(self, query):
         # a size below 1 is refused for its kind too, not for its size
@@ -142,28 +138,23 @@ class TestQueries:
 
     def test_boundary_vertices(self):
         d = Distribution(GridSpec(7, 7), {(3, 3): 2})
-        b = boundary_vertices(d)
+        b = coverage(d).boundary
         # the four arm vertices touch unreachable ground; the center does not
         assert b == coverage(d).reachable - {Vertex(3, 3)}
 
     def test_boundary_empty_when_solvable(self):
         d = Distribution(GridSpec(2, 2), {(0, 1): 1, (1, 1): 2})
-        assert boundary_vertices(d) == frozenset()
-
-    def test_interaction_vertices(self):
-        spec = GridSpec(9, 5)
-        a = Distribution(spec, {(2, 2): 2})
-        b = Distribution(spec, {(4, 2): 2})
-        assert interaction_vertices(a, b) == frozenset({Vertex(3, 2)})
-        far = Distribution(spec, {(7, 2): 2})
-        assert interaction_vertices(a, far) == frozenset()
+        assert coverage(d).boundary == frozenset()
 
     def test_lonely_units(self):
+        # far piles are each a cluster of their own; adjacent ones are one
         spec = GridSpec(9, 5)
         d = Distribution(spec, {(1, 2): 2, (7, 2): 2})
-        assert lonely_units(d) == frozenset({Vertex(1, 2), Vertex(7, 2)})
+        clusters = [counts for counts, _ in _Engine(d)._clusters]
+        assert len(clusters) == 2
+        assert {Vertex(1, 2): 2} in clusters and {Vertex(7, 2): 2} in clusters
         d2 = Distribution(spec, {(2, 2): 2, (4, 2): 2})
-        assert lonely_units(d2) == frozenset()
+        assert [counts for counts, _ in _Engine(d2)._clusters] == [d2.counts]
 
     def test_marginal_covering_ratio(self):
         spec = GridSpec(7, 7)

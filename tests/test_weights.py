@@ -23,7 +23,6 @@ from pebblekit.weights import (
     covering_ratio_ceiling,
     excess,
     fractional_solvable,
-    ifcov_bound_report,
     marginal_covering_ratio_ceiling,
     single_pebble_weight_total,
     weight,
@@ -311,13 +310,6 @@ class TestFractional:
         assert IFCOV_UPPER_BOUND == Fraction(213, 25)
         assert PEBBLE_TOTAL_WEIGHT == 9
 
-    def test_ifcov_bound_report(self):
-        spec = GridSpec(3, 3)
-        d = Distribution(spec, {(1, 1): 9})
-        rep = ifcov_bound_report(d, 3)
-        assert rep.ratio == 1
-        assert rep.excess_lower_bound == Fraction(12, 25) * 9
-        assert rep.violated is False
 
 
 @pytest.fixture(scope="module")
