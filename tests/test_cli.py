@@ -253,6 +253,14 @@ class TestOptimal:
         assert code == 0
         assert [r["pi_opt"] for r in json.loads(out)["results"]] == [1, 3, 4]
 
+    def test_series_ratios(self, capsys):
+        """--max-n walks the n x n planes from 1 up, with pi_opt / n^2."""
+        code, out, _ = run_cli(capsys, "optimal", "--max-n", "3")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [r["grid"] for r in rows] == [[1, 1], [2, 2], [3, 3]]
+        assert [r["ratio"] for r in rows] == ["1", "3/4", "4/9"]
+
     def test_node_cap_reports_exhausted_sizes(self, capsys):
         """Sizes 1-5 of 6x2 are exhausted before the one-entry memo overflows
         at size 6 (no size-5 orbit reaches the solver), so the bound beats

@@ -126,8 +126,13 @@ class TestQueries:
 
     @pytest.mark.parametrize(
         "query",
-        [is_solvable, coverage, lambda d: can_move_k(d, (1, 1), 2)],
-        ids=["is_solvable", "coverage", "can_move_k"],
+        [
+            is_solvable,
+            coverage,
+            lambda d: can_move_k(d, (1, 1), 2),
+            lambda d: can_move_k(d, (1, 1), 1),
+        ],
+        ids=["is_solvable", "coverage", "can_move_k", "can_move_k_one"],
     )
     def test_continuous_distribution_rejected(self, query):
         # a size below 1 is refused for its kind too, not for its size
@@ -145,6 +150,15 @@ class TestQueries:
     def test_boundary_empty_when_solvable(self):
         d = Distribution(GridSpec(2, 2), {(0, 1): 1, (1, 1): 2})
         assert coverage(d).boundary == frozenset()
+
+    def test_interaction_vertices(self):
+        # two piles of 2 two apart reach one vertex in common; a far pile none
+        spec = GridSpec(9, 5)
+        a = coverage(Distribution(spec, {(2, 2): 2})).reachable
+        b = coverage(Distribution(spec, {(4, 2): 2})).reachable
+        far = coverage(Distribution(spec, {(7, 2): 2})).reachable
+        assert a & b == frozenset({Vertex(3, 2)})
+        assert a & far == frozenset()
 
     def test_lonely_units(self):
         # far piles are each a cluster of their own; adjacent ones are one

@@ -310,6 +310,16 @@ class TestFractional:
         assert IFCOV_UPPER_BOUND == Fraction(213, 25)
         assert PEBBLE_TOTAL_WEIGHT == 9
 
+    def test_ifcov_bound_accounting(self):
+        # 9|D| >= n^2 + (12/25)|D| term by term, for 9 pebbles covering 3x3
+        n = 3
+        d = Distribution(GridSpec(n, n), {(1, 1): 9})
+        rep = weight_report(d)
+        assert min(rep.weights.values()) >= 1
+        assert rep.total_weight - rep.total_excess == n * n
+        assert rep.total_weight <= PEBBLE_TOTAL_WEIGHT * d.size
+        assert rep.total_excess == 27 >= UNIT_EXCESS_LOWER_BOUND * d.size
+        assert Fraction(n * n, d.size) <= IFCOV_UPPER_BOUND
 
 
 @pytest.fixture(scope="module")
